@@ -2,28 +2,10 @@
 // joins (all outer-join flavors), duplicate elimination, removal of
 // subsumed tuples, minimum union, and null-if — the operators every
 // maintenance expression is built from (experiment E9).
-//
-// `bench_operators --kernels` runs a different suite instead: the
-// row-at-a-time engine against the chunked columnar engine on the same
-// expressions, one row per kernel (select / project / join / nullif /
-// dedup / subsume), with --json output that BENCH_pipeline.json's
-// "kernels" section records and tools/bench_gate replays. The columnar
-// timings include the relation-boundary conversions, so they are the
-// end-to-end cost a maintenance expression actually pays.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cstring>
-#include <string>
-#include <vector>
-
-#include "bench_util.h"
 #include "common/rng.h"
-#include "exec/bound_scalar.h"
-#include "exec/columnar/chunked_relation.h"
-#include "exec/columnar/predicate.h"
-#include "exec/columnar/simd.h"
 #include "exec/evaluator.h"
 
 namespace ojv {
@@ -71,14 +53,6 @@ class OperatorFixture {
     ExecConfig config;
     config.num_threads = threads;
     evaluator.set_exec(config, ThreadPool::Shared(threads).get());
-    return evaluator.EvalToRelation(e);
-  }
-
-  Relation EvalEngine(const RelExprPtr& e, ExecEngine engine) {
-    Evaluator evaluator(&catalog_);
-    ExecConfig config;
-    config.engine = engine;
-    evaluator.set_exec(config, nullptr);
     return evaluator.EvalToRelation(e);
   }
 
@@ -211,279 +185,7 @@ void BM_NullIf(benchmark::State& state) {
 }
 BENCHMARK(BM_NullIf)->Arg(1000)->Arg(10000);
 
-// --- Row-vs-columnar kernel suite (--kernels) ---
-
-// One comparison row per hot operator. Both engines evaluate the same
-// expression through the evaluator on the same serial config; only
-// ExecConfig::engine differs.
-int RunKernelSuite(int argc, char** argv) {
-  int64_t rows = 100000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--rows=", 7) == 0) {
-      rows = std::atoll(argv[i] + 7);
-    }
-  }
-  bench::BenchOptions options = bench::BenchOptions::Parse(argc, argv);
-  OperatorFixture fixture(rows);
-
-  struct Kernel {
-    const char* name;
-    RelExprPtr expr;
-  };
-  std::vector<Kernel> kernels;
-  kernels.push_back(
-      {"select",
-       RelExpr::Select(RelExpr::Scan("L"),
-                       ScalarExpr::Compare(
-                           CompareOp::kLt, ScalarExpr::Column("L", "lk"),
-                           ScalarExpr::Literal(Value::Int64(rows))))});
-  kernels.push_back({"project", RelExpr::Project(RelExpr::Scan("L"),
-                                                 {ColumnRef{"L", "lk"},
-                                                  ColumnRef{"L", "lv"}})});
-  kernels.push_back({"join", fixture.Join(JoinKind::kLeftOuter)});
-  kernels.push_back(
-      {"nullif",
-       RelExpr::NullIf(fixture.Join(JoinKind::kLeftOuter), {"R"},
-                       ScalarExpr::Compare(
-                           CompareOp::kGt, ScalarExpr::Column("R", "rv"),
-                           ScalarExpr::Literal(Value::Int64(rows / 2))))});
-  kernels.push_back(
-      {"dedup", RelExpr::Dedup(RelExpr::Project(RelExpr::Scan("L"),
-                                                {ColumnRef{"L", "lk"}}))});
-  kernels.push_back(
-      {"subsume", RelExpr::SubsumeRemove(fixture.Join(JoinKind::kLeftOuter))});
-
-  auto best_of = [](const std::function<void()>& fn) {
-    fn();  // warm-up (hash table layouts, allocator)
-    double best = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      best = std::min(best, bench::TimeMs(fn));
-    }
-    return best;
-  };
-
-  bench::JsonReport report("operator_kernels", options);
-
-  // (a) End-to-end engine comparison: the same expression through the
-  // evaluator with only ExecConfig::engine flipped. The columnar side
-  // pays the relation-boundary conversions, so for a single cheap
-  // operator on converted inputs this measures conversion + kernel; the
-  // kernel-level rows below isolate the loops themselves.
-  bench::PrintHeader(
-      std::string("row vs columnar operators (end-to-end), ") +
-          std::to_string(rows) + " rows, simd=" +
-          columnar::simd::BackendName(),
-      {"kernel", "row_ms", "columnar_ms", "speedup", "out_rows"});
-  for (const Kernel& kernel : kernels) {
-    int64_t out_rows = 0;
-    const double row_ms = best_of([&] {
-      out_rows = fixture.EvalEngine(kernel.expr, ExecEngine::kRowAtATime)
-                     .size();
-    });
-    const double columnar_ms = best_of([&] {
-      out_rows =
-          fixture.EvalEngine(kernel.expr, ExecEngine::kColumnar).size();
-    });
-    const double speedup = columnar_ms > 0 ? row_ms / columnar_ms : 0;
-    char speedup_buf[32];
-    std::snprintf(speedup_buf, sizeof(speedup_buf), "%.2fx", speedup);
-    bench::PrintRow({kernel.name, bench::FormatMs(row_ms),
-                     bench::FormatMs(columnar_ms), speedup_buf,
-                     bench::FormatCount(out_rows)});
-    report.BeginRow();
-    report.Str("kernel", kernel.name);
-    report.Count("rows", rows);
-    report.Count("out_rows", out_rows);
-    report.Num("row_ms", row_ms);
-    report.Num("columnar_ms", columnar_ms);
-    report.Num("rows_per_sec", columnar_ms > 0
-                                   ? static_cast<double>(rows) /
-                                         (columnar_ms / 1000.0)
-                                   : 0);
-    report.Num("speedup", speedup);
-  }
-
-  // (b) Inner-loop comparison: the two engines' per-operator compute on
-  // already-converted inputs — the row engine's per-row interpreted
-  // loop against the chunked kernels over typed arrays. This is the
-  // cost each engine pays *inside* an operator, with the row
-  // materialization both share factored out.
-  {
-    BoundSchema schema;
-    schema.AddColumn(BoundColumn{"t", "a", ValueType::kInt64, 0});
-    schema.AddColumn(BoundColumn{"t", "b", ValueType::kInt64, -1});
-    schema.AddColumn(BoundColumn{"t", "c", ValueType::kInt64, -1});
-    Relation rel(schema);
-    Rng rng(42);
-    for (int64_t i = 0; i < rows; ++i) {
-      rel.Add(Row{Value::Int64(rng.Uniform(0, rows)),
-                  Value::Int64(rng.Uniform(0, 1000)),
-                  Value::Int64(i)});
-    }
-    columnar::ChunkedRelation chunked =
-        columnar::ChunkedRelation::FromRelation(rel, 1024);
-    ScalarExprPtr pred = ScalarExpr::Compare(
-        CompareOp::kLt, ScalarExpr::Column("t", "b"),
-        ScalarExpr::Literal(Value::Int64(500)));
-
-    bench::PrintHeader(
-        "row loop vs columnar kernel (inner loops, conversion excluded)",
-        {"kernel", "row_ms", "columnar_ms", "speedup"});
-    auto emit = [&](const char* name, double row_ms, double columnar_ms) {
-      const double speedup = columnar_ms > 0 ? row_ms / columnar_ms : 0;
-      char speedup_buf[32];
-      std::snprintf(speedup_buf, sizeof(speedup_buf), "%.2fx", speedup);
-      bench::PrintRow({name, bench::FormatMs(row_ms),
-                       bench::FormatMs(columnar_ms), speedup_buf});
-      report.BeginRow();
-      report.Str("kernel", name);
-      report.Count("rows", rows);
-      report.Num("row_ms", row_ms);
-      report.Num("columnar_ms", columnar_ms);
-      report.Num("rows_per_sec",
-                 columnar_ms > 0
-                     ? static_cast<double>(rows) / (columnar_ms / 1000.0)
-                     : 0);
-      report.Num("speedup", speedup);
-    };
-
-    // Filter: BoundScalar per-row vs ColumnarPredicate per-chunk.
-    int64_t sink = 0;
-    const double filter_row = best_of([&] {
-      BoundScalar bound = BoundScalar::Compile(pred, schema);
-      int64_t hits = 0;
-      for (const Row& row : rel.rows()) {
-        if (bound.EvalBool(row)) ++hits;
-      }
-      sink += hits;
-    });
-    const double filter_col = best_of([&] {
-      columnar::ColumnarPredicate compiled =
-          columnar::ColumnarPredicate::Compile(pred, chunked);
-      columnar::SelVector sel;
-      sel.reserve(static_cast<size_t>(rows));
-      for (int64_t c = 0; c < chunked.num_chunks(); ++c) {
-        compiled.SelectInto(chunked, chunked.ChunkBegin(c),
-                            chunked.ChunkEnd(c), &sel);
-      }
-      sink += static_cast<int64_t>(sel.size());
-    });
-    emit("filter_kernel", filter_row, filter_col);
-
-    // Key hashing: Value::Hash per row vs the SIMD mix over the column.
-    const double hash_row = best_of([&] {
-      size_t h = 0;
-      for (const Row& row : rel.rows()) h ^= row[0].Hash();
-      sink += static_cast<int64_t>(h);
-    });
-    std::vector<uint64_t> hashes(static_cast<size_t>(rows));
-    const double hash_col = best_of([&] {
-      columnar::simd::HashI64(chunked.column(0).i64.data(), rows,
-                              hashes.data());
-      sink += static_cast<int64_t>(hashes[0]);
-    });
-    emit("hash_kernel", hash_row, hash_col);
-
-    // Gather: Row copies by index vs typed-array gathers (the columnar
-    // output representation is the typed arrays themselves).
-    std::vector<int32_t> idx;
-    for (int64_t i = 0; i < rows; i += 2) idx.push_back(static_cast<int32_t>(i));
-    const double gather_row = best_of([&] {
-      std::vector<Row> out;
-      out.reserve(idx.size());
-      for (int32_t i : idx) out.push_back(rel.row(i));
-      sink += static_cast<int64_t>(out.size());
-    });
-    std::vector<int64_t> gathered(idx.size());
-    const double gather_col = best_of([&] {
-      for (int c = 0; c < chunked.num_columns(); ++c) {
-        columnar::simd::GatherI64(chunked.column(c).i64.data(), idx.data(),
-                                  static_cast<int64_t>(idx.size()),
-                                  gathered.data());
-      }
-      sink += gathered[0];
-    });
-    emit("gather_kernel", gather_row, gather_col);
-
-    // (c) Explicit SIMD vs the pinned scalar tree on the same arrays —
-    // the speedup the dispatcher buys over the auto-vectorized scalar
-    // reference. On hosts without AVX2/NEON both columns run scalar and
-    // the speedup is honestly ~1x.
-    bench::PrintHeader(std::string("simd backend '") +
-                           columnar::simd::BackendName() +
-                           "' vs scalar reference",
-                       {"kernel", "scalar_ms", "vector_ms", "speedup"});
-    auto emit_simd = [&](const char* name, double scalar_ms,
-                         double vector_ms) {
-      const double speedup = vector_ms > 0 ? scalar_ms / vector_ms : 0;
-      char speedup_buf[32];
-      std::snprintf(speedup_buf, sizeof(speedup_buf), "%.2fx", speedup);
-      bench::PrintRow({name, bench::FormatMs(scalar_ms),
-                       bench::FormatMs(vector_ms), speedup_buf});
-      report.BeginRow();
-      report.Str("kernel", name);
-      report.Str("simd", columnar::simd::BackendName());
-      report.Count("rows", rows);
-      report.Num("scalar_ms", scalar_ms);
-      report.Num("vector_ms", vector_ms);
-      report.Num("rows_per_sec",
-                 vector_ms > 0
-                     ? static_cast<double>(rows) / (vector_ms / 1000.0)
-                     : 0);
-      report.Num("speedup", speedup);
-    };
-    const int64_t* a = chunked.column(0).i64.data();
-    std::vector<uint8_t> bytes(static_cast<size_t>(rows));
-    emit_simd("simd_cmp_i64",
-              best_of([&] {
-                columnar::simd::scalar::CmpI64Lit(a, rows, CompareOp::kLt,
-                                                  rows / 2, bytes.data());
-                sink += bytes[0];
-              }),
-              best_of([&] {
-                columnar::simd::CmpI64Lit(a, rows, CompareOp::kLt, rows / 2,
-                                          bytes.data());
-                sink += bytes[0];
-              }));
-    emit_simd("simd_hash_i64",
-              best_of([&] {
-                columnar::simd::scalar::HashI64(a, rows, hashes.data());
-                sink += static_cast<int64_t>(hashes[0]);
-              }),
-              best_of([&] {
-                columnar::simd::HashI64(a, rows, hashes.data());
-                sink += static_cast<int64_t>(hashes[0]);
-              }));
-    emit_simd("simd_gather_i64",
-              best_of([&] {
-                columnar::simd::scalar::GatherI64(
-                    a, idx.data(), static_cast<int64_t>(idx.size()),
-                    gathered.data());
-                sink += gathered[0];
-              }),
-              best_of([&] {
-                columnar::simd::GatherI64(a, idx.data(),
-                                          static_cast<int64_t>(idx.size()),
-                                          gathered.data());
-                sink += gathered[0];
-              }));
-    if (sink == 42) std::printf("\n");  // defeat dead-code elimination
-  }
-  report.Write();
-  return 0;
-}
-
 }  // namespace
 }  // namespace ojv
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--kernels") == 0) {
-      return ojv::RunKernelSuite(argc, argv);
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -38,13 +38,19 @@ bool Table::KeyEquals(size_t slot, const Row& key) const {
   return true;
 }
 
-bool Table::Insert(Row row) {
-  OJV_CHECK(static_cast<int>(row.size()) == schema_.num_columns(),
-            "row arity mismatch");
+bool Table::AcceptsRow(const Row& row) const {
+  if (static_cast<int>(row.size()) != schema_.num_columns()) return false;
   for (int i = 0; i < schema_.num_columns(); ++i) {
-    OJV_CHECK(schema_.column(i).nullable || !row[static_cast<size_t>(i)].is_null(),
-              "NULL in non-nullable column");
+    if (!schema_.column(i).nullable && row[static_cast<size_t>(i)].is_null()) {
+      return false;
+    }
   }
+  return true;
+}
+
+bool Table::Insert(Row row) {
+  OJV_CHECK(AcceptsRow(row),
+            "row arity mismatch or NULL in non-nullable column");
   size_t h = HashKeyOf(row);
   auto range = key_index_.equal_range(h);
   for (auto it = range.first; it != range.second; ++it) {
@@ -70,7 +76,7 @@ bool Table::Insert(Row row) {
 }
 
 bool Table::DeleteByKey(const Row& key, Row* deleted) {
-  OJV_CHECK(key.size() == key_positions_.size(), "key arity mismatch");
+  OJV_CHECK(AcceptsKey(key), "key arity mismatch");
   size_t h = HashKeyValues(key);
   auto range = key_index_.equal_range(h);
   for (auto it = range.first; it != range.second; ++it) {
@@ -89,7 +95,7 @@ bool Table::DeleteByKey(const Row& key, Row* deleted) {
 }
 
 const Row* Table::FindByKey(const Row& key) const {
-  OJV_CHECK(key.size() == key_positions_.size(), "key arity mismatch");
+  OJV_CHECK(AcceptsKey(key), "key arity mismatch");
   size_t h = HashKeyValues(key);
   auto range = key_index_.equal_range(h);
   for (auto it = range.first; it != range.second; ++it) {

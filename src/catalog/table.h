@@ -37,8 +37,17 @@ class Table {
   /// or delete. Lets scan caches detect staleness cheaply.
   uint64_t version() const { return version_; }
 
-  /// Inserts a row. Aborts on schema arity mismatch or NULL in a
-  /// non-nullable column; returns false on duplicate key.
+  /// True when `row` has one value per column and no NULL in a
+  /// non-nullable column: the shape Insert requires.
+  bool AcceptsRow(const Row& row) const;
+  /// True when `key` has one value per key column: the shape
+  /// DeleteByKey and FindByKey require.
+  bool AcceptsKey(const Row& key) const {
+    return key.size() == key_positions_.size();
+  }
+
+  /// Inserts a row. Aborts unless AcceptsRow(row); returns false on
+  /// duplicate key.
   bool Insert(Row row);
 
   /// Deletes the row with the given key values. Returns the deleted row

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "exec/bound_scalar.h"
-#include "exec/columnar/columnar_ops.h"
 #include "exec/join_table.h"
 #include "obs/metrics.h"
 
@@ -257,17 +256,11 @@ std::shared_ptr<const Relation> Evaluator::EvalNode(
     case RelKind::kDedup: {
       std::shared_ptr<const Relation> in = Eval(expr->input());
       NoteArg("rows_in", in->size());
-      if (exec_.engine == ExecEngine::kColumnar) {
-        return Owned(columnar::Dedup(*in, exec_, pool_));
-      }
       return Owned(DedupRows(*in, exec_, pool_));
     }
     case RelKind::kSubsumeRemove: {
       std::shared_ptr<const Relation> in = Eval(expr->input());
       NoteArg("rows_in", in->size());
-      if (exec_.engine == ExecEngine::kColumnar) {
-        return Owned(columnar::RemoveSubsumed(*in, exec_, pool_));
-      }
       return Owned(RemoveSubsumed(*in, exec_, pool_));
     }
     case RelKind::kOuterUnion:
@@ -275,9 +268,6 @@ std::shared_ptr<const Relation> Evaluator::EvalNode(
     case RelKind::kMinUnion: {
       Relation unioned =
           OuterUnionOf(*Eval(expr->left()), *Eval(expr->right()));
-      if (exec_.engine == ExecEngine::kColumnar) {
-        return Owned(columnar::RemoveSubsumed(unioned, exec_, pool_));
-      }
       return Owned(RemoveSubsumed(std::move(unioned), exec_, pool_));
     }
     case RelKind::kNullIf:
@@ -305,10 +295,6 @@ Relation Evaluator::EvalSelect(const RelExpr& expr) const {
   std::shared_ptr<const Relation> in = Eval(expr.input());
   NoteArg("rows_in", in->size());
   NoteArg("mode", std::string(ParallelModeFor(in->size())));
-  if (exec_.engine == ExecEngine::kColumnar) {
-    NoteArg("engine", std::string("columnar"));
-    return columnar::Select(*in, expr.predicate(), exec_, pool_);
-  }
   BoundScalar pred = BoundScalar::Compile(expr.predicate(), in->schema());
   Relation out(in->schema());
   const std::vector<Row>& rows = in->rows();
@@ -333,10 +319,6 @@ Relation Evaluator::EvalProject(const RelExpr& expr) const {
     positions.push_back(p);
     schema.AddColumn(in->schema().column(p));
   }
-  if (exec_.engine == ExecEngine::kColumnar) {
-    NoteArg("engine", std::string("columnar"));
-    return columnar::Project(*in, positions, std::move(schema), exec_, pool_);
-  }
   Relation out(std::move(schema));
   const std::vector<Row>& rows = in->rows();
   AppendChunked(
@@ -359,11 +341,6 @@ Relation Evaluator::EvalProject(const RelExpr& expr) const {
 Relation Evaluator::EvalNullIf(const RelExpr& expr) const {
   std::shared_ptr<const Relation> in = Eval(expr.input());
   NoteArg("rows_in", in->size());
-  if (exec_.engine == ExecEngine::kColumnar) {
-    NoteArg("engine", std::string("columnar"));
-    return columnar::NullIf(*in, expr.predicate(), expr.null_tables(), exec_,
-                            pool_);
-  }
   BoundScalar pred = BoundScalar::Compile(expr.predicate(), in->schema());
   // Positions of columns belonging to the nulled tables.
   std::vector<int> null_positions;
@@ -462,24 +439,6 @@ Relation Evaluator::EvalJoin(const RelExpr& expr) const {
                              residual_expr);
   }
   NoteArg("algo", std::string(left_keys.empty() ? "nested_loop" : "hash"));
-
-  // Columnar engine: equality hash joins with no residual. Residual and
-  // nested-loop joins keep the row path (exact row-engine semantics).
-  if (exec_.engine == ExecEngine::kColumnar && !left_keys.empty() &&
-      residual_expr == nullptr) {
-    NoteArg("engine", std::string("columnar"));
-    NoteArg("probe_rows", l.size());
-    NoteArg("build_side", std::string("right"));
-    NoteArg("workers", WorkersFor(l.size()));
-    NoteArg("mode", std::string(ParallelModeFor(l.size())));
-    columnar::JoinStats stats;
-    Relation out = columnar::HashJoin(kind, l, r, left_keys, right_keys,
-                                      combined, exec_, pool_, &stats);
-    NoteArg("build_rows", stats.build_rows);
-    NoteArg("build_capacity", stats.build_capacity);
-    NoteArg("probe_hits", stats.probe_hits);
-    return out;
-  }
 
   BoundScalar residual;
   const bool has_residual = residual_expr != nullptr;

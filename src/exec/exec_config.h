@@ -15,23 +15,6 @@ namespace ojv {
 /// morsels, each morsel's output is buffered separately, and buffers are
 /// concatenated in morsel index order. The only thing a thread count
 /// changes is wall-clock time.
-/// Physical executor for the hot delta operators. kRowAtATime is the
-/// original row-at-a-time interpreter and the default — it preserves
-/// prior behavior byte for byte, output order included. kColumnar runs
-/// select, project, equality hash joins, null-if, dedup, and
-/// subsumption removal through the chunked columnar kernels in
-/// src/exec/columnar/ (typed column arrays, selection vectors, explicit
-/// SIMD filter/hash/gather); inputs are converted at relation
-/// boundaries, so every caller composes unchanged. Results are
-/// Relation::Equals either way (bag-equal; row order may differ).
-/// Operators the columnar engine does not cover (sort-merge joins,
-/// non-equality joins, joins with residual predicates) fall back to the
-/// row path automatically.
-enum class ExecEngine {
-  kRowAtATime,
-  kColumnar,
-};
-
 struct ExecConfig {
   /// Total worker count including the calling thread; 1 = serial.
   int num_threads = 1;
@@ -41,12 +24,6 @@ struct ExecConfig {
   /// beats the win on tiny deltas, which are the common case for
   /// immediate maintenance.
   int64_t parallel_min_rows = 4096;
-  /// Physical executor for the hot operators (see ExecEngine).
-  ExecEngine engine = ExecEngine::kRowAtATime;
-  /// Rows per column chunk of the columnar engine. Chunks are also the
-  /// morsel unit of its parallel loops, so this is both the cache
-  /// blocking factor and the scheduling granule.
-  int64_t chunk_rows = 1024;
 };
 
 }  // namespace ojv

@@ -379,9 +379,10 @@ int64_t Database::HeavyPendingRows(const std::string& view) const {
   if (auto it = views_.find(view); it != views_.end()) {
     return it->second->HeavyPendingRows();
   }
-  auto ait = agg_views_.find(view);
-  OJV_CHECK(ait != agg_views_.end(), "unknown view");
-  return ait->second->HeavyPendingRows();
+  if (auto ait = agg_views_.find(view); ait != agg_views_.end()) {
+    return ait->second->HeavyPendingRows();
+  }
+  return 0;
 }
 
 int64_t Database::DeltaLogSize() const {
@@ -1309,7 +1310,7 @@ Database::StatementResult Database::Insert(const std::string& table,
   std::vector<Row> accepted;
   accepted.reserve(rows.size());
   for (const Row& row : rows) {
-    if (static_cast<int>(row.size()) != base->schema().num_columns() ||
+    if (!base->AcceptsRow(row) ||
         (!in_transaction_ && !RowSatisfiesForeignKeys(table, row)) ||
         !base->Insert(row)) {
       ++result.rows_rejected;
@@ -1356,13 +1357,21 @@ Database::StatementResult Database::DeleteLocked(const std::string& table,
     result.error = "unknown table " + table;
     return result;
   }
+  Table* base = catalog_.GetTable(table);
+  // A key of the wrong arity names no row: it counts as rejected below
+  // and never reaches the FK scan or the base delete.
+  std::vector<Row> valid_keys;
+  valid_keys.reserve(keys.size());
+  for (const Row& key : keys) {
+    if (base->AcceptsKey(key)) valid_keys.push_back(key);
+  }
   // Referential integrity first: blocking children reject the whole
   // statement; cascading children are deleted (and their views
   // maintained) before the parents. Inside a transaction the checks are
   // deferred to Commit and cascades are suppressed (SQL defers the
   // constraint action too).
   std::vector<std::pair<const ForeignKey*, std::vector<Row>>> referencing;
-  if (!in_transaction_) referencing = ReferencingRows(table, keys);
+  if (!in_transaction_) referencing = ReferencingRows(table, valid_keys);
   for (const auto& [fk, child_rows] : referencing) {
     if (!fk->cascading_delete) {
       result.error = "delete from " + table + " violates FK from " +
@@ -1397,8 +1406,7 @@ Database::StatementResult Database::DeleteLocked(const std::string& table,
   // Pre-apply contract (see Insert): fold conflicting heavy-key state
   // before the base delete lands.
   PrepareHeavyViews(table, /*is_update=*/false);
-  Table* base = catalog_.GetTable(table);
-  std::vector<Row> deleted = ApplyBaseDelete(base, keys);
+  std::vector<Row> deleted = ApplyBaseDelete(base, valid_keys);
   result.rows_rejected +=
       static_cast<int64_t>(keys.size() - deleted.size());
   result.rows_affected += static_cast<int64_t>(deleted.size());
@@ -1435,6 +1443,10 @@ Database::StatementResult Database::Update(const std::string& table,
   // Keys must be unchanged (key updates would interact with FKs; model
   // them as explicit delete+insert statements instead).
   for (size_t i = 0; i < keys.size(); ++i) {
+    if (!base->AcceptsKey(keys[i]) || !base->AcceptsRow(new_rows[i])) {
+      result.error = "malformed update row for " + table;
+      return result;
+    }
     for (size_t k = 0; k < base->key_positions().size(); ++k) {
       const Value& new_key =
           new_rows[i][static_cast<size_t>(base->key_positions()[k])];

@@ -53,7 +53,34 @@ class DatabaseTest : public ::testing::Test {
     return Row{Value::Int64(id), Value::Int64(dept), Value::Float64(salary)};
   }
 
+  // Seeds dept/emp under the dept_emp view and records both tables, so a
+  // malformed statement can be shown to leave everything as it was.
+  ViewMaintainer* SeedForMalformed() {
+    ViewMaintainer* view = db_.CreateMaterializedView(MakeDeptView());
+    db_.Insert("dept", {Dept(1, "eng"), Dept(2, "ops")});
+    db_.Insert("emp", {Emp(10, 1, 100.0), Emp(11, 2, 90.0)});
+    dept_before_ = Rows("dept");
+    emp_before_ = Rows("emp");
+    return view;
+  }
+
+  // A rejected statement mutates nothing, so even slot order is kept.
+  std::vector<Row> Rows(const std::string& table) {
+    return db_.catalog()->GetTable(table)->Snapshot();
+  }
+
+  void ExpectUnchangedAndConsistent(const ViewMaintainer& view) {
+    EXPECT_EQ(Rows("dept"), dept_before_);
+    EXPECT_EQ(Rows("emp"), emp_before_);
+    std::string diff;
+    EXPECT_TRUE(ViewMatchesRecompute(*db_.catalog(), view.view_def(),
+                                     view.view(), &diff))
+        << diff;
+  }
+
   Database db_;
+  std::vector<Row> dept_before_;
+  std::vector<Row> emp_before_;
 };
 
 TEST_F(DatabaseTest, InsertEnforcesForeignKeys) {
@@ -194,9 +221,53 @@ TEST_F(DatabaseTest, AggregateViewsThroughStatements) {
   ASSERT_TRUE(agg->MatchesRecompute(1e-9, &diff)) << diff;
 }
 
+TEST_F(DatabaseTest, InsertRejectsNullInNotNullColumn) {
+  ViewMaintainer* view = SeedForMalformed();
+  Database::StatementResult result = db_.Insert(
+      "emp", {Row{Value::Int64(12), Value::Null(), Value::Float64(1.0)}});
+  EXPECT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.rows_affected, 0);
+  EXPECT_EQ(result.rows_rejected, 1);
+  ExpectUnchangedAndConsistent(*view);
+}
+
+TEST_F(DatabaseTest, DeleteRejectsKeyOfWrongArity) {
+  ViewMaintainer* view = SeedForMalformed();
+  Database::StatementResult result = db_.Delete(
+      "emp", {Row{Value::Int64(10), Value::Int64(1)}, Row{}});
+  EXPECT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.rows_affected, 0);
+  EXPECT_EQ(result.rows_rejected, 2);
+  ExpectUnchangedAndConsistent(*view);
+}
+
+TEST_F(DatabaseTest, UpdateRejectsNullInNotNullColumn) {
+  ViewMaintainer* view = SeedForMalformed();
+  Database::StatementResult result =
+      db_.Update("emp", {Row{Value::Int64(10)}},
+                 {Row{Value::Int64(10), Value::Null(), Value::Float64(1.0)}});
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.rows_affected, 0);
+  ExpectUnchangedAndConsistent(*view);
+}
+
+TEST_F(DatabaseTest, UpdateRejectsShortRowAndKey) {
+  ViewMaintainer* view = SeedForMalformed();
+  Database::StatementResult result =
+      db_.Update("emp", {Row{Value::Int64(10)}}, {Row{}});
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.rows_affected, 0);
+  result = db_.Update("emp", {Row{}}, {Emp(10, 2, 1.0)});
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.rows_affected, 0);
+  ExpectUnchangedAndConsistent(*view);
+}
+
 TEST_F(DatabaseTest, UnknownTableAndDropView) {
   EXPECT_FALSE(db_.Insert("nope", {Row{}}).ok());
   EXPECT_FALSE(db_.Delete("nope", {}).ok());
+  EXPECT_EQ(db_.PendingRows("nope"), 0);
+  EXPECT_EQ(db_.HeavyPendingRows("nope"), 0);
   db_.CreateMaterializedView(MakeDeptView());
   EXPECT_NE(db_.GetView("dept_emp"), nullptr);
   EXPECT_TRUE(db_.DropView("dept_emp"));

@@ -53,18 +53,6 @@ const io::JsonValue* FindRow(const io::JsonValue& section, int64_t batch) {
   return nullptr;
 }
 
-// Kernel-suite rows (bench_operators --kernels) carry a "kernel" name
-// instead of a batch size.
-const io::JsonValue* FindKernelRow(const io::JsonValue& section,
-                                   const std::string& kernel) {
-  const io::JsonValue* results = section.Find("results");
-  if (results == nullptr || !results->is_array()) return nullptr;
-  for (const io::JsonValue& row : results->AsArray()) {
-    if (row.is_object() && row.StringOr("kernel", "") == kernel) return &row;
-  }
-  return nullptr;
-}
-
 int Run(int argc, char** argv) {
   GateArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -146,40 +134,6 @@ int Run(int argc, char** argv) {
   int compared = 0;
   std::vector<std::string> failures;
   for (const io::JsonValue& row : cand_results->AsArray()) {
-    const std::string kernel = row.StringOr("kernel", "");
-    if (!kernel.empty()) {
-      // Kernel-suite row: gate both engines' timings per kernel. SIMD
-      // rows additionally carry the backend name; a row measured under
-      // a different backend than the baseline's says nothing here.
-      const io::JsonValue* base_row = FindKernelRow(*baseline, kernel);
-      if (base_row == nullptr) continue;  // new kernel: nothing to gate
-      if (row.StringOr("simd", "") != base_row->StringOr("simd", "")) {
-        std::printf("  (skip kernel=%s: simd backend '%s' vs baseline '%s')\n",
-                    kernel.c_str(), row.StringOr("simd", "").c_str(),
-                    base_row->StringOr("simd", "").c_str());
-        continue;
-      }
-      for (const char* key : {"row_ms", "columnar_ms", "scalar_ms",
-                              "vector_ms"}) {
-        const double base_ms = base_row->NumberOr(key, 0);
-        const double cand_ms = row.NumberOr(key, -1);
-        if (base_ms <= 0 || cand_ms < 0) continue;
-        ++compared;
-        const double limit = base_ms * (1.0 + args.threshold);
-        const bool regressed =
-            cand_ms > limit && cand_ms - base_ms > args.floor_ms;
-        std::printf("  %-14s kernel=%-8s base=%8.3fms cand=%8.3fms %s\n", key,
-                    kernel.c_str(), base_ms, cand_ms,
-                    regressed ? "REGRESSED" : "ok");
-        if (regressed) {
-          char buf[128];
-          std::snprintf(buf, sizeof(buf), "%s @ kernel=%s: %.3fms -> %.3fms",
-                        key, kernel.c_str(), base_ms, cand_ms);
-          failures.push_back(buf);
-        }
-      }
-      continue;
-    }
     const int64_t batch = static_cast<int64_t>(row.NumberOr("batch_rows", -1));
     const io::JsonValue* base_row = FindRow(*baseline, batch);
     if (base_row == nullptr) continue;  // new batch size: nothing to gate

@@ -17,13 +17,12 @@
 #   tools/check.sh obs        # observability: traced run + OBS=OFF no-op
 #   tools/check.sh obs-export # live telemetry: exporter/recorder under TSan,
 #                             # OBS=OFF inertness, OFF-tree overhead gate
-#   tools/check.sh simd-off   # columnar scalar fallback under UBSan
 #   tools/check.sh skew       # heavy-light partitioning tests + the
 #                             # uniform==heavy-light equivalence suite (TSan)
 #   tools/check.sh serve      # snapshot serving path: the ReadView
 #                             # lock-escape regression + generation
 #                             # equivalence suite under TSan
-#   tools/check.sh bench-gate # fig5 + kernel + skew + serve timings vs
+#   tools/check.sh bench-gate # fig5 + skew + serve timings vs
 #                             # BENCH_pipeline.json
 
 set -euo pipefail
@@ -61,7 +60,7 @@ case "$mode" in
     # The full suite is serial-dominated; under TSan only the tests that
     # actually spawn threads carry signal, and they carry all of it.
     # metrics/trace join the filter for their thread-hammer cases.
-    run_config tsan --tests 'parallel_executor|columnar|deferred|database|metrics|trace|admission|multiview|snapshot' \
+    run_config tsan --tests 'parallel_executor|deferred|database|metrics|trace|admission|multiview|snapshot' \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOJV_TSAN=ON
     ;;&
   obs-export|all)
@@ -89,18 +88,6 @@ case "$mode" in
     "$offdir/tools/bench_gate" --baseline="$root/BENCH_pipeline.json" \
         --candidate="$offdir/obs_overhead_off.json" \
         --section=obs_overhead_off --floor-ms=2
-    ;;&
-  simd-off|all)
-    # The explicit-SIMD kernels compiled out: every columnar operator
-    # must fall back to the pinned scalar tree and still bag-match the
-    # row engine. UBSan is the interesting sanitizer here — the scalar
-    # hash/compare loops are where integer-conversion mistakes would
-    # hide (the kernel unit tests compare dispatched-vs-scalar, which
-    # this tree degenerates to scalar-vs-scalar; the equivalence suite
-    # still carries full signal).
-    run_config simd-off --tests 'columnar' \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOJV_SIMD=OFF \
-        -DOJV_SANITIZE=undefined
     ;;&
   skew|all)
     # Skew-adaptive maintenance: the space-saving sketch / lazy-state
@@ -155,7 +142,7 @@ case "$mode" in
     echo "==> [bench-gate] build"
     cmake --build "$dir" -j "$jobs" \
         --target bench_fig5_insert bench_fig5_delete bench_deferred \
-        bench_multiview bench_operators bench_obs_overhead bench_skew \
+        bench_multiview bench_obs_overhead bench_skew \
         bench_serve bench_gate >/dev/null
     echo "==> [bench-gate] run fig5 benchmarks"
     "$dir/bench/bench_fig5_insert" --threads=4 \
@@ -171,9 +158,6 @@ case "$mode" in
     # is scale-independent (the benchmark self-checks the counter).
     "$dir/bench/bench_multiview" --sf=0.01 \
         --json="$dir/multiview.json" >/dev/null
-    # Row-vs-columnar kernel suite: one row per hot operator.
-    "$dir/bench/bench_operators" --kernels \
-        --json="$dir/kernels.json" >/dev/null
     # Telemetry overhead: recorder-on and full-export timings over the
     # bare maintenance loop (the "no measurable overhead" claim, gated).
     "$dir/bench/bench_obs_overhead" --batches=60,600 \
@@ -202,11 +186,6 @@ case "$mode" in
     "$dir/tools/bench_gate" --baseline="$root/BENCH_pipeline.json" \
         --candidate="$dir/multiview.json" --section=multiview \
         --floor-ms=5
-    # Floor 2ms on the kernel rows: the fast kernels run ~1ms at 100k
-    # rows, so only movement beyond timer noise counts.
-    "$dir/tools/bench_gate" --baseline="$root/BENCH_pipeline.json" \
-        --candidate="$dir/kernels.json" --section=kernels \
-        --floor-ms=2
     # Floor 2ms on the overhead rows: the maintenance loop is a few ms
     # at these batch sizes, so only real instrumentation cost counts.
     "$dir/tools/bench_gate" --baseline="$root/BENCH_pipeline.json" \
@@ -227,11 +206,11 @@ case "$mode" in
         --candidate="$dir/serve.json" --section=serve \
         --floor-ms=2
     ;;&
-  release|sanitize|tsan|obs|obs-export|simd-off|skew|serve|bench-gate|all)
+  release|sanitize|tsan|obs|obs-export|skew|serve|bench-gate|all)
     echo "==> all requested configurations passed"
     ;;
   *)
-    echo "usage: tools/check.sh [release|sanitize|tsan|obs|obs-export|simd-off|skew|serve|bench-gate|all]" >&2
+    echo "usage: tools/check.sh [release|sanitize|tsan|obs|obs-export|skew|serve|bench-gate|all]" >&2
     exit 2
     ;;
 esac
