@@ -3,6 +3,22 @@
 #include "common/check.h"
 
 namespace ojv {
+namespace {
+
+bool ValueFitsType(const Value& v, ValueType type) {
+  switch (type) {
+    case ValueType::kString:
+      return v.is_string();
+    case ValueType::kInt64:
+    case ValueType::kDate:
+      return v.is_int64();
+    case ValueType::kFloat64:
+      return v.is_float64() || v.is_int64();
+  }
+  return false;
+}
+
+}  // namespace
 
 Table::Table(std::string name, Schema schema,
              std::vector<std::string> key_columns)
@@ -41,22 +57,32 @@ bool Table::KeyEquals(size_t slot, const Row& key) const {
 bool Table::AcceptsRow(const Row& row) const {
   if (static_cast<int>(row.size()) != schema_.num_columns()) return false;
   for (int i = 0; i < schema_.num_columns(); ++i) {
-    if (!schema_.column(i).nullable && row[static_cast<size_t>(i)].is_null()) {
+    const Value& v = row[static_cast<size_t>(i)];
+    const ColumnDef& col = schema_.column(i);
+    if (v.is_null() ? !col.nullable : !ValueFitsType(v, col.type)) {
       return false;
     }
   }
   return true;
 }
 
+Row Table::KeyOf(const Row& row) const {
+  Row key;
+  key.reserve(key_positions_.size());
+  for (int p : key_positions_) key.push_back(row[static_cast<size_t>(p)]);
+  return key;
+}
+
 bool Table::Insert(Row row) {
   OJV_CHECK(AcceptsRow(row),
-            "row arity mismatch or NULL in non-nullable column");
+            "row arity, NULL or value type does not match the schema");
   size_t h = HashKeyOf(row);
   auto range = key_index_.equal_range(h);
-  for (auto it = range.first; it != range.second; ++it) {
-    Row key;
-    for (int p : key_positions_) key.push_back(row[static_cast<size_t>(p)]);
-    if (KeyEquals(it->second, key)) return false;
+  if (range.first != range.second) {
+    const Row key = KeyOf(row);
+    for (auto it = range.first; it != range.second; ++it) {
+      if (KeyEquals(it->second, key)) return false;
+    }
   }
   size_t slot;
   if (!free_slots_.empty()) {

@@ -37,14 +37,18 @@ class Table {
   /// or delete. Lets scan caches detect staleness cheaply.
   uint64_t version() const { return version_; }
 
-  /// True when `row` has one value per column and no NULL in a
-  /// non-nullable column: the shape Insert requires.
+  /// True when `row` has one value per column, no NULL in a
+  /// non-nullable column, and every other value of its column's type:
+  /// STRING holds strings, INT64 and DATE hold int64, and FLOAT64 holds
+  /// float64 or int64. This is the shape Insert requires.
   bool AcceptsRow(const Row& row) const;
   /// True when `key` has one value per key column: the shape
   /// DeleteByKey and FindByKey require.
   bool AcceptsKey(const Row& key) const {
     return key.size() == key_positions_.size();
   }
+  /// The unique-key values of a full row, in key-column order.
+  Row KeyOf(const Row& row) const;
 
   /// Inserts a row. Aborts unless AcceptsRow(row); returns false on
   /// duplicate key.

@@ -29,24 +29,7 @@ void RefreshScheduler::SetPolicy(const std::string& view, RefreshPolicy policy,
   state.config = config;
 }
 
-void RefreshScheduler::Forget(const std::string& view) {
-  views_.erase(view);
-  groups_.erase(view);
-}
-
-void RefreshScheduler::SetGroup(const std::string& view,
-                                const std::string& group) {
-  if (group.empty() || group == "-") {
-    groups_.erase(view);
-  } else {
-    groups_[view] = group;
-  }
-}
-
-std::string RefreshScheduler::group(const std::string& view) const {
-  auto it = groups_.find(view);
-  return it == groups_.end() ? "-" : it->second;
-}
+void RefreshScheduler::Forget(const std::string& view) { views_.erase(view); }
 
 RefreshPolicy RefreshScheduler::policy(const std::string& view) const {
   auto it = views_.find(view);
@@ -162,23 +145,17 @@ std::string RefreshScheduler::Report() const {
   for (const auto& [view, s] : views_) {
     name_width = std::max(name_width, view.size());
   }
-  size_t group_width = 5;  // "group"
-  for (const auto& [view, g] : groups_) {
-    group_width = std::max(group_width, g.size());
-  }
   std::ostringstream out;
   out << std::left << std::setw(static_cast<int>(name_width)) << "view" << ' '
-      << std::setw(10) << "policy" << std::setw(static_cast<int>(group_width))
-      << "group" << std::right << std::setw(10) << "refreshes" << std::setw(12)
-      << "raw-rows" << std::setw(11) << "net-rows" << std::setw(12)
-      << "cancelled" << std::setw(12) << "refresh-ms" << std::setw(13)
-      << "staleness-ms" << '\n';
+      << std::setw(10) << "policy" << std::right << std::setw(10)
+      << "refreshes" << std::setw(12) << "raw-rows" << std::setw(11)
+      << "net-rows" << std::setw(12) << "cancelled" << std::setw(12)
+      << "refresh-ms" << std::setw(13) << "staleness-ms" << '\n';
   out << std::fixed << std::setprecision(2);
   for (const auto& [view, s] : views_) {
     out << std::left << std::setw(static_cast<int>(name_width)) << view << ' '
-        << std::setw(10) << RefreshPolicyName(s.policy)
-        << std::setw(static_cast<int>(group_width)) << group(view)
-        << std::right << std::setw(10) << s.refreshes << std::setw(12)
+        << std::setw(10) << RefreshPolicyName(s.policy) << std::right
+        << std::setw(10) << s.refreshes << std::setw(12)
         << s.raw_entries << std::setw(11) << s.consolidated_rows
         << std::setw(12) << s.cancelled_rows << std::setw(12)
         << s.refresh_micros / 1000.0 << std::setw(13)

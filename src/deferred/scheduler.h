@@ -95,19 +95,12 @@ class RefreshScheduler {
   void RecordRefresh(const std::string& view, const RefreshStats& stats);
   const ViewRefreshState* state(const std::string& view) const;
 
-  /// Labels the view with its maintenance-group id ("-" = ungrouped;
-  /// shown in Report's group column). Kept outside ViewRefreshState so
-  /// labeling an immediate view creates no refresh state.
-  void SetGroup(const std::string& view, const std::string& group);
-  std::string group(const std::string& view) const;
-
   /// Fixed-width table of per-view refresh counters (mirrors
   /// Database::StatsReport).
   std::string Report() const;
 
  private:
   std::map<std::string, ViewRefreshState> views_;
-  std::map<std::string, std::string> groups_;  // view -> group id or "-"
 };
 
 /// Owns the worker thread of the background refresh mode: runs `drain`

@@ -381,9 +381,9 @@ Relation Evaluator::EvalJoin(const RelExpr& expr) const {
       kind == JoinKind::kLeftSemi || kind == JoinKind::kLeftAnti;
   NoteArg("kind", std::string(JoinKindName(kind)));
   if constexpr (obs::kEnabled) {
-    // Global probe-volume counter (rows fed into join operators). The
-    // multiview benchmark asserts shared-prefix maintenance strictly
-    // reduces this, so it counts regardless of tracing.
+    // Global join work counter (rows fed into join operators). It is
+    // the one join counter that counts regardless of tracing, so
+    // /metrics shows join volume without a trace attached.
     static obs::Counter& rows_in =
         obs::Registry::Global().GetCounter("ojv.exec.join.rows_in");
     rows_in.Add(l.size() + r.size());

@@ -298,13 +298,7 @@ MaintenanceStats AggViewMaintainer::OnConsolidatedBatch(
   if (!net_deletes.empty()) {
     std::vector<Row> keys;
     keys.reserve(net_deletes.size());
-    for (const Row& row : net_deletes) {
-      Row key;
-      for (int p : base->key_positions()) {
-        key.push_back(row[static_cast<size_t>(p)]);
-      }
-      keys.push_back(std::move(key));
-    }
+    for (const Row& row : net_deletes) keys.push_back(base->KeyOf(row));
     std::vector<Row> deleted = ApplyBaseDelete(base, keys);
     OJV_CHECK(deleted.size() == net_deletes.size(),
               "consolidated deletes must all be present");
@@ -319,34 +313,10 @@ MaintenanceStats AggViewMaintainer::OnConsolidatedBatch(
   return stats;
 }
 
-MaintenanceStats AggViewMaintainer::OnSharedDelta(
-    const std::string& table, const std::vector<Row>& rows, bool is_insert,
-    PlanPolicy policy, const RelExprPtr& shared_suffix,
-    const Relation& shared_prefix) {
-  ViewMaintainer* planner =
-      policy == PlanPolicy::kConstraintFree && fkfree_inner_ != nullptr
-          ? fkfree_inner_.get()
-          : inner_.get();
-  if (heavy_ != nullptr) {
-    if (is_insert) {
-      heavy_->OnInsert(table, rows);
-    } else {
-      heavy_->OnDelete(table, rows);
-    }
-  }
-  CheckHeavyConflict(table, /*can_divert=*/false);
-  MaintenanceStats stats = Maintain(planner, table, rows, is_insert,
-                                    &shared_suffix, &shared_prefix);
-  if (stats_hook_) stats_hook_(table, stats);
-  return stats;
-}
-
 MaintenanceStats AggViewMaintainer::Maintain(ViewMaintainer* planner,
                                              const std::string& table,
                                              const std::vector<Row>& rows,
-                                             bool is_insert,
-                                             const RelExprPtr* shared_suffix,
-                                             const Relation* shared_prefix) {
+                                             bool is_insert) {
   MaintenanceStats stats;
   stats.delta_rows = static_cast<int64_t>(rows.size());
   auto total_start = std::chrono::steady_clock::now();
@@ -361,11 +331,7 @@ MaintenanceStats AggViewMaintainer::Maintain(ViewMaintainer* planner,
 
   // Primary delta, aggregated and merged with the update's sign.
   auto primary_start = std::chrono::steady_clock::now();
-  Relation primary =
-      shared_suffix != nullptr
-          ? planner->ComputeSharedPrimaryDeltaRelation(
-                table, delta_t, *shared_suffix, *shared_prefix)
-          : planner->ComputePrimaryDeltaRelation(table, delta_t);
+  Relation primary = planner->ComputePrimaryDeltaRelation(table, delta_t);
   stats.primary_rows = primary.size();
   stats.primary_micros = MicrosSince(primary_start);
 

@@ -71,29 +71,6 @@ class AggViewMaintainer {
                                        const std::vector<Row>& net_inserts,
                                        PlanPolicy policy);
 
-  /// Multi-view entry point: like ViewMaintainer::OnSharedDelta, the
-  /// primary delta is computed from a pre-built suffix expression over
-  /// the group's shared prefix relation, then aggregated and merged as
-  /// usual (secondary delta and MIN/MAX fallback unchanged).
-  MaintenanceStats OnSharedDelta(const std::string& table,
-                                 const std::vector<Row>& rows, bool is_insert,
-                                 PlanPolicy policy,
-                                 const RelExprPtr& shared_suffix,
-                                 const Relation& shared_prefix);
-
-  /// The plan-set maintainer a maintenance call under `policy` would
-  /// use (the multiview layer fingerprints its delta expressions).
-  const ViewMaintainer* planning_maintainer(PlanPolicy policy) const {
-    return policy == PlanPolicy::kConstraintFree && fkfree_inner_ != nullptr
-               ? fkfree_inner_.get()
-               : inner_.get();
-  }
-  ViewMaintainer* planning_maintainer(PlanPolicy policy) {
-    return policy == PlanPolicy::kConstraintFree && fkfree_inner_ != nullptr
-               ? fkfree_inner_.get()
-               : inner_.get();
-  }
-
   /// Installs a stats observer (empty to remove).
   void set_stats_hook(MaintenanceStatsHook hook) {
     stats_hook_ = std::move(hook);
@@ -179,9 +156,7 @@ class AggViewMaintainer {
   void RefreshDirtyGroups();
 
   MaintenanceStats Maintain(ViewMaintainer* planner, const std::string& table,
-                            const std::vector<Row>& rows, bool is_insert,
-                            const RelExprPtr* shared_suffix = nullptr,
-                            const Relation* shared_prefix = nullptr);
+                            const std::vector<Row>& rows, bool is_insert);
   void ApplyRow(const Row& row, int sign, GroupMap* groups) const;
   void ApplyDeltaRows(const Relation& delta, int sign);
   Relation GroupsToRelation(const GroupMap& groups) const;

@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/windowed.h"
-#include "opt/fingerprint.h"
 
 namespace ojv {
 namespace {
@@ -64,7 +63,6 @@ ViewMaintainer* Database::CreateMaterializedView(
   maintainer->InitializeView();
   ViewMaintainer* raw = maintainer.get();
   views_[name] = std::move(maintainer);
-  RegisterMultiview(name);
   InstallSnapshotStore(name);
   return raw;
 }
@@ -83,7 +81,6 @@ AggViewMaintainer* Database::CreateAggregateView(
   maintainer->InitializeView();
   AggViewMaintainer* raw = maintainer.get();
   agg_views_[name] = std::move(maintainer);
-  RegisterMultiview(name);
   InstallSnapshotStore(name);
   return raw;
 }
@@ -114,11 +111,6 @@ bool Database::DropView(const std::string& name) {
   scheduler_.Forget(name);
   if (admission_ != nullptr) admission_->Forget(name);
   stats_.erase(name);
-  // Evict group membership before the maintainer (and with it the plan
-  // cache it owns) goes away; the catalog's version bump invalidates any
-  // shared plans cached for the view's former group, so a later view
-  // re-created under the same name can never be served a stale plan.
-  mv_catalog_.Remove(name);
   {
     // Readers still holding a ViewSnapshot keep their pinned generation
     // (and the store) alive through their own refcounts; dropping the
@@ -126,44 +118,7 @@ bool Database::DropView(const std::string& name) {
     std::lock_guard<std::mutex> slock(snapshot_mu_);
     snapshots_.erase(name);
   }
-  bool dropped = views_.erase(name) > 0 || agg_views_.erase(name) > 0;
-  SyncGroupLabels();
-  return dropped;
-}
-
-void Database::RegisterMultiview(const std::string& name) {
-  // Fingerprint the view's per-table delta plans so ViewGroupCatalog can
-  // cluster it with views sharing a delta-join prefix. Registration is
-  // unconditional (cheap, and keeps the group labels in Report honest);
-  // the kShared knob only gates whether refreshes *use* the groups.
-  multiview::MemberFingerprints fps;
-  const ViewMaintainer* planner = nullptr;
-  if (auto it = views_.find(name); it != views_.end()) {
-    planner = it->second.get();
-  } else if (auto ait = agg_views_.find(name); ait != agg_views_.end()) {
-    fps.is_aggregate = true;
-    planner = ait->second->planning_maintainer(PlanPolicy::kDefault);
-  }
-  OJV_CHECK(planner != nullptr, "unknown view");
-  for (const std::string& table : planner->view_def().tables()) {
-    const RelExprPtr& expr = planner->delta_expr(table, PlanPolicy::kDefault);
-    if (expr == nullptr) continue;  // provably empty delta
-    opt::DeltaFingerprint fp = opt::FingerprintDelta(expr, table);
-    if (fp.ok) fps.prints[table] = std::move(fp);
-  }
-  mv_catalog_.Register(name, std::move(fps));
-  SyncGroupLabels();
-}
-
-void Database::SyncGroupLabels() {
-  for (const auto& [name, view] : views_) {
-    const multiview::ViewGroup* g = mv_catalog_.GroupOf(name);
-    scheduler_.SetGroup(name, g != nullptr ? g->id : "-");
-  }
-  for (const auto& [name, view] : agg_views_) {
-    const multiview::ViewGroup* g = mv_catalog_.GroupOf(name);
-    scheduler_.SetGroup(name, g != nullptr ? g->id : "-");
-  }
+  return views_.erase(name) > 0 || agg_views_.erase(name) > 0;
 }
 
 bool Database::RowSatisfiesForeignKeys(const std::string& table,
@@ -552,17 +507,6 @@ ViewSnapshot Database::ReadAggregateRelation(const std::string& name,
 deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
   deferred::RefreshStats stats;
   if (!scheduler_.IsDeferred(name)) return stats;  // never stale
-  if (MultiviewActive()) {
-    // Under shared maintenance a grouped view never refreshes alone:
-    // the whole group drains together so the shared prefix is evaluated
-    // once for all members (and their high-water marks stay aligned).
-    if (const multiview::ViewGroup* group = mv_catalog_.GroupOf(name);
-        group != nullptr) {
-      std::map<std::string, deferred::RefreshStats> all =
-          RefreshGroupLocked(*group);
-      return all[name];
-    }
-  }
   obs::Span refresh_span(default_options_.trace, "deferred.refresh",
                          "deferred");
   refresh_span.AddArg("view", name);
@@ -674,12 +618,8 @@ deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
       for (const auto& [table, entry] : raw) {
         Table* base = catalog_.GetTable(*table);
         if (entry->op == deferred::DeltaOp::kInsert) {
-          Row key;
-          for (int p : base->key_positions()) {
-            key.push_back(entry->row[static_cast<size_t>(p)]);
-          }
           Row removed;
-          OJV_CHECK(base->DeleteByKey(key, &removed),
+          OJV_CHECK(base->DeleteByKey(base->KeyOf(entry->row), &removed),
                     "deferred revert: staged insert not present");
         } else {
           OJV_CHECK(base->Insert(entry->row),
@@ -733,365 +673,25 @@ deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
   return stats;
 }
 
-std::map<std::string, deferred::RefreshStats> Database::RefreshGroupLocked(
-    const multiview::ViewGroup& group) {
-  std::map<std::string, deferred::RefreshStats> out;
-  std::vector<std::string> members;
-  for (const std::string& m : group.members) {
-    if (scheduler_.IsDeferred(m)) members.push_back(m);
-  }
-  if (members.empty()) return out;
-  obs::Span group_span(default_options_.trace, "multiview.group_refresh",
-                       "multiview");
-  group_span.AddArg("group", group.id);
-  group_span.AddArg("members", static_cast<int64_t>(members.size()));
-  auto start = std::chrono::steady_clock::now();
-
-  // Members with equal high-water marks have, per table, exactly the
-  // same pending entries, so one revert/replay pass over the union of
-  // their table sets serves them all. Marks can diverge (a member
-  // refreshed individually before the group formed, or registered
-  // later); such members replay in separate cohorts and converge here.
-  std::map<uint64_t, std::vector<std::string>> cohorts;
-  for (const std::string& m : members) {
-    cohorts[delta_log_.high_water_mark(m)].push_back(m);
-  }
-  const uint64_t consumed_to = delta_log_.tail();
-  for (auto& [hwm, cohort] : cohorts) {
-    RefreshCohort(group, cohort, &out);
-  }
-  for (const std::string& m : members) {
-    delta_log_.AdvanceTo(m, consumed_to);
-  }
-  delta_log_.TruncateConsumed();
-
-  // Shared work (consolidation, prefix evaluations) belongs to no one
-  // member; spread the non-maintenance wall time evenly so the per-view
-  // refresh totals still sum to the group's cost.
-  const double wall = MicrosSince(start);
-  double maintenance = 0;
-  for (const std::string& m : members) {
-    maintenance += out[m].maintenance_micros;
-  }
-  const double shared_micros =
-      std::max(0.0, wall - maintenance) / static_cast<double>(members.size());
-  for (const std::string& m : members) {
-    out[m].refresh_micros = out[m].maintenance_micros + shared_micros;
-    scheduler_.RecordRefresh(m, out[m]);
-    // Per-member generation publish: every cohort member left the
-    // replay caught up with its heavy state drained (RefreshCohort
-    // folds it), so each gets a fresh snapshot generation.
-    if (auto store = SnapshotStoreFor(m); store != nullptr) {
-      PublishSnapshotLocked(m, store);
-    }
-  }
-  // One group refresh = one admission decision = one cost observation.
-  if (admission_ != nullptr) {
-    admission_->ObserveRefresh(wall, obs::SteadyNowMicros());
-  }
-  group_span.AddArg("cohorts", static_cast<int64_t>(cohorts.size()));
-  return out;
-}
-
-void Database::RefreshCohort(
-    const multiview::ViewGroup& group, const std::vector<std::string>& members,
-    std::map<std::string, deferred::RefreshStats>* out) {
-  std::set<std::string> union_tables;
-  for (const std::string& m : members) {
-    const std::set<std::string>& tables = TablesOf(m);
-    union_tables.insert(tables.begin(), tables.end());
-    (*out)[m].staleness_micros = delta_log_.OldestPendingMicros(m, tables);
-  }
-  // Equal marks: any member's pending over the union is the cohort's
-  // pending; each member's own share is its restriction by table.
-  std::map<std::string, std::vector<deferred::DeltaEntry>> pending =
-      delta_log_.PendingFor(members.front(), union_tables);
-  if (pending.empty()) return;
-
-  // Per-member refresh-thread boost, restored after the cohort replay
-  // (mirrors the single-view path in RefreshLocked).
-  struct Boost {
-    ViewMaintainer* row = nullptr;
-    AggViewMaintainer* agg = nullptr;
-    ExecConfig saved;
-  };
-  std::vector<Boost> boosted;
-  for (const std::string& m : members) {
-    const int threads = scheduler_.config(m).refresh_threads;
-    Boost b;
-    if (auto it = views_.find(m); it != views_.end()) {
-      b.row = it->second.get();
-      b.saved = b.row->exec_config();
-    } else {
-      b.agg = agg_views_.at(m).get();
-      b.saved = b.agg->exec_config();
-    }
-    if (threads > 0 && threads != b.saved.num_threads) {
-      ExecConfig raised = b.saved;
-      raised.num_threads = threads;
-      if (b.row != nullptr) {
-        b.row->set_exec(raised);
-      } else {
-        b.agg->set_exec(raised);
-      }
-      boosted.push_back(b);
-    }
-  }
-
-  std::vector<deferred::TableDelta> deltas =
-      deferred::Consolidate(pending, catalog_);
-  std::vector<const deferred::TableDelta*> active;
-  for (const deferred::TableDelta& d : deltas) {
-    const bool is_active = !d.deletes.empty() || !d.inserts.empty();
-    if (is_active) active.push_back(&d);
-    for (const std::string& m : members) {
-      if (TablesOf(m).count(d.table) == 0) continue;
-      deferred::RefreshStats& s = (*out)[m];
-      s.raw_entries += d.raw_entries;
-      s.consolidated_rows += static_cast<int64_t>(d.deletes.size()) +
-                             static_cast<int64_t>(d.inserts.size());
-      s.cancelled_rows += d.cancelled;
-      s.update_pairs += d.update_pairs;
-      if (is_active) ++s.tables_touched;
-    }
-  }
-
-  if (active.size() == 1 &&
-      (active[0]->deletes.empty() || active[0]->inserts.empty())) {
-    // Single-table single-operation batch: post-batch base state is what
-    // an eager statement would have seen — no revert, FK plans usable
-    // (same fast path as RefreshLocked).
-    const deferred::TableDelta& d = *active[0];
-    const bool is_insert = d.deletes.empty();
-    MaintainGroupTable(group, members, d.table,
-                       is_insert ? d.inserts : d.deletes, is_insert,
-                       PlanPolicy::kDefault, out);
-  } else if (!active.empty()) {
-    // General batch: revert raw entries newest-first, then replay each
-    // table's net delete and insert for every member that references the
-    // table. Each member thus sees exactly the base-state sequence its
-    // own independent replay would have produced (its tables' relative
-    // order is preserved inside the union's first-appearance order, and
-    // tables outside its view never affect its deltas).
-    std::vector<std::pair<const std::string*, const deferred::DeltaEntry*>>
-        raw;
-    for (const auto& [table, entries] : pending) {
-      for (const deferred::DeltaEntry& e : entries) {
-        raw.emplace_back(&table, &e);
-      }
-    }
-    std::sort(raw.begin(), raw.end(), [](const auto& a, const auto& b) {
-      return a.second->seq > b.second->seq;
-    });
-    for (const auto& [table, entry] : raw) {
-      Table* base = catalog_.GetTable(*table);
-      if (entry->op == deferred::DeltaOp::kInsert) {
-        Row key;
-        for (int p : base->key_positions()) {
-          key.push_back(entry->row[static_cast<size_t>(p)]);
-        }
-        Row removed;
-        OJV_CHECK(base->DeleteByKey(key, &removed),
-                  "group revert: staged insert not present");
-      } else {
-        OJV_CHECK(base->Insert(entry->row),
-                  "group revert: staged delete still present");
-      }
-    }
-    for (const deferred::TableDelta* d : active) {
-      Table* base = catalog_.GetTable(d->table);
-      if (!d->deletes.empty()) {
-        std::vector<Row> keys;
-        keys.reserve(d->deletes.size());
-        for (const Row& row : d->deletes) {
-          Row key;
-          for (int p : base->key_positions()) {
-            key.push_back(row[static_cast<size_t>(p)]);
-          }
-          keys.push_back(std::move(key));
-        }
-        std::vector<Row> deleted = ApplyBaseDelete(base, keys);
-        OJV_CHECK(deleted.size() == d->deletes.size(),
-                  "group replay: net deletes must all be present");
-        MaintainGroupTable(group, members, d->table, deleted, false,
-                           PlanPolicy::kConstraintFree, out);
-      }
-      if (!d->inserts.empty()) {
-        std::vector<Row> inserted = ApplyBaseInsert(base, d->inserts);
-        OJV_CHECK(inserted.size() == d->inserts.size(),
-                  "group replay: net inserts must all be fresh keys");
-        MaintainGroupTable(group, members, d->table, inserted, true,
-                           PlanPolicy::kConstraintFree, out);
-      }
-    }
-    // Fully-cancelled tables were reverted with nothing to replay: their
-    // pre- and post-batch states coincide by definition of cancellation.
-  }
-
-  // As in RefreshLocked: heavy-key rows diverted during the cohort
-  // replay fold before the refresh ends, so no member leaves pending
-  // lazy state behind while statements keep mutating base unprepared.
-  for (const std::string& m : members) {
-    const MaintenanceStats drained = DrainHeavyView(m);
-    (*out)[m].maintenance_micros += drained.total_micros;
-  }
-
-  for (const Boost& b : boosted) {
-    if (b.row != nullptr) {
-      b.row->set_exec(b.saved);
-    } else {
-      b.agg->set_exec(b.saved);
-    }
-  }
-}
-
-void Database::MaintainGroupTable(
-    const multiview::ViewGroup& group, const std::vector<std::string>& members,
-    const std::string& table, const std::vector<Row>& rows, bool is_insert,
-    PlanPolicy policy, std::map<std::string, deferred::RefreshStats>* out) {
-  if (rows.empty()) return;
-  struct Target {
-    std::string name;
-    ViewMaintainer* row = nullptr;
-    AggViewMaintainer* agg = nullptr;
-  };
-  std::vector<Target> targets;
-  std::map<std::string, RelExprPtr> exprs;
-  for (const std::string& m : members) {
-    if (TablesOf(m).count(table) == 0) continue;
-    Target t;
-    t.name = m;
-    if (auto it = views_.find(m); it != views_.end()) {
-      t.row = it->second.get();
-      exprs[m] = t.row->delta_expr(table, policy);
-    } else {
-      t.agg = agg_views_.at(m).get();
-      exprs[m] = t.agg->planning_maintainer(policy)->delta_expr(table, policy);
-    }
-    targets.push_back(std::move(t));
-  }
-  if (targets.empty()) return;
-
-  const multiview::SharedPlan& plan = mv_plans_.Get(
-      group, table, policy == PlanPolicy::kConstraintFree, exprs);
-  const bool share = plan.Shareable();
-
-  Relation delta_t(Evaluator::SchemaFor(*catalog_.GetTable(table)));
-  for (const Row& row : rows) delta_t.Add(row);
-  // The prefix relation is evaluated lazily, once per (table, batch),
-  // and shared by every suffix refresh in this pass.
-  std::shared_ptr<const Relation> prefix;
-
-  for (const Target& t : targets) {
-    auto sit = share ? plan.suffixes.find(t.name) : plan.suffixes.end();
-    const bool use_shared = share && sit != plan.suffixes.end();
-    MaintenanceStats ms;
-    if (use_shared) {
-      if (prefix == nullptr) {
-        obs::Span span(default_options_.trace, "multiview.shared_prefix",
-                       "multiview");
-        span.AddArg("group", group.id);
-        span.AddArg("table", table);
-        span.AddArg("signature", plan.prefix_signature);
-        ViewMaintainer* lead =
-            t.row != nullptr ? t.row : t.agg->planning_maintainer(policy);
-        Evaluator evaluator(&catalog_);
-        evaluator.set_table_cache(lead->table_cache());
-        evaluator.set_exec(lead->exec_config(), lead->thread_pool());
-        evaluator.set_join_algorithm(lead->join_algorithm());
-        evaluator.set_trace(default_options_.trace);
-        evaluator.BindDelta(table, &delta_t);
-        prefix = evaluator.Eval(plan.prefix);
-        span.AddArg("rows", prefix->size());
-        if constexpr (obs::kEnabled) {
-          static obs::Counter& evals = obs::Registry::Global().GetCounter(
-              "ojv.multiview.shared_prefix_evals");
-          evals.Add(1);
-        }
-      } else {
-        if constexpr (obs::kEnabled) {
-          static obs::Counter& hits = obs::Registry::Global().GetCounter(
-              "ojv.multiview.shared_prefix_hits");
-          hits.Add(1);
-        }
-      }
-      ms = t.row != nullptr
-               ? t.row->OnSharedDelta(table, rows, is_insert, policy,
-                                      sit->second, *prefix)
-               : t.agg->OnSharedDelta(table, rows, is_insert, policy,
-                                      sit->second, *prefix);
-      if constexpr (obs::kEnabled) {
-        static obs::Counter& suffixes = obs::Registry::Global().GetCounter(
-            "ojv.multiview.suffix_refreshes");
-        suffixes.Add(1);
-      }
-    } else {
-      ms = t.row != nullptr
-               ? (is_insert ? t.row->OnInsert(table, rows, policy)
-                            : t.row->OnDelete(table, rows, policy))
-               : (is_insert ? t.agg->OnInsert(table, rows, policy)
-                            : t.agg->OnDelete(table, rows, policy));
-    }
-    Accumulate(t.name, ms);
-    (*out)[t.name].maintenance_micros += ms.total_micros;
-  }
-}
-
 void Database::MaybeAutoRefresh(StatementResult* result) {
   if (in_transaction_ || !scheduler_.HasDeferredViews()) return;
-  if (admission_ != nullptr) {
-    if (refresher_.running()) {
-      // The worker's DrainDueViews applies the admission plan; the
-      // statement path only needs to wake it when something is due.
-      if (!CollectDueViews().empty()) refresher_.Notify();
-    } else {
-      AdmitAndRefresh(result);
-    }
+  if (refresher_.running()) {
+    // The worker's DrainDueViews refreshes the due views; the statement
+    // path only needs to wake it when something is due.
+    if (!CollectDueViews().empty()) refresher_.Notify();
     return;
   }
-  for (const std::string& view : scheduler_.DeferredViews()) {
-    if (scheduler_.policy(view) != deferred::RefreshPolicy::kThreshold) {
-      continue;
-    }
-    const std::set<std::string>& tables = TablesOf(view);
-    int64_t pending = delta_log_.PendingRows(view, tables);
-    double staleness = delta_log_.OldestPendingMicros(view, tables);
-    PublishViewPressure(view, pending, staleness);
-    if (!scheduler_.Due(view, pending, staleness)) continue;
-    if (refresher_.running()) {
-      refresher_.Notify();
-    } else {
-      deferred::RefreshStats stats = RefreshLocked(view);
-      if (result != nullptr) {
-        result->maintenance_micros += stats.maintenance_micros;
-        result->view_micros[view] += stats.maintenance_micros;
-      }
-    }
-  }
+  AdmitAndRefresh(result);
 }
 
 void Database::DrainDueViews() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (in_transaction_) return;  // transactions drain at Begin and run eager
-  if (admission_ != nullptr) {
-    AdmitAndRefresh(nullptr);
-    // Heavy-key backlogs drain on the worker tick too, behind the same
-    // gate: while the controller is hot the lazy state keeps absorbing
-    // skew, and folds as soon as pressure fades.
-    if (!admission_->hot()) DrainHeavyBacklog();
-    return;
-  }
-  for (const std::string& view : scheduler_.DeferredViews()) {
-    if (scheduler_.policy(view) != deferred::RefreshPolicy::kThreshold) {
-      continue;
-    }
-    const std::set<std::string>& tables = TablesOf(view);
-    int64_t pending = delta_log_.PendingRows(view, tables);
-    double staleness = delta_log_.OldestPendingMicros(view, tables);
-    PublishViewPressure(view, pending, staleness);
-    if (scheduler_.Due(view, pending, staleness)) RefreshLocked(view);
-  }
-  DrainHeavyBacklog();
+  AdmitAndRefresh(nullptr);
+  // Heavy-key backlogs drain on the worker tick too. A controller gates
+  // them: while it is hot the lazy state keeps absorbing skew, and folds
+  // as soon as pressure fades.
+  if (admission_ == nullptr || !admission_->hot()) DrainHeavyBacklog();
 }
 
 std::vector<deferred::DueView> Database::CollectDueViews() const {
@@ -1112,98 +712,42 @@ std::vector<deferred::DueView> Database::CollectDueViews() const {
   return due;
 }
 
-std::vector<deferred::DueView> Database::GroupDueViews(
-    std::vector<deferred::DueView> due,
-    std::map<std::string, const multiview::ViewGroup*>* group_reps) const {
-  std::vector<deferred::DueView> out;
-  std::map<std::string, size_t> rep_index;  // group id -> index into out
-  for (deferred::DueView& d : due) {
-    const multiview::ViewGroup* group = mv_catalog_.GroupOf(d.name);
-    if (group == nullptr) {
-      out.push_back(std::move(d));
-      continue;
-    }
-    auto [it, fresh] = rep_index.emplace(group->id, out.size());
-    if (fresh) {
-      (*group_reps)[d.name] = group;
-      out.push_back(std::move(d));
-      continue;
-    }
-    // Fold this member into the group's representative entry: the group
-    // refreshes as a unit, so its debt is the members' pending rows
-    // combined, its urgency the stalest member, and its bounds the
-    // tightest member's (promotion of any member promotes the group).
-    deferred::DueView& rep = out[it->second];
-    rep.pending_rows += d.pending_rows;
-    rep.staleness_micros = std::max(rep.staleness_micros, d.staleness_micros);
-    auto tighten = [](double* into, double value) {
-      if (value > 0 && (*into <= 0 || value < *into)) *into = value;
-    };
-    tighten(&rep.max_staleness_micros, d.max_staleness_micros);
-    tighten(&rep.staleness_ceiling_micros, d.staleness_ceiling_micros);
-  }
-  return out;
-}
-
 void Database::AdmitAndRefresh(StatementResult* result) {
-  obs::Span admission_span(default_options_.trace, "deferred.admission",
-                           "deferred");
-  std::vector<deferred::DueView> due = CollectDueViews();
-  std::map<std::string, const multiview::ViewGroup*> group_reps;
-  if (MultiviewActive()) {
-    // Due members of one group collapse into one due entry: one group
-    // refresh = one admission decision, and a promoted member promotes
-    // its whole group.
-    due = GroupDueViews(std::move(due), &group_reps);
+  obs::Span admission_span;
+  if (admission_ != nullptr) {
+    admission_span =
+        obs::Span(default_options_.trace, "deferred.admission", "deferred");
   }
-  // Plan even on an empty due set: the hot state tracks load between
-  // trips, so the controller exits hot as soon as pressure fades rather
-  // than on the next due view.
-  deferred::AdmissionPlan plan =
-      admission_->Plan(due, delta_log_.size(), obs::SteadyNowMicros());
-  admission_span.AddArg("due", static_cast<int64_t>(due.size()));
-  admission_span.AddArg("admitted",
-                        static_cast<int64_t>(plan.admitted.size()));
-  admission_span.AddArg("promoted",
-                        static_cast<int64_t>(plan.promoted.size()));
-  admission_span.AddArg("deferred",
-                        static_cast<int64_t>(plan.deferred.size()));
-  admission_span.AddArg("hot", plan.hot ? 1 : 0);
-  admission_span.AddArg("load_score_milli",
-                        static_cast<int64_t>(plan.load_score * 1000.0));
-  for (const std::string& view : plan.admitted) {
-    if (auto git = group_reps.find(view); git != group_reps.end()) {
-      std::map<std::string, deferred::RefreshStats> all =
-          RefreshGroupLocked(*git->second);
-      if (result != nullptr) {
-        for (const auto& [member, stats] : all) {
-          result->maintenance_micros += stats.maintenance_micros;
-          result->view_micros[member] += stats.maintenance_micros;
-        }
-      }
-      continue;
-    }
+  std::vector<deferred::DueView> due = CollectDueViews();
+  std::vector<std::string> admitted;
+  if (admission_ == nullptr) {
+    // No controller: every due view refreshes, in scan order.
+    for (const deferred::DueView& d : due) admitted.push_back(d.name);
+  } else {
+    // Plan even on an empty due set: the hot state tracks load between
+    // trips, so the controller exits hot as soon as pressure fades
+    // rather than on the next due view.
+    deferred::AdmissionPlan plan =
+        admission_->Plan(due, delta_log_.size(), obs::SteadyNowMicros());
+    admission_span.AddArg("due", static_cast<int64_t>(due.size()));
+    admission_span.AddArg("admitted",
+                          static_cast<int64_t>(plan.admitted.size()));
+    admission_span.AddArg("promoted",
+                          static_cast<int64_t>(plan.promoted.size()));
+    admission_span.AddArg("deferred",
+                          static_cast<int64_t>(plan.deferred.size()));
+    admission_span.AddArg("hot", plan.hot ? 1 : 0);
+    admission_span.AddArg("load_score_milli",
+                          static_cast<int64_t>(plan.load_score * 1000.0));
+    admitted = std::move(plan.admitted);
+  }
+  for (const std::string& view : admitted) {
     deferred::RefreshStats stats = RefreshLocked(view);
     if (result != nullptr) {
       result->maintenance_micros += stats.maintenance_micros;
       result->view_micros[view] += stats.maintenance_micros;
     }
   }
-}
-
-void Database::SetMultiviewMode(MultiviewMode mode) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  default_options_.multiview = mode;
-}
-
-MultiviewMode Database::multiview_mode() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  return default_options_.multiview;
-}
-
-std::vector<multiview::ViewGroup> Database::ViewGroups() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  return mv_catalog_.groups();
 }
 
 void Database::SetAdmissionControl(const deferred::AdmissionConfig& config) {
@@ -1383,13 +927,7 @@ Database::StatementResult Database::DeleteLocked(const std::string& table,
     Table* child = catalog_.GetTable(fk->child_table);
     std::vector<Row> child_keys;
     child_keys.reserve(child_rows.size());
-    for (const Row& row : child_rows) {
-      Row key;
-      for (int p : child->key_positions()) {
-        key.push_back(row[static_cast<size_t>(p)]);
-      }
-      child_keys.push_back(std::move(key));
-    }
+    for (const Row& row : child_rows) child_keys.push_back(child->KeyOf(row));
     // Recursive delete handles chains of cascading constraints.
     StatementResult cascaded = DeleteLocked(fk->child_table, child_keys);
     if (!cascaded.ok()) {
@@ -1447,13 +985,9 @@ Database::StatementResult Database::Update(const std::string& table,
       result.error = "malformed update row for " + table;
       return result;
     }
-    for (size_t k = 0; k < base->key_positions().size(); ++k) {
-      const Value& new_key =
-          new_rows[i][static_cast<size_t>(base->key_positions()[k])];
-      if (new_key != keys[i][k]) {
-        result.error = "update may not change key columns";
-        return result;
-      }
+    if (base->KeyOf(new_rows[i]) != keys[i]) {
+      result.error = "update may not change key columns";
+      return result;
     }
     if (!in_transaction_ && !RowSatisfiesForeignKeys(table, new_rows[i])) {
       result.error = "updated row violates a foreign key";
@@ -1563,13 +1097,7 @@ void Database::Rollback() {
     switch (it->kind) {
       case UndoEntry::Kind::kDeleteInserted: {
         std::vector<Row> keys;
-        for (const Row& row : it->rows) {
-          Row key;
-          for (int p : base->key_positions()) {
-            key.push_back(row[static_cast<size_t>(p)]);
-          }
-          keys.push_back(std::move(key));
-        }
+        for (const Row& row : it->rows) keys.push_back(base->KeyOf(row));
         std::vector<Row> deleted = ApplyBaseDelete(base, keys);
         OJV_CHECK(deleted.size() == keys.size(), "rollback delete mismatch");
         MaintainDelete(it->table, deleted, &scratch);
@@ -1584,13 +1112,7 @@ void Database::Rollback() {
       }
       case UndoEntry::Kind::kReverseUpdate: {
         std::vector<Row> keys;
-        for (const Row& row : it->rows) {
-          Row key;
-          for (int p : base->key_positions()) {
-            key.push_back(row[static_cast<size_t>(p)]);
-          }
-          keys.push_back(std::move(key));
-        }
+        for (const Row& row : it->rows) keys.push_back(base->KeyOf(row));
         std::vector<Row> current;
         ApplyBaseUpdate(base, keys, it->old_rows, &current);
         // These reversals bypass Accumulate (rollback is not a

@@ -15,8 +15,6 @@
 #include "ivm/maintainer.h"
 #include "ivm/view_def.h"
 #include "ivm/view_snapshot.h"
-#include "multiview/shared_plan.h"
-#include "multiview/view_group.h"
 
 namespace ojv {
 
@@ -190,13 +188,13 @@ class Database {
   bool background_refresh_running() const { return refresher_.running(); }
 
   /// Installs (enabled=true) or removes (enabled=false, the default)
-  /// the refresh admission controller. Without one, the due-view scan
-  /// behaves exactly as it always has: every due kThreshold view is
-  /// refreshed on the spot. With one, statement/refresh latencies and
-  /// delta-log depth feed a load score; when hot, due refreshes are
-  /// deferred with bounded backoff and drained staleness-debt-first in
-  /// capped slices, and views past their staleness ceiling are promoted
-  /// past the load gate (see deferred::AdmissionConfig).
+  /// the refresh admission controller. Without one, every due
+  /// kThreshold view is refreshed on the spot. With one, statement/
+  /// refresh latencies and delta-log depth feed a load score; when hot,
+  /// due refreshes are deferred with bounded backoff and drained
+  /// staleness-debt-first in capped slices, and views past their
+  /// staleness ceiling are promoted past the load gate (see
+  /// deferred::AdmissionConfig).
   void SetAdmissionControl(const deferred::AdmissionConfig& config);
 
   /// Point-in-time admission counters (zero-valued when no controller
@@ -217,24 +215,6 @@ class Database {
   /// staleness ceiling.
   int64_t AdmissionStalenessPercentile(const std::string& view,
                                        double p) const;
-
-  // --- multi-view maintenance (src/multiview/) ---
-
-  /// Switches between independent per-view refresh (the default, the
-  /// paper's behavior) and grouped refresh with shared delta-plan
-  /// prefixes. Under kShared, refreshing any member of a view group
-  /// drains the whole group: cohorts of members with equal delta-log
-  /// high-water marks replay the consolidated batch together, the
-  /// group's common plan prefix is evaluated once per (table, batch),
-  /// and per-view suffixes fan out from the cached prefix relation.
-  /// View contents are identical in both modes.
-  void SetMultiviewMode(MultiviewMode mode);
-  MultiviewMode multiview_mode() const;
-
-  /// The current view groups (views clustered by ΔT source table and
-  /// longest common delta-join prefix). Groups form as views are
-  /// created regardless of mode; they only drive refresh under kShared.
-  std::vector<multiview::ViewGroup> ViewGroups() const;
 
   // --- multi-statement transactions (§6 caveat 3) ---
   //
@@ -310,13 +290,17 @@ class Database {
   /// Threshold check after a statement: refreshes due views inline, or
   /// pings the background worker when one is running.
   void MaybeAutoRefresh(StatementResult* result);
-  /// Background worker body: drains every due kThreshold view.
+  /// Background worker body: refreshes the due kThreshold views, then
+  /// folds heavy-key backlogs.
   void DrainDueViews();
-  /// The kThreshold views past their Due() limits right now, with the
-  /// signals the admission controller plans on.
+  /// The one due-view scan: the kThreshold views past their Due()
+  /// limits right now, in scan order, with the signals the admission
+  /// controller plans on. Publishes every threshold view's pressure
+  /// gauges on the way.
   std::vector<deferred::DueView> CollectDueViews() const;
-  /// Runs the admission plan over the current due set and refreshes the
-  /// admitted views, attributing inline costs to `result` when non-null.
+  /// Refreshes the current due set — all of it without a controller,
+  /// the admitted part of the controller's plan with one — attributing
+  /// inline costs to `result` when non-null.
   void AdmitAndRefresh(StatementResult* result);
   /// Feeds one finished statement's wall latency to the controller.
   void ObserveStatementLatency(std::chrono::steady_clock::time_point start);
@@ -349,44 +333,13 @@ class Database {
                                    const std::shared_ptr<GenerationStore>& store,
                                    const ReadOptions& options);
 
+  /// The one refresh path for a deferred view: consolidates its pending
+  /// batch, reverts and replays it (or, for a single-table single-op
+  /// batch, maintains the post-batch state directly), advances its
+  /// delta-log mark and publishes a generation. Caller holds `mu_`.
   deferred::RefreshStats RefreshLocked(const std::string& view);
   StatementResult DeleteLocked(const std::string& table,
                                const std::vector<Row>& keys);
-
-  // --- multi-view internals ---
-
-  bool MultiviewActive() const {
-    return default_options_.multiview == MultiviewMode::kShared;
-  }
-  /// Fingerprints a freshly created view's delta plans into the group
-  /// catalog and refreshes the scheduler's group labels.
-  void RegisterMultiview(const std::string& name);
-  void SyncGroupLabels();
-  /// Refreshes every deferred member of `group` together; returns
-  /// per-member stats. One admission observation for the whole group.
-  std::map<std::string, deferred::RefreshStats> RefreshGroupLocked(
-      const multiview::ViewGroup& group);
-  /// Replays one consolidated cohort (members with equal high-water
-  /// marks) over the union of their table sets.
-  void RefreshCohort(const multiview::ViewGroup& group,
-                     const std::vector<std::string>& members,
-                     std::map<std::string, deferred::RefreshStats>* out);
-  /// Maintains every cohort member referencing `table` for one
-  /// consolidated statement, evaluating the group's shared plan prefix
-  /// at most once.
-  void MaintainGroupTable(const multiview::ViewGroup& group,
-                          const std::vector<std::string>& members,
-                          const std::string& table,
-                          const std::vector<Row>& rows, bool is_insert,
-                          PlanPolicy policy,
-                          std::map<std::string, deferred::RefreshStats>* out);
-  /// Collapses due views that belong to one group into a single
-  /// admission candidate (pending summed, staleness maxed, tightest
-  /// member limits), so one group refresh is one admission decision and
-  /// any member's staleness breach promotes the group.
-  std::vector<deferred::DueView> GroupDueViews(
-      std::vector<deferred::DueView> due,
-      std::map<std::string, const multiview::ViewGroup*>* group_reps) const;
 
   PlanPolicy CurrentPolicy() const {
     return in_transaction_ ? PlanPolicy::kConstraintFree
@@ -424,11 +377,6 @@ class Database {
   deferred::BackgroundRefresher refresher_;
   /// Null unless SetAdmissionControl installed an enabled config.
   std::unique_ptr<deferred::AdmissionController> admission_;
-  /// Multi-view group catalog and shared-plan cache. Fingerprints are
-  /// registered at view creation in every mode; the plans only execute
-  /// under MultiviewMode::kShared.
-  multiview::ViewGroupCatalog mv_catalog_;
-  multiview::SharedPlanBuilder mv_plans_{&mv_catalog_};
 
   struct UndoEntry {
     enum class Kind { kDeleteInserted, kReinsertDeleted, kReverseUpdate };

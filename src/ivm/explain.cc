@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "exec/evaluator.h"
-#include "opt/fingerprint.h"
 
 namespace ojv {
 namespace {
@@ -160,12 +159,6 @@ std::string ExplainMaintenance(const ViewMaintainer& maintainer) {
     out << "\n";
     const RelExprPtr& delta = maintainer.delta_expr(table);
     out << "  primary delta  = " << delta->ToString() << "\n";
-    if (opt::DeltaFingerprint fp = opt::FingerprintDelta(delta, table);
-        fp.ok) {
-      // The clustering signature the multiview catalog groups by: two
-      // views sharing a fingerprint prefix can share a delta plan.
-      out << "  fingerprint: " << fp.Signature(fp.steps.size()) << "\n";
-    }
     if (maintainer.planner_options().mode ==
         opt::PlannerOptions::Mode::kCostBased) {
       out << "  planner: cost-based\n";

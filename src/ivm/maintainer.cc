@@ -9,7 +9,6 @@
 #include "ivm/primary_delta.h"
 #include "ivm/simplify_tree.h"
 #include "obs/metrics.h"
-#include "opt/fingerprint.h"
 
 namespace ojv {
 namespace {
@@ -194,11 +193,6 @@ const RelExprPtr& ViewMaintainer::delta_expr(const std::string& table) const {
   return main_.For(table).delta_expr;
 }
 
-const RelExprPtr& ViewMaintainer::delta_expr(const std::string& table,
-                                             PlanPolicy policy) const {
-  return SetFor(policy).For(table).delta_expr;
-}
-
 Relation ViewMaintainer::ComputePrimaryDelta(const TablePlan& plan,
                                              const Relation& delta_t) {
   return EvalPrimaryDelta(plan.delta_expr, delta_t, options_.trace);
@@ -206,8 +200,7 @@ Relation ViewMaintainer::ComputePrimaryDelta(const TablePlan& plan,
 
 Relation ViewMaintainer::EvalPrimaryDelta(const RelExprPtr& expr,
                                           const Relation& delta_t,
-                                          obs::TraceContext* eval_trace,
-                                          const Relation* shared_prefix) {
+                                          obs::TraceContext* eval_trace) {
   Evaluator evaluator(catalog_);
   evaluator.set_table_cache(&table_cache_);
   evaluator.set_exec(options_.exec, pool_.get());
@@ -218,11 +211,6 @@ Relation ViewMaintainer::EvalPrimaryDelta(const RelExprPtr& expr,
     if (delta_t.schema().HasTable(table)) {
       evaluator.BindDelta(table, &delta_t);
     }
-  }
-  // Shared-plan suffixes read the group's pre-evaluated prefix through
-  // a synthetic delta leaf.
-  if (shared_prefix != nullptr) {
-    evaluator.BindDelta(opt::kSharedPrefixLeaf, shared_prefix);
   }
   std::shared_ptr<const Relation> raw_ptr = evaluator.Eval(expr);
   const Relation& raw = *raw_ptr;
@@ -258,15 +246,6 @@ Relation ViewMaintainer::ComputePrimaryDeltaRelation(const std::string& table,
   const TablePlan& plan = main_.For(table);
   OJV_CHECK(!plan.delta_empty, "delta is provably empty");
   return ComputePrimaryDelta(plan, delta_t);
-}
-
-Relation ViewMaintainer::ComputeSharedPrimaryDeltaRelation(
-    const std::string& table, const Relation& delta_t,
-    const RelExprPtr& shared_suffix, const Relation& shared_prefix) {
-  OJV_CHECK(shared_suffix != nullptr, "shared suffix required");
-  (void)table;
-  return EvalPrimaryDelta(shared_suffix, delta_t, options_.trace,
-                          &shared_prefix);
 }
 
 SecondaryDeltaEngine* ViewMaintainer::secondary_engine(
@@ -471,13 +450,7 @@ MaintenanceStats ViewMaintainer::OnConsolidatedBatch(
   if (!net_deletes.empty()) {
     std::vector<Row> keys;
     keys.reserve(net_deletes.size());
-    for (const Row& row : net_deletes) {
-      Row key;
-      for (int p : base->key_positions()) {
-        key.push_back(row[static_cast<size_t>(p)]);
-      }
-      keys.push_back(std::move(key));
-    }
+    for (const Row& row : net_deletes) keys.push_back(base->KeyOf(row));
     std::vector<Row> deleted = ApplyBaseDelete(base, keys);
     OJV_CHECK(deleted.size() == net_deletes.size(),
               "consolidated deletes must all be present");
@@ -492,42 +465,10 @@ MaintenanceStats ViewMaintainer::OnConsolidatedBatch(
   return stats;
 }
 
-MaintenanceStats ViewMaintainer::OnSharedDelta(const std::string& table,
-                                               const std::vector<Row>& rows,
-                                               bool is_insert,
-                                               PlanPolicy policy,
-                                               const RelExprPtr& shared_suffix,
-                                               const Relation& shared_prefix) {
-  if (stats_catalog_ != nullptr) {
-    if (is_insert) {
-      stats_catalog_->OnInsert(table, rows);
-    } else {
-      stats_catalog_->OnDelete(table, rows);
-    }
-  }
-  if (heavy_ != nullptr) {
-    if (is_insert) {
-      heavy_->OnInsert(table, rows);
-    } else {
-      heavy_->OnDelete(table, rows);
-    }
-  }
-  // Shared-plan runs execute a fixed suffix eagerly; they can never
-  // divert, so no pending state may overlap them.
-  CheckHeavyConflict(table, /*can_divert=*/false);
-  MaintenanceStats stats =
-      Maintain(SetFor(policy).For(table), table, rows, is_insert, policy,
-               &shared_suffix, &shared_prefix);
-  if (stats_hook_) stats_hook_(table, stats);
-  return stats;
-}
-
 MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
                                           const std::string& table,
                                           const std::vector<Row>& rows,
-                                          bool is_insert, PlanPolicy policy,
-                                          const RelExprPtr* shared_suffix,
-                                          const Relation* shared_prefix) {
+                                          bool is_insert, PlanPolicy policy) {
   MaintenanceStats stats;
   stats.delta_rows = static_cast<int64_t>(rows.size());
   if (plan.graph != nullptr) {
@@ -559,15 +500,10 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
   }
 
   // Cost-based plan selection: reuse the cached order unless feedback
-  // marked it dirty or |Δ| moved far from what it was costed for. A
-  // shared-plan run executes a fixed suffix instead — the planner, its
-  // cache, and the feedback loop are all bypassed.
+  // marked it dirty or |Δ| moved far from what it was costed for.
   RelExprPtr exec_expr = plan.delta_expr;
   opt::PlanCacheEntry* cache_entry = nullptr;
-  if (shared_suffix != nullptr) {
-    exec_expr = *shared_suffix;
-    root_span.AddArg("plan_source", std::string("shared_prefix"));
-  } else if (planner_ != nullptr && ContainsJoin(plan.delta_expr)) {
+  if (planner_ != nullptr && ContainsJoin(plan.delta_expr)) {
     if (heavy_ != nullptr) {
       // Light batches never join the heavy partition — estimate the
       // counterpart tables minus it. Drain replays (and tables without
@@ -630,8 +566,7 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
   }
   obs::Span primary_span(options_.trace, "ivm.primary_delta", "ivm");
   auto primary_start = std::chrono::steady_clock::now();
-  Relation primary =
-      EvalPrimaryDelta(exec_expr, delta_t, eval_trace, shared_prefix);
+  Relation primary = EvalPrimaryDelta(exec_expr, delta_t, eval_trace);
   stats.primary_rows = primary.size();
   stats.fk_fast_path =
       plan.delta_expr->kind() == RelKind::kDeltaScan ||

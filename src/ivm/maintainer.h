@@ -22,13 +22,6 @@
 
 namespace ojv {
 
-/// Whether the Database maintains overlapping views independently (the
-/// paper's per-view procedures, the default) or in groups with shared
-/// delta-plan prefixes (src/multiview/): views clustered by ΔT source
-/// table and common delta-join prefix refresh together, the shared
-/// prefix evaluated once per batch. Results are identical either way.
-enum class MultiviewMode { kIndependent, kShared };
-
 /// Skew handling (DESIGN.md §16). kUniform (the default) runs every
 /// delta row through the eager pipeline — byte-for-byte the pre-skew
 /// behavior. kHeavyLight partitions each batch by join-key frequency:
@@ -61,10 +54,6 @@ struct MaintenanceOptions {
   /// byte for byte. View contents are identical either way — only join
   /// order (and therefore intermediate sizes) changes.
   opt::PlannerOptions planner;
-  /// Multi-view maintenance mode (consumed by Database, which owns the
-  /// group catalog; the maintainer itself only executes the suffix
-  /// plans handed to it).
-  MultiviewMode multiview = MultiviewMode::kIndependent;
   /// Skew-adaptive heavy-light partitioning; kUniform leaves the
   /// pipeline untouched.
   SkewMode skew = SkewMode::kUniform;
@@ -145,11 +134,6 @@ class ViewMaintainer {
   /// updates of `table`; null when the FK fast path proves it empty.
   const RelExprPtr& delta_expr(const std::string& table) const;
 
-  /// Same, under an explicit plan policy (the multiview layer
-  /// fingerprints both plan sets; constraint-free plans differ).
-  const RelExprPtr& delta_expr(const std::string& table,
-                               PlanPolicy policy) const;
-
   /// Maintains the view after `rows` were inserted into `table`.
   MaintenanceStats OnInsert(const std::string& table,
                             const std::vector<Row>& rows,
@@ -182,19 +166,6 @@ class ViewMaintainer {
                                        const std::vector<Row>& net_deletes,
                                        const std::vector<Row>& net_inserts,
                                        PlanPolicy policy);
-
-  /// Multi-view entry point: maintains the view for `rows` of `table`
-  /// using a pre-built suffix expression whose opt::kSharedPrefixLeaf
-  /// leaf is bound to `shared_prefix` — the group's common plan prefix,
-  /// evaluated once per batch by the multiview layer. Semantically
-  /// identical to OnInsert/OnDelete with the full plan; the cost-based
-  /// planner and its feedback loop are bypassed (the suffix is already
-  /// fixed). Apply order and secondary deltas are unchanged.
-  MaintenanceStats OnSharedDelta(const std::string& table,
-                                 const std::vector<Row>& rows, bool is_insert,
-                                 PlanPolicy policy,
-                                 const RelExprPtr& shared_suffix,
-                                 const Relation& shared_prefix);
 
   /// Installs a stats observer (empty to remove).
   void set_stats_hook(MaintenanceStatsHook hook) {
@@ -240,15 +211,6 @@ class ViewMaintainer {
   Relation ComputePrimaryDeltaRelation(const std::string& table,
                                        const Relation& delta_t);
 
-  /// Evaluates a shared-plan suffix for an update of `table` (the
-  /// suffix's opt::kSharedPrefixLeaf leaf bound to `shared_prefix`),
-  /// aligned to the view's output schema. Used by the aggregate wrapper
-  /// and OnSharedDelta.
-  Relation ComputeSharedPrimaryDeltaRelation(const std::string& table,
-                                             const Relation& delta_t,
-                                             const RelExprPtr& shared_suffix,
-                                             const Relation& shared_prefix);
-
   /// The secondary-delta engine for updates of `table` (null when the
   /// delta is provably empty).
   SecondaryDeltaEngine* secondary_engine(const std::string& table);
@@ -260,9 +222,6 @@ class ViewMaintainer {
 
   const ExecConfig& exec_config() const { return options_.exec; }
   ThreadPool* thread_pool() const { return pool_.get(); }
-  Evaluator::JoinAlgorithm join_algorithm() const {
-    return options_.join_algorithm;
-  }
 
   /// Swaps the executor configuration at runtime (the deferred refresh
   /// path uses this to run background batch replays with more threads
@@ -326,22 +285,15 @@ class ViewMaintainer {
                : main_;
   }
 
-  // shared_suffix/shared_prefix non-null => multiview shared-plan run:
-  // the suffix replaces the (planner-chosen or static) delta expression
-  // and the prefix relation is bound under opt::kSharedPrefixLeaf.
   MaintenanceStats Maintain(const TablePlan& plan, const std::string& table,
                             const std::vector<Row>& rows, bool is_insert,
-                            PlanPolicy policy,
-                            const RelExprPtr* shared_suffix = nullptr,
-                            const Relation* shared_prefix = nullptr);
+                            PlanPolicy policy);
   // Evaluates ΔV^D and aligns it to the view's output schema.
   Relation ComputePrimaryDelta(const TablePlan& plan, const Relation& delta_t);
   // Evaluates one primary-delta expression (static or planner-chosen)
   // under an explicit trace sink and aligns it to the output schema.
-  // `shared_prefix` (when non-null) is bound under opt::kSharedPrefixLeaf.
   Relation EvalPrimaryDelta(const RelExprPtr& expr, const Relation& delta_t,
-                            obs::TraceContext* eval_trace,
-                            const Relation* shared_prefix = nullptr);
+                            obs::TraceContext* eval_trace);
 
   const Catalog* catalog_;
   ViewDef view_def_;

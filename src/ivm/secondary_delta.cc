@@ -360,13 +360,7 @@ std::vector<Row> SecondaryDeltaEngine::ComputeFromBaseTables(
           ScalarExpr::Column("#dt", col)));
     }
     delta_keys = Relation(key_schema);
-    for (const Row& row : delta_t.rows()) {
-      Row key;
-      for (int pos : base->key_positions()) {
-        key.push_back(row[static_cast<size_t>(pos)]);
-      }
-      delta_keys.Add(std::move(key));
-    }
+    for (const Row& row : delta_t.rows()) delta_keys.Add(base->KeyOf(row));
     delta_key_pred = MakeConjunction(key_eq);
     evaluator.BindDelta("#dtkeys", &delta_keys);
   }

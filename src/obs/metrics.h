@@ -41,7 +41,7 @@ class Counter {
 };
 
 /// Point-in-time level. Unlike Counter, a Gauge can go down: Set stores
-/// the current level (log depth, group count, hot-phase flag), Add
+/// the current level (log depth, pending rows, hot-phase flag), Add
 /// applies a delta for call sites that track increments/decrements.
 /// Both are single relaxed atomics, safe from any thread. Same caching
 /// idiom as Counter:

@@ -33,11 +33,11 @@ class DatabaseTest : public ::testing::Test {
         {"e_id"});
   }
 
-  ViewDef MakeDeptView() {
+  ViewDef MakeDeptView(const char* name = "dept_emp") {
     RelExprPtr tree = RelExpr::Join(
         JoinKind::kFullOuter, RelExpr::Scan("dept"), RelExpr::Scan("emp"),
         Eq("dept", "d_id", "emp", "e_dept"));
-    return ViewDef("dept_emp", tree,
+    return ViewDef(name, tree,
                    {{"dept", "d_id"},
                     {"dept", "d_name"},
                     {"emp", "e_id"},
@@ -261,6 +261,49 @@ TEST_F(DatabaseTest, UpdateRejectsShortRowAndKey) {
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.rows_affected, 0);
   ExpectUnchangedAndConsistent(*view);
+}
+
+// Maintenance reads values by their column's type (SUM over a FLOAT64
+// column calls AsDouble), so a value whose variant does not match its
+// column must be rejected before any mutation.
+TEST_F(DatabaseTest, MistypedValuesAreRejected) {
+  AggViewMaintainer* payroll = db_.CreateAggregateView(
+      MakeDeptView("payroll"), {{"dept", "d_name"}},
+      {{AggregateSpec::Kind::kSum, {"emp", "e_salary"}, "payroll"}});
+  ViewMaintainer* view = SeedForMalformed();
+  auto expect_payroll_consistent = [&] {
+    std::string diff;
+    EXPECT_TRUE(payroll->MatchesRecompute(1e-9, &diff)) << diff;
+  };
+
+  Database::StatementResult result = db_.Insert(
+      "emp",
+      {Row{Value::Int64(12), Value::Int64(1), Value::String("lots")},
+       Row{Value::Int64(13), Value::Float64(1.0), Value::Float64(5.0)},
+       Row{Value::String("14"), Value::Int64(1), Value::Float64(5.0)}});
+  EXPECT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.rows_affected, 0);
+  EXPECT_EQ(result.rows_rejected, 3);
+  result = db_.Insert("dept", {Row{Value::Int64(3), Value::Int64(7)}});
+  EXPECT_EQ(result.rows_affected, 0);
+  EXPECT_EQ(result.rows_rejected, 1);
+  result = db_.Update(
+      "emp", {Row{Value::Int64(10)}},
+      {Row{Value::Int64(10), Value::Int64(1), Value::String("lots")}});
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.rows_affected, 0);
+  ExpectUnchangedAndConsistent(*view);
+  expect_payroll_consistent();
+
+  // FLOAT64 also takes int64, which AsDouble reads.
+  result = db_.Insert(
+      "emp", {Row{Value::Int64(12), Value::Int64(1), Value::Int64(70)}});
+  EXPECT_EQ(result.rows_affected, 1);
+  std::string diff;
+  EXPECT_TRUE(ViewMatchesRecompute(*db_.catalog(), view->view_def(),
+                                   view->view(), &diff))
+      << diff;
+  expect_payroll_consistent();
 }
 
 TEST_F(DatabaseTest, UnknownTableAndDropView) {

@@ -2,15 +2,12 @@
 // generation boundary — an explicit Refresh, a kFresh read, or the
 // opportunistic catch-up a kSnapshot read performs on an eager view —
 // the pinned snapshot must equal what a single-threaded database
-// (all-immediate, kUniform, kIndependent: the oracle) holds after the
-// same statement stream. Between boundaries, a deferred view's
-// kSnapshot reads must keep returning exactly the contents published at
-// the last boundary.
+// (all-immediate, kUniform: the oracle) holds after the same statement
+// stream. Between boundaries, a deferred view's kSnapshot reads must
+// keep returning exactly the contents published at the last boundary.
 //
-// The property is pinned across the four policy quadrants:
-// SkewMode::{kUniform, kHeavyLight} × MultiviewMode::{kIndependent,
-// kShared}. Under kShared a refresh of either deferred view drains the
-// whole group and must publish a generation for *every* member.
+// The property is pinned under both SkewMode::kUniform and
+// SkewMode::kHeavyLight.
 
 #include <map>
 #include <string>
@@ -61,30 +58,25 @@ ViewDef MakeView(const Catalog& catalog, const char* name) {
 }
 
 class SnapshotEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<int, int, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
 
 TEST_P(SnapshotEquivalenceTest, SnapshotsMatchSingleThreadedAtBoundaries) {
   const SkewMode skew =
       std::get<0>(GetParam()) != 0 ? SkewMode::kHeavyLight : SkewMode::kUniform;
-  const MultiviewMode mv = std::get<1>(GetParam()) != 0
-                               ? MultiviewMode::kShared
-                               : MultiviewMode::kIndependent;
-  const uint64_t seed = std::get<2>(GetParam());
-  const bool shared = mv == MultiviewMode::kShared;
+  const uint64_t seed = std::get<1>(GetParam());
 
   MaintenanceOptions options;
   options.skew = skew;
   options.heavy.promote_threshold = 4;  // a few repeats promote a key
   options.heavy.sketch_capacity = 16;
-  options.multiview = mv;
   Database subject(options);
-  Database oracle;  // all-immediate, kUniform, kIndependent reference
+  Database oracle;  // all-immediate, kUniform reference
   CreateSchema(&subject);
   CreateSchema(&oracle);
 
-  // v1 and v2 share the delta-join prefix (one group under kShared);
-  // both run deferred in the subject. v3 is the same shape but stays
-  // eager, so kSnapshot reads exercise the opportunistic rebuild.
+  // v1 and v2 run deferred in the subject and refresh at different
+  // boundaries. v3 is the same shape but stays eager, so kSnapshot
+  // reads exercise the opportunistic rebuild.
   for (Database* db : {&subject, &oracle}) {
     db->CreateMaterializedView(MakeView(*db->catalog(), "v1"));
     db->CreateMaterializedView(MakeView(*db->catalog(), "v2"));
@@ -92,14 +84,6 @@ TEST_P(SnapshotEquivalenceTest, SnapshotsMatchSingleThreadedAtBoundaries) {
   }
   subject.SetRefreshPolicy("v1", RefreshPolicy::kOnDemand);
   subject.SetRefreshPolicy("v2", RefreshPolicy::kOnDemand);
-  if (shared) {
-    // The kShared path is only exercised if the views really grouped.
-    bool grouped = false;
-    for (const multiview::ViewGroup& g : subject.ViewGroups()) {
-      grouped |= g.members.size() >= 2;
-    }
-    ASSERT_TRUE(grouped) << "v1/v2/v3 should share a delta-plan group";
-  }
 
   auto oracle_rel = [&](const std::string& view) {
     return oracle.GetView(view)->view().AsRelation();
@@ -172,11 +156,10 @@ TEST_P(SnapshotEquivalenceTest, SnapshotsMatchSingleThreadedAtBoundaries) {
         << "op " << op << ": eager snapshot diverged from single-threaded";
 
     if (op % 5 == 4) {
-      // Explicit refresh boundary for v1 — and, under kShared, for the
-      // whole group: every member must get its generation published.
+      // Explicit refresh boundary for v1 only: v2 keeps serving its
+      // last published generation.
       subject.Refresh("v1");
       published["v1"] = oracle_rel("v1");
-      if (shared) published["v2"] = oracle_rel("v2");
       for (const char* v : {"v1", "v2"}) {
         ViewSnapshot snap = subject.AcquireSnapshot(v);
         ASSERT_TRUE(snap.relation().Equals(published[v]))
@@ -184,12 +167,11 @@ TEST_P(SnapshotEquivalenceTest, SnapshotsMatchSingleThreadedAtBoundaries) {
       }
     }
     if (op % 10 == 9) {
-      // kFresh read boundary for v2 (drains v2 — and its group).
+      // kFresh read boundary for v2 (drains v2 only).
       ViewSnapshot fresh = subject.ReadView("v2");
       ASSERT_TRUE(fresh.relation().Equals(oracle_rel("v2")))
           << "op " << op << ": kFresh read diverged from single-threaded";
       published["v2"] = oracle_rel("v2");
-      if (shared) published["v1"] = oracle_rel("v1");
     }
   }
 
@@ -204,9 +186,8 @@ TEST_P(SnapshotEquivalenceTest, SnapshotsMatchSingleThreadedAtBoundaries) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Quadrants, SnapshotEquivalenceTest,
+    SkewModes, SnapshotEquivalenceTest,
     ::testing::Combine(::testing::Values(0, 1),  // kUniform / kHeavyLight
-                       ::testing::Values(0, 1),  // kIndependent / kShared
                        ::testing::Values(7u, 1234u)));
 
 }  // namespace

@@ -60,7 +60,7 @@ case "$mode" in
     # The full suite is serial-dominated; under TSan only the tests that
     # actually spawn threads carry signal, and they carry all of it.
     # metrics/trace join the filter for their thread-hammer cases.
-    run_config tsan --tests 'parallel_executor|deferred|database|metrics|trace|admission|multiview|snapshot' \
+    run_config tsan --tests 'parallel_executor|deferred|database|metrics|trace|admission|snapshot' \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOJV_TSAN=ON
     ;;&
   obs-export|all)
@@ -142,8 +142,7 @@ case "$mode" in
     echo "==> [bench-gate] build"
     cmake --build "$dir" -j "$jobs" \
         --target bench_fig5_insert bench_fig5_delete bench_deferred \
-        bench_multiview bench_obs_overhead bench_skew \
-        bench_serve bench_gate >/dev/null
+        bench_obs_overhead bench_skew bench_serve bench_gate >/dev/null
     echo "==> [bench-gate] run fig5 benchmarks"
     "$dir/bench/bench_fig5_insert" --threads=4 \
         --json="$dir/fig5_insert.json" >/dev/null
@@ -153,11 +152,6 @@ case "$mode" in
     # small batches keep the immediate-mode comparison columns quick.
     "$dir/bench/bench_deferred" --batches=60,600 \
         --json="$dir/deferred.json" >/dev/null
-    # Multiview at SF 0.01: the 200-view catalog dominates setup time, so
-    # the small scale factor keeps the stage quick; probe-volume sharing
-    # is scale-independent (the benchmark self-checks the counter).
-    "$dir/bench/bench_multiview" --sf=0.01 \
-        --json="$dir/multiview.json" >/dev/null
     # Telemetry overhead: recorder-on and full-export timings over the
     # bare maintenance loop (the "no measurable overhead" claim, gated).
     "$dir/bench/bench_obs_overhead" --batches=60,600 \
@@ -181,11 +175,6 @@ case "$mode" in
     "$dir/tools/bench_gate" --baseline="$root/BENCH_pipeline.json" \
         --candidate="$dir/deferred.json" --section=deferred_admission \
         --floor-ms=2
-    # Floor 5ms: RefreshAll over 50/200 views runs tens of milliseconds;
-    # the floor keeps per-view scheduling jitter from tripping the ratio.
-    "$dir/tools/bench_gate" --baseline="$root/BENCH_pipeline.json" \
-        --candidate="$dir/multiview.json" --section=multiview \
-        --floor-ms=5
     # Floor 2ms on the overhead rows: the maintenance loop is a few ms
     # at these batch sizes, so only real instrumentation cost counts.
     "$dir/tools/bench_gate" --baseline="$root/BENCH_pipeline.json" \

@@ -8,7 +8,7 @@
 // atomically by obs::WriteSnapshotFiles) and renders:
 //
 //   - admission state: hot flag, load score, deferred/promoted totals
-//   - delta-log depth and multiview group count
+//   - delta-log depth
 //   - refresh latency p50/p99 (ojv.deferred.refresh_micros)
 //   - a per-view table: staleness, pending rows, refreshes, last
 //     refresh duration, cumulative SLO burn
@@ -167,10 +167,9 @@ void Render(const io::JsonValue& snapshot, bool clear) {
       static_cast<long long>(IntAt(counters, "ojv.deferred.admission.promoted")),
       static_cast<long long>(
           IntAt(counters, "ojv.deferred.admission.hot_transitions")));
-  std::printf("delta log: %lld rows pending   multiview groups: %lld\n",
-              static_cast<long long>(IntAt(gauges,
-                                           "ojv.deferred.log_depth_rows")),
-              static_cast<long long>(IntAt(gauges, "ojv.multiview.groups")));
+  std::printf("delta log: %lld rows pending\n",
+              static_cast<long long>(
+                  IntAt(gauges, "ojv.deferred.log_depth_rows")));
   // Skew-adaptive maintenance: promoted heavy keys are per-table gauges
   // (summed here), the divert/drain counters are process-wide.
   int64_t heavy_keys = 0;

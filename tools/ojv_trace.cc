@@ -70,12 +70,9 @@ Options ParseArgs(int argc, char** argv) {
   return options;
 }
 
-/// Overlapping deferred views forming one shared-plan group: both share
-/// the Δorders first delta step (the same date filter over the orders
-/// scan, joined to an unfiltered customer side); the second view widens
-/// to lineitem so the suffixes differ. Mirrors bench_multiview's
-/// cluster shape at trace scale.
-ViewDef MakeSharedView(const Catalog& catalog, int index) {
+/// The deferred view of the workload's admission tail: customers left
+/// outer joined to their orders placed since 1993.
+ViewDef MakeCustomerOrdersView(const Catalog& catalog) {
   auto col = [](const char* table, const char* column) {
     return ScalarExpr::Column(table, column);
   };
@@ -88,23 +85,13 @@ ViewDef MakeSharedView(const Catalog& catalog, int index) {
       JoinKind::kLeftOuter, RelExpr::Scan("customer"), std::move(orders_side),
       ScalarExpr::Compare(CompareOp::kEq, col("customer", "c_custkey"),
                           col("orders", "o_custkey")));
-  std::vector<ColumnRef> output = {{"customer", "c_custkey"},
-                                   {"customer", "c_acctbal"},
-                                   {"orders", "o_orderkey"},
-                                   {"orders", "o_custkey"},
-                                   {"orders", "o_orderdate"}};
-  if (index % 2 == 1) {
-    tree = RelExpr::Join(JoinKind::kLeftOuter, std::move(tree),
-                         RelExpr::Scan("lineitem"),
-                         ScalarExpr::Compare(CompareOp::kEq,
-                                             col("orders", "o_orderkey"),
-                                             col("lineitem", "l_orderkey")));
-    output.push_back({"lineitem", "l_orderkey"});
-    output.push_back({"lineitem", "l_linenumber"});
-    output.push_back({"lineitem", "l_quantity"});
-  }
-  return ViewDef("mv_shared" + std::to_string(index), std::move(tree),
-                 std::move(output), catalog);
+  return ViewDef("cust_orders", std::move(tree),
+                 {{"customer", "c_custkey"},
+                  {"customer", "c_acctbal"},
+                  {"orders", "o_orderkey"},
+                  {"orders", "o_custkey"},
+                  {"orders", "o_orderdate"}},
+                 catalog);
 }
 
 int CheckTrace(const obs::TraceContext& trace) {
@@ -131,13 +118,9 @@ int CheckTrace(const obs::TraceContext& trace) {
   for (const char* span : {"ivm.plan.jdnf", "ivm.plan.table"}) {
     require(trace.HasSpan(span), span);
   }
-  // PR 5-6 spans: admission decisions and the shared-prefix group
-  // refresh must show up for the multiview/admission tail of the
-  // workload. Presence-only — tiny batches round to zero micros.
-  for (const char* span : {"deferred.admission", "multiview.group_refresh",
-                           "multiview.shared_prefix"}) {
-    require(trace.HasSpan(span), span);
-  }
+  // The admission tail of the workload must record its decision.
+  // Presence-only — tiny batches round to zero micros.
+  require(trace.HasSpan("deferred.admission"), "deferred.admission");
   // Theorem 3 prunes the secondary delta of V3's lineitem updates: the
   // trace must say so explicitly rather than just omit the stage.
   require(trace.HasSpan("ivm.secondary_delta.skipped"),
@@ -198,20 +181,12 @@ int Run(int argc, char** argv) {
   // Bring the deferred view up to date: consolidation + batched replay.
   db.Refresh("oj_view");
 
-  // --- multiview + admission tail ---------------------------------------
-  // Two overlapping deferred views cluster into one shared-plan group;
-  // refreshing a member under kShared drains the group through the
-  // shared Δorders prefix (multiview.group_refresh +
-  // multiview.shared_prefix spans).
-  db.SetMultiviewMode(MultiviewMode::kShared);
-  for (int i = 0; i < 2; ++i) {
-    ViewDef def = MakeSharedView(*db.catalog(), i);
-    const std::string name = def.name();
-    db.CreateMaterializedView(std::move(def));
-    db.SetRefreshPolicy(name, deferred::RefreshPolicy::kOnDemand);
-  }
+  // --- admission tail ---------------------------------------------------
+  // A second deferred view, refreshed on demand once.
+  db.CreateMaterializedView(MakeCustomerOrdersView(*db.catalog()));
+  db.SetRefreshPolicy("cust_orders", deferred::RefreshPolicy::kOnDemand);
   db.Insert("orders", refresh.NewOrders(20));
-  db.Refresh("mv_shared0");
+  db.Refresh("cust_orders");
 
   // Admission control on, with a pending threshold the next statement
   // trips: the due-view scan goes through AdmitAndRefresh, recording a
@@ -221,7 +196,7 @@ int Run(int argc, char** argv) {
   db.SetAdmissionControl(admission);
   deferred::ThresholdConfig tight;
   tight.max_pending_rows = 1;
-  db.SetRefreshPolicy("mv_shared0", deferred::RefreshPolicy::kThreshold,
+  db.SetRefreshPolicy("cust_orders", deferred::RefreshPolicy::kThreshold,
                       tight);
   db.Insert("orders", refresh.NewOrders(2));
 
