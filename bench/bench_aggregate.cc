@@ -10,6 +10,15 @@ namespace ojv {
 namespace bench {
 namespace {
 
+// The oracle check after each maintenance call, outside the timers.
+bool Matches(const AggViewMaintainer& agg, int64_t batch, const char* op) {
+  std::string diff;
+  if (agg.MatchesRecompute(1e-9, &diff)) return true;
+  std::fprintf(stderr, "%s of %lld rows: groups differ from recompute: %s\n",
+               op, static_cast<long long>(batch), diff.c_str());
+  return false;
+}
+
 int Run(int argc, char** argv) {
   BenchOptions options = BenchOptions::Parse(argc, argv);
   std::printf("TPC-H SF=%.3f\n", options.scale_factor);
@@ -38,6 +47,7 @@ int Run(int argc, char** argv) {
         ApplyBaseInsert(lineitem, instance.refresh->NewLineitems(batch));
     double inc_ms = TimeMs([&] { agg.OnInsert("lineitem", inserted); });
     double re_ms = TimeMs([&] { (void)agg.Recompute(); });
+    if (!Matches(agg, batch, "insert")) return 1;
     char speedup[32];
     std::snprintf(speedup, sizeof(speedup), "%.1fx",
                   re_ms / std::max(inc_ms, 1e-3));
@@ -52,6 +62,7 @@ int Run(int argc, char** argv) {
     for (const Row& row : inserted) keys.push_back(Row{row[0], row[3]});
     std::vector<Row> deleted = ApplyBaseDelete(lineitem, keys);
     agg.OnDelete("lineitem", deleted);
+    if (!Matches(agg, batch, "delete")) return 1;
   }
   report.Write();
   return 0;

@@ -1,63 +1,20 @@
 #include "ivm/aggregate_view.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/check.h"
-#include "exec/evaluator.h"
-#include "obs/metrics.h"
 
 namespace ojv {
-namespace {
-
-double MicrosSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-// Full evaluation of the (non-aggregated) base view. Routed through the
-// inner maintainer's table cache so the dirty MIN/MAX group refresh —
-// which runs *inside* a maintenance statement — reuses the base tables
-// already materialized for the delta evaluations instead of
-// re-materializing every table per refresh.
-Relation EvaluateBaseView(const Catalog& catalog, ViewMaintainer& planner) {
-  Evaluator evaluator(&catalog);
-  evaluator.set_table_cache(planner.table_cache());
-  evaluator.set_exec(planner.exec_config(), planner.thread_pool());
-  return evaluator.EvalToRelation(planner.view_def().WithProjection());
-}
-
-}  // namespace
 
 AggViewMaintainer::AggViewMaintainer(const Catalog* catalog, ViewDef base,
                                      std::vector<ColumnRef> group_by,
                                      std::vector<AggregateSpec> aggregates,
                                      MaintenanceOptions options)
-    : catalog_(catalog),
+    : ViewMaintainer(catalog, std::move(base), options),
       group_by_(std::move(group_by)),
       aggregates_(std::move(aggregates)) {
-  // Aggregation views always compute ΔV^I from base tables (§3.3/§5.3).
-  options.secondary_strategy = SecondaryStrategy::kFromBaseTables;
-  // Heavy-light diversion happens in the wrapper, before the group
-  // merge; the inner plan-set maintainers must never divert themselves.
-  const SkewMode skew = options.skew;
-  options.skew = SkewMode::kUniform;
-  inner_ = std::make_unique<ViewMaintainer>(catalog, base, options);
-  if (options.exploit_foreign_keys) {
-    MaintenanceOptions fkfree = options;
-    fkfree.exploit_foreign_keys = false;
-    fkfree_inner_ =
-        std::make_unique<ViewMaintainer>(catalog, std::move(base), fkfree);
-  }
-  if (skew == SkewMode::kHeavyLight) {
-    heavy_ = std::make_unique<HeavyLightController>(
-        catalog, inner_->view_def(), options.heavy);
-    heavy_->set_drain_hook([this] { DrainHeavyState(); });
-  }
-
-  const BoundSchema& schema = inner_->view_def().output_schema();
+  const BoundSchema& schema = view_def().output_schema();
   OJV_CHECK(!group_by_.empty(), "aggregation view requires group-by columns");
   for (const ColumnRef& ref : group_by_) {
     group_positions_.push_back(schema.IndexOf(ref));
@@ -73,13 +30,14 @@ AggViewMaintainer::AggViewMaintainer(const Catalog* catalog, ViewDef base,
 }
 
 void AggViewMaintainer::ExposeNotNullCounts() {
-  OJV_CHECK(notnull_tables_.empty(), "already exposed");
+  OJV_CHECK(!notnull_exposed_, "already exposed");
   OJV_CHECK(groups_.empty(), "must be configured before InitializeView");
+  notnull_exposed_ = true;
   // A table is null-extendable iff some term of the normal form omits it.
-  const BoundSchema& schema = inner_->view_def().output_schema();
-  for (const std::string& table : inner_->view_def().tables()) {
+  const BoundSchema& schema = view_def().output_schema();
+  for (const std::string& table : view_def().tables()) {
     bool omitted_somewhere = false;
-    for (const Term& term : inner_->terms()) {
+    for (const Term& term : terms()) {
       if (term.source.count(table) == 0) {
         omitted_somewhere = true;
         break;
@@ -95,7 +53,6 @@ void AggViewMaintainer::ExposeNotNullCounts() {
       spec.name = "notnull_" + table;
       agg_positions_.push_back(schema.IndexOf(spec.column));
       aggregates_.push_back(std::move(spec));
-      notnull_tables_.emplace_back(table, keys[0]);
     }
   }
 }
@@ -147,223 +104,40 @@ void AggViewMaintainer::ApplyRow(const Row& row, int sign,
   if (acc.row_count == 0) groups->erase(key);
 }
 
-void AggViewMaintainer::ApplyDeltaRows(const Relation& delta, int sign) {
-  for (const Row& row : delta.rows()) ApplyRow(row, sign, &groups_);
-}
-
-void AggViewMaintainer::InitializeView() {
+void AggViewMaintainer::LoadContents(const std::vector<Row>& rows) {
   groups_.clear();
-  Relation contents = EvaluateBaseView(*catalog_, *inner_);
-  for (const Row& row : contents.rows()) ApplyRow(row, +1, &groups_);
+  for (const Row& row : rows) ApplyRow(row, +1, &groups_);
 }
 
-void AggViewMaintainer::CheckHeavyConflict(const std::string& table,
-                                           bool can_divert) const {
-  if (heavy_ == nullptr || draining_heavy_) return;
-  OJV_CHECK(!heavy_->NeedsDrainBefore(table, can_divert),
-            "pending heavy-key state conflicts with this operation; call "
-            "PrepareHeavyForOp before applying the base change");
+// A deletion can only remove an extreme through ΔV^D and an insertion
+// only through ΔV^I (subsumed orphans leave), so each hook refreshes the
+// groups it dirtied. The refresh reads the post-update base tables, so
+// rows the other hook merges afterwards are already counted in it.
+void AggViewMaintainer::ApplyPrimaryDelta(const Relation& primary,
+                                          bool is_insert) {
+  for (const Row& row : primary.rows()) {
+    ApplyRow(row, is_insert ? +1 : -1, &groups_);
+  }
+  RefreshDirtyGroups();
 }
 
-void AggViewMaintainer::PrepareHeavyForOp(const std::string& table,
-                                          PlanPolicy policy, bool is_update) {
-  if (heavy_ == nullptr || draining_heavy_) return;
-  if (heavy_->NeedsDrainBefore(table, CanDivert(table, policy, is_update))) {
-    DrainHeavyState();
+int64_t AggViewMaintainer::ApplySecondaryDelta(SecondaryDeltaEngine* engine,
+                                               const Relation& primary,
+                                               const Relation& delta_t,
+                                               bool is_insert) {
+  // Opposite sign: after an insertion, subsumed orphans leave the
+  // (pre-aggregation) view; after a deletion, new orphans enter it.
+  std::vector<Row> candidates =
+      engine->CandidatesFromBaseTables(primary, delta_t, is_insert);
+  for (const Row& row : candidates) {
+    ApplyRow(row, is_insert ? -1 : +1, &groups_);
   }
-}
-
-MaintenanceStats AggViewMaintainer::DrainHeavyState() {
-  MaintenanceStats stats;
-  if (heavy_ == nullptr || draining_heavy_ || !heavy_->HasPending()) {
-    return stats;
-  }
-  draining_heavy_ = true;
-  HeavyState::DrainBatch batch = heavy_->Take();
-  obs::Span span(inner_->trace(), "heavy_state.drain", "ivm");
-  span.AddArg("view", inner_->view_def().name());
-  span.AddArg("table", batch.table);
-  span.AddArg("raw_entries", batch.raw_entries);
-  span.AddArg("net_deletes", static_cast<int64_t>(batch.deletes.size()));
-  span.AddArg("net_inserts", static_cast<int64_t>(batch.inserts.size()));
-  span.AddArg("update_pairs", batch.update_pairs);
-  auto start = std::chrono::steady_clock::now();
-  const PlanPolicy policy = batch.update_pairs > 0
-                                ? PlanPolicy::kConstraintFree
-                                : PlanPolicy::kDefault;
-  if (!batch.deletes.empty()) {
-    stats.Merge(OnDelete(batch.table, batch.deletes, policy));
-  }
-  if (!batch.inserts.empty()) {
-    stats.Merge(OnInsert(batch.table, batch.inserts, policy));
-  }
-  if constexpr (obs::kEnabled) {
-    obs::Registry::Global()
-        .GetCounter("ojv.ivm.heavy.drained_rows")
-        .Add(static_cast<int64_t>(batch.deletes.size() +
-                                  batch.inserts.size()));
-  }
-  span.FinishWithDuration(MicrosSince(start));
-  draining_heavy_ = false;
-  return stats;
-}
-
-MaintenanceStats AggViewMaintainer::OnInsert(const std::string& table,
-                                             const std::vector<Row>& rows,
-                                             PlanPolicy policy) {
-  ViewMaintainer* planner =
-      policy == PlanPolicy::kConstraintFree && fkfree_inner_ != nullptr
-          ? fkfree_inner_.get()
-          : inner_.get();
-  if (heavy_ != nullptr) heavy_->OnInsert(table, rows);
-  const bool can_divert =
-      CanDivert(table, policy, /*is_update=*/false) && !draining_heavy_;
-  CheckHeavyConflict(table, can_divert);
-  if (can_divert) {
-    std::vector<Row> light =
-        heavy_->SplitBatch(table, rows, /*is_insert=*/true);
-    MaintenanceStats stats =
-        Maintain(planner, table, light, /*is_insert=*/true);
-    if (stats_hook_) stats_hook_(table, stats);
-    return stats;
-  }
-  MaintenanceStats stats = Maintain(planner, table, rows, /*is_insert=*/true);
-  if (stats_hook_) stats_hook_(table, stats);
-  return stats;
-}
-
-MaintenanceStats AggViewMaintainer::OnDelete(const std::string& table,
-                                             const std::vector<Row>& rows,
-                                             PlanPolicy policy) {
-  ViewMaintainer* planner =
-      policy == PlanPolicy::kConstraintFree && fkfree_inner_ != nullptr
-          ? fkfree_inner_.get()
-          : inner_.get();
-  if (heavy_ != nullptr) heavy_->OnDelete(table, rows);
-  const bool can_divert =
-      CanDivert(table, policy, /*is_update=*/false) && !draining_heavy_;
-  CheckHeavyConflict(table, can_divert);
-  if (can_divert) {
-    std::vector<Row> light =
-        heavy_->SplitBatch(table, rows, /*is_insert=*/false);
-    MaintenanceStats stats =
-        Maintain(planner, table, light, /*is_insert=*/false);
-    if (stats_hook_) stats_hook_(table, stats);
-    return stats;
-  }
-  MaintenanceStats stats = Maintain(planner, table, rows, /*is_insert=*/false);
-  if (stats_hook_) stats_hook_(table, stats);
-  return stats;
-}
-
-MaintenanceStats AggViewMaintainer::OnUpdate(const std::string& table,
-                                             const std::vector<Row>& old_rows,
-                                             const std::vector<Row>& new_rows) {
-  ViewMaintainer* planner =
-      fkfree_inner_ != nullptr ? fkfree_inner_.get() : inner_.get();
-  if (heavy_ != nullptr) heavy_->OnUpdate(table, old_rows, new_rows);
-  const bool can_divert =
-      CanDivert(table, PlanPolicy::kConstraintFree, /*is_update=*/true) &&
-      !draining_heavy_;
-  CheckHeavyConflict(table, can_divert);
-  if (can_divert) {
-    std::vector<Row> light_old, light_new;
-    heavy_->SplitPairs(table, old_rows, new_rows, &light_old, &light_new);
-    MaintenanceStats stats =
-        Maintain(planner, table, light_old, /*is_insert=*/false);
-    stats.Merge(Maintain(planner, table, light_new, /*is_insert=*/true));
-    stats.direct_terms = 0;
-    stats.indirect_terms = 0;
-    if (stats_hook_) stats_hook_(table, stats);
-    return stats;
-  }
-  MaintenanceStats stats = Maintain(planner, table, old_rows,
-                                    /*is_insert=*/false);
-  stats.Merge(Maintain(planner, table, new_rows, /*is_insert=*/true));
-  stats.direct_terms = 0;
-  stats.indirect_terms = 0;
-  if (stats_hook_) stats_hook_(table, stats);
-  return stats;
-}
-
-MaintenanceStats AggViewMaintainer::OnConsolidatedBatch(
-    Table* base, const std::string& table, const std::vector<Row>& net_deletes,
-    const std::vector<Row>& net_inserts, PlanPolicy policy) {
-  OJV_CHECK(base != nullptr && base->name() == table,
-            "consolidated batch must target its own base table");
-  // This entry point applies the base changes itself, so it can honor
-  // the pre-apply drain contract internally.
-  PrepareHeavyForOp(table, policy);
-  MaintenanceStats stats;
-  if (!net_deletes.empty()) {
-    std::vector<Row> keys;
-    keys.reserve(net_deletes.size());
-    for (const Row& row : net_deletes) keys.push_back(base->KeyOf(row));
-    std::vector<Row> deleted = ApplyBaseDelete(base, keys);
-    OJV_CHECK(deleted.size() == net_deletes.size(),
-              "consolidated deletes must all be present");
-    stats.Merge(OnDelete(table, deleted, policy));
-  }
-  if (!net_inserts.empty()) {
-    std::vector<Row> inserted = ApplyBaseInsert(base, net_inserts);
-    OJV_CHECK(inserted.size() == net_inserts.size(),
-              "consolidated inserts must all be fresh keys");
-    stats.Merge(OnInsert(table, inserted, policy));
-  }
-  return stats;
-}
-
-MaintenanceStats AggViewMaintainer::Maintain(ViewMaintainer* planner,
-                                             const std::string& table,
-                                             const std::vector<Row>& rows,
-                                             bool is_insert) {
-  MaintenanceStats stats;
-  stats.delta_rows = static_cast<int64_t>(rows.size());
-  auto total_start = std::chrono::steady_clock::now();
-  if (rows.empty() || planner->DeltaIsEmpty(table)) {
-    stats.fk_fast_path = planner->DeltaIsEmpty(table);
-    stats.total_micros = MicrosSince(total_start);
-    return stats;
-  }
-
-  Relation delta_t(Evaluator::SchemaFor(*catalog_->GetTable(table)));
-  for (const Row& row : rows) delta_t.Add(row);
-
-  // Primary delta, aggregated and merged with the update's sign.
-  auto primary_start = std::chrono::steady_clock::now();
-  Relation primary = planner->ComputePrimaryDeltaRelation(table, delta_t);
-  stats.primary_rows = primary.size();
-  stats.primary_micros = MicrosSince(primary_start);
-
-  auto apply_start = std::chrono::steady_clock::now();
-  ApplyDeltaRows(primary, is_insert ? +1 : -1);
-  stats.apply_micros = MicrosSince(apply_start);
-
-  // Secondary delta from base tables, applied with the opposite sign:
-  // after an insertion, subsumed orphans leave the (pre-aggregation)
-  // view; after a deletion, new orphans enter it.
-  SecondaryDeltaEngine* secondary = planner->secondary_engine(table);
-  if (secondary != nullptr) {
-    auto secondary_start = std::chrono::steady_clock::now();
-    std::vector<Row> candidates =
-        secondary->CandidatesFromBaseTables(primary, delta_t, is_insert);
-    for (const Row& row : candidates) {
-      ApplyRow(row, is_insert ? -1 : +1, &groups_);
-    }
-    stats.secondary_rows = static_cast<int64_t>(candidates.size());
-    stats.secondary_micros = MicrosSince(secondary_start);
-  }
-  if (HasMinMax()) {
-    auto refresh_start = std::chrono::steady_clock::now();
-    RefreshDirtyGroups();
-    stats.secondary_micros += MicrosSince(refresh_start);
-  }
-  stats.total_micros = MicrosSince(total_start);
-  return stats;
+  RefreshDirtyGroups();
+  return static_cast<int64_t>(candidates.size());
 }
 
 Relation AggViewMaintainer::GroupsToRelation(const GroupMap& groups) const {
-  const BoundSchema& base_schema = inner_->view_def().output_schema();
+  const BoundSchema& base_schema = view_def().output_schema();
   BoundSchema schema;
   for (size_t i = 0; i < group_by_.size(); ++i) {
     BoundColumn col = base_schema.column(group_positions_[i]);
@@ -413,6 +187,7 @@ bool AggViewMaintainer::HasMinMax() const {
 }
 
 void AggViewMaintainer::RefreshDirtyGroups() {
+  if (!HasMinMax()) return;
   bool any_dirty = false;
   for (const auto& [key, acc] : groups_) {
     if (acc.dirty) {
@@ -432,7 +207,7 @@ void AggViewMaintainer::RefreshDirtyGroups() {
       }
     }
   }
-  Relation contents = EvaluateBaseView(*catalog_, *inner_);
+  Relation contents = EvaluateView(trace());
   for (const Row& row : contents.rows()) {
     Row key;
     key.reserve(group_positions_.size());
@@ -457,25 +232,20 @@ void AggViewMaintainer::RefreshDirtyGroups() {
   for (auto& [key, acc] : groups_) acc.dirty = false;
 }
 
-Relation AggViewMaintainer::AsRelation() const {
-  // Dirty MIN/MAX groups are refreshed lazily by maintenance; a const
-  // snapshot of a dirty state would be stale, so maintenance refreshes
-  // eagerly at the end of each statement (see Maintain).
-  return GroupsToRelation(groups_);
+AggViewMaintainer::GroupMap AggViewMaintainer::RecomputeGroups() const {
+  GroupMap groups;
+  Relation contents = EvaluateView(/*trace=*/nullptr);
+  for (const Row& row : contents.rows()) ApplyRow(row, +1, &groups);
+  return groups;
 }
 
 Relation AggViewMaintainer::Recompute() const {
-  GroupMap groups;
-  Relation contents = EvaluateBaseView(*catalog_, *inner_);
-  for (const Row& row : contents.rows()) ApplyRow(row, +1, &groups);
-  return GroupsToRelation(groups);
+  return GroupsToRelation(RecomputeGroups());
 }
 
 bool AggViewMaintainer::MatchesRecompute(double rel_tol,
                                          std::string* diff) const {
-  GroupMap expected;
-  Relation contents = EvaluateBaseView(*catalog_, *inner_);
-  for (const Row& row : contents.rows()) ApplyRow(row, +1, &expected);
+  const GroupMap expected = RecomputeGroups();
 
   auto describe_key = [](const Row& key) {
     std::string out;

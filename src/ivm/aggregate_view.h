@@ -2,7 +2,6 @@
 #define OJV_IVM_AGGREGATE_VIEW_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,15 +24,17 @@ struct AggregateSpec {
 
 /// An aggregated outer-join view: GROUP BY over an SPOJ view.
 ///
-/// Maintenance follows §3.3: the primary delta ΔV^D is computed exactly
-/// as for the non-aggregated view, aggregated, and merged into the
-/// groups; the secondary delta ΔV^I is computed from base tables (terms
-/// cannot be extracted from an aggregated view, §5.3) and applied with
-/// the opposite sign. Each group keeps a row count — groups reaching
-/// zero are deleted — and a non-null contribution count per aggregate,
-/// so a SUM/COUNT over a table that is entirely null-extended within a
-/// group renders NULL and recovers when contributions reappear.
-class AggViewMaintainer {
+/// Maintenance follows §3.3 and runs the ViewMaintainer pipeline of the
+/// base view — plan sets, cost-based planner, heavy-light diversion and
+/// ivm.* spans — unchanged; only the storage hooks differ. ΔV^D is
+/// merged into the groups with the update's sign; ΔV^I is computed from
+/// base tables (terms cannot be extracted from an aggregated view, §5.3)
+/// and merged with the opposite sign. Each group keeps a row count —
+/// groups reaching zero are deleted — and a non-null contribution count
+/// per aggregate, so a SUM/COUNT over a table that is entirely
+/// null-extended within a group renders NULL and recovers when
+/// contributions reappear. The row store (view()) stays empty.
+class AggViewMaintainer : public ViewMaintainer {
  public:
   AggViewMaintainer(const Catalog* catalog, ViewDef base,
                     std::vector<ColumnRef> group_by,
@@ -45,63 +46,14 @@ class AggViewMaintainer {
   /// term of the base view. Must be called before InitializeView.
   void ExposeNotNullCounts();
 
-  /// Computes all groups from scratch.
-  void InitializeView();
-
-  /// Same contract as ViewMaintainer: the base table is already updated.
-  MaintenanceStats OnInsert(const std::string& table,
-                            const std::vector<Row>& rows,
-                            PlanPolicy policy = PlanPolicy::kDefault);
-  MaintenanceStats OnDelete(const std::string& table,
-                            const std::vector<Row>& rows,
-                            PlanPolicy policy = PlanPolicy::kDefault);
-
-  /// UPDATE statement (delete+insert pair). Like ViewMaintainer::
-  /// OnUpdate, foreign-key shortcuts are disabled for the pair (§6
-  /// caveat 1) via a dedicated FK-free plan set.
-  MaintenanceStats OnUpdate(const std::string& table,
-                            const std::vector<Row>& old_rows,
-                            const std::vector<Row>& new_rows);
-
-  /// Consolidated deferred batch: applies net deletes to `base` and
-  /// maintains them, then net inserts (see ViewMaintainer::
-  /// OnConsolidatedBatch for the exact contract).
-  MaintenanceStats OnConsolidatedBatch(Table* base, const std::string& table,
-                                       const std::vector<Row>& net_deletes,
-                                       const std::vector<Row>& net_inserts,
-                                       PlanPolicy policy);
-
-  /// Installs a stats observer (empty to remove).
-  void set_stats_hook(MaintenanceStatsHook hook) {
-    stats_hook_ = std::move(hook);
-  }
-
-  // --- skew-adaptive maintenance (options.skew = kHeavyLight) ---
-  // The wrapper owns its own heavy-light controller (the inner plan-set
-  // maintainers run kUniform — diversion must happen before the group
-  // merge, not inside the row-level pipeline the wrapper borrows plans
-  // from). Contracts mirror ViewMaintainer's.
-
-  /// See ViewMaintainer::PrepareHeavyForOp: call BEFORE applying a
-  /// conflicting base change.
-  void PrepareHeavyForOp(const std::string& table, PlanPolicy policy,
-                         bool is_update = false);
-
-  /// Folds pending heavy-key lazy state into the groups; no-op when
-  /// nothing pends.
-  MaintenanceStats DrainHeavyState();
-
-  int64_t HeavyPendingRows() const {
-    return heavy_ != nullptr ? heavy_->pending_rows() : 0;
-  }
-
-  HeavyLightController* heavy_controller() { return heavy_.get(); }
+  bool is_aggregate() const override { return true; }
 
   int64_t num_groups() const { return static_cast<int64_t>(groups_.size()); }
 
   /// Snapshot: group columns, then "row_count", then the declared
   /// aggregates (NULL where no non-null contribution exists).
-  Relation AsRelation() const;
+  Relation Contents() const override { return GroupsToRelation(groups_); }
+  Relation AsRelation() const { return Contents(); }
 
   /// Oracle: the same snapshot recomputed from base tables.
   Relation Recompute() const;
@@ -112,22 +64,13 @@ class AggViewMaintainer {
   /// database that maintains SUM over floating-point columns).
   bool MatchesRecompute(double rel_tol, std::string* diff) const;
 
-  const ViewDef& base_view() const { return inner_->view_def(); }
-
-  const ExecConfig& exec_config() const { return inner_->exec_config(); }
-
-  /// Swaps the executor configuration on both plan-set maintainers (used
-  /// by the deferred refresh path; see ViewMaintainer::set_exec).
-  void set_exec(const ExecConfig& exec) {
-    inner_->set_exec(exec);
-    if (fkfree_inner_ != nullptr) fkfree_inner_->set_exec(exec);
-  }
-
-  /// Attaches a trace context to both plan-set maintainers.
-  void set_trace(obs::TraceContext* trace) {
-    inner_->set_trace(trace);
-    if (fkfree_inner_ != nullptr) fkfree_inner_->set_trace(trace);
-  }
+ protected:
+  void LoadContents(const std::vector<Row>& rows) override;
+  void ApplyPrimaryDelta(const Relation& primary, bool is_insert) override;
+  int64_t ApplySecondaryDelta(SecondaryDeltaEngine* engine,
+                              const Relation& primary,
+                              const Relation& delta_t,
+                              bool is_insert) override;
 
  private:
   struct RowLess {
@@ -155,40 +98,17 @@ class AggViewMaintainer {
   /// base view (deletion fallback for MIN/MAX).
   void RefreshDirtyGroups();
 
-  MaintenanceStats Maintain(ViewMaintainer* planner, const std::string& table,
-                            const std::vector<Row>& rows, bool is_insert);
   void ApplyRow(const Row& row, int sign, GroupMap* groups) const;
-  void ApplyDeltaRows(const Relation& delta, int sign);
+  /// Groups of a full evaluation of the base view.
+  GroupMap RecomputeGroups() const;
   Relation GroupsToRelation(const GroupMap& groups) const;
 
-  const Catalog* catalog_;
   std::vector<ColumnRef> group_by_;
   std::vector<AggregateSpec> aggregates_;
-
-  /// Provides the per-table plans and the primary-delta evaluation; its
-  /// own (row-level) view storage stays empty and unused.
-  std::unique_ptr<ViewMaintainer> inner_;
-  /// FK-free plans for OnUpdate; null when inner_ is already FK-free.
-  std::unique_ptr<ViewMaintainer> fkfree_inner_;
-
   std::vector<int> group_positions_;  // in the base view's output schema
   std::vector<int> agg_positions_;    // per aggregate; -1 for COUNT(*)
   GroupMap groups_;
-  /// When ExposeNotNullCounts was requested: the null-extendable tables
-  /// (name, first-key position in the base view's schema).
-  std::vector<std::pair<std::string, int>> notnull_tables_;
-  MaintenanceStatsHook stats_hook_;
-  /// Heavy-light partitioning state; null under skew = kUniform.
-  std::unique_ptr<HeavyLightController> heavy_;
-  bool draining_heavy_ = false;
-
-  bool CanDivert(const std::string& table, PlanPolicy policy,
-                 bool is_update) const {
-    return heavy_ != nullptr &&
-           (is_update || policy == PlanPolicy::kDefault) &&
-           heavy_->HasEdges(table);
-  }
-  void CheckHeavyConflict(const std::string& table, bool can_divert) const;
+  bool notnull_exposed_ = false;
 };
 
 }  // namespace ojv

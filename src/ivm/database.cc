@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <sstream>
+#include <unordered_set>
 
 #include "common/check.h"
 #include "deferred/consolidate.h"
@@ -18,6 +19,14 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
              std::chrono::steady_clock::now() - start)
       .count();
 }
+
+struct KeyHash {
+  size_t operator()(const Row& key) const {
+    size_t h = 0;
+    for (const Value& v : key) h = h * 31 + v.Hash();
+    return h;
+  }
+};
 
 /// Publishes a deferred view's live backlog pressure. Every due scan
 /// calls this for every threshold view (due or not), so the gauges
@@ -47,40 +56,33 @@ void Database::set_trace(obs::TraceContext* trace) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   default_options_.trace = trace;
   for (auto& [name, view] : views_) view->set_trace(trace);
-  for (auto& [name, view] : agg_views_) view->set_trace(trace);
 }
 
 ViewMaintainer* Database::CreateMaterializedView(
     ViewDef view, const MaintenanceOptions* options) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  std::string name = view.name();
-  OJV_CHECK(views_.find(name) == views_.end() &&
-                agg_views_.find(name) == agg_views_.end(),
-            "duplicate view name");
-  auto maintainer = std::make_unique<ViewMaintainer>(
-      &catalog_, std::move(view), options != nullptr ? *options
-                                                     : default_options_);
-  maintainer->InitializeView();
-  ViewMaintainer* raw = maintainer.get();
-  views_[name] = std::move(maintainer);
-  InstallSnapshotStore(name);
-  return raw;
+  return AddView(std::make_unique<ViewMaintainer>(
+      &catalog_, std::move(view),
+      options != nullptr ? *options : default_options_));
 }
 
 AggViewMaintainer* Database::CreateAggregateView(
     ViewDef base, std::vector<ColumnRef> group_by,
     std::vector<AggregateSpec> aggregates, const MaintenanceOptions* options) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  std::string name = base.name();
-  OJV_CHECK(views_.find(name) == views_.end() &&
-                agg_views_.find(name) == agg_views_.end(),
-            "duplicate view name");
-  auto maintainer = std::make_unique<AggViewMaintainer>(
-      &catalog_, std::move(base), std::move(group_by), std::move(aggregates),
-      options != nullptr ? *options : default_options_);
-  maintainer->InitializeView();
-  AggViewMaintainer* raw = maintainer.get();
-  agg_views_[name] = std::move(maintainer);
+  return static_cast<AggViewMaintainer*>(AddView(
+      std::make_unique<AggViewMaintainer>(
+          &catalog_, std::move(base), std::move(group_by),
+          std::move(aggregates),
+          options != nullptr ? *options : default_options_)));
+}
+
+ViewMaintainer* Database::AddView(std::unique_ptr<ViewMaintainer> view) {
+  const std::string name = view->view_def().name();
+  OJV_CHECK(views_.find(name) == views_.end(), "duplicate view name");
+  view->InitializeView();
+  ViewMaintainer* raw = view.get();
+  views_[name] = std::move(view);
   InstallSnapshotStore(name);
   return raw;
 }
@@ -88,20 +90,25 @@ AggViewMaintainer* Database::CreateAggregateView(
 ViewMaintainer* Database::GetView(const std::string& name) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = views_.find(name);
-  return it == views_.end() ? nullptr : it->second.get();
+  return it == views_.end() || it->second->is_aggregate() ? nullptr
+                                                          : it->second.get();
 }
 
 AggViewMaintainer* Database::GetAggregateView(const std::string& name) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  auto it = agg_views_.find(name);
-  return it == agg_views_.end() ? nullptr : it->second.get();
+  auto it = views_.find(name);
+  return it == views_.end() || !it->second->is_aggregate()
+             ? nullptr
+             : static_cast<AggViewMaintainer*>(it->second.get());
 }
 
 std::vector<ViewMaintainer*> Database::Views() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   std::vector<ViewMaintainer*> out;
   out.reserve(views_.size());
-  for (auto& [name, view] : views_) out.push_back(view.get());
+  for (auto& [name, view] : views_) {
+    if (!view->is_aggregate()) out.push_back(view.get());
+  }
   return out;
 }
 
@@ -118,7 +125,7 @@ bool Database::DropView(const std::string& name) {
     std::lock_guard<std::mutex> slock(snapshot_mu_);
     snapshots_.erase(name);
   }
-  return views_.erase(name) > 0 || agg_views_.erase(name) > 0;
+  return views_.erase(name) > 0;
 }
 
 bool Database::RowSatisfiesForeignKeys(const std::string& table,
@@ -207,21 +214,12 @@ void Database::PrepareHeavyViews(const std::string& table, bool is_update) {
     view->PrepareHeavyForOp(table, policy, is_update);
     if (had_pending) note(name);
   }
-  for (auto& [name, view] : agg_views_) {
-    if (view->base_view().tables().count(table) == 0) continue;
-    if (DeferredNow(name)) continue;
-    const bool had_pending = view->HeavyPendingRows() > 0;
-    view->PrepareHeavyForOp(table, policy, is_update);
-    if (had_pending) note(name);
-  }
 }
 
 MaintenanceStats Database::DrainHeavyView(const std::string& name) {
   MaintenanceStats stats;
   if (auto it = views_.find(name); it != views_.end()) {
     stats = it->second->DrainHeavyState();
-  } else if (auto ait = agg_views_.find(name); ait != agg_views_.end()) {
-    stats = ait->second->DrainHeavyState();
   }
   if (stats.delta_rows > 0 || stats.total_micros > 0) {
     Accumulate(name, stats);
@@ -231,9 +229,6 @@ MaintenanceStats Database::DrainHeavyView(const std::string& name) {
 
 void Database::DrainHeavyBacklog() {
   for (auto& [name, view] : views_) {
-    if (view->HeavyPendingRows() > 0) DrainHeavyView(name);
-  }
-  for (auto& [name, view] : agg_views_) {
     if (view->HeavyPendingRows() > 0) DrainHeavyView(name);
   }
 }
@@ -266,10 +261,8 @@ std::string Database::RefreshReport() const {
 
 const std::set<std::string>& Database::TablesOf(const std::string& view) const {
   auto it = views_.find(view);
-  if (it != views_.end()) return it->second->view_def().tables();
-  auto ait = agg_views_.find(view);
-  OJV_CHECK(ait != agg_views_.end(), "unknown view");
-  return ait->second->base_view().tables();
+  OJV_CHECK(it != views_.end(), "unknown view");
+  return it->second->view_def().tables();
 }
 
 void Database::StageDeferred(const std::string& table, deferred::DeltaOp op,
@@ -299,8 +292,7 @@ void Database::SetRefreshPolicy(const std::string& view,
                                 deferred::RefreshPolicy policy,
                                 deferred::ThresholdConfig config) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  OJV_CHECK(views_.count(view) > 0 || agg_views_.count(view) > 0,
-            "unknown view");
+  OJV_CHECK(views_.count(view) > 0, "unknown view");
   bool was_deferred = scheduler_.IsDeferred(view);
   bool now_deferred = policy != deferred::RefreshPolicy::kImmediate;
   if (was_deferred && !now_deferred) {
@@ -331,13 +323,8 @@ int64_t Database::PendingRows(const std::string& view) const {
 
 int64_t Database::HeavyPendingRows(const std::string& view) const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (auto it = views_.find(view); it != views_.end()) {
-    return it->second->HeavyPendingRows();
-  }
-  if (auto ait = agg_views_.find(view); ait != agg_views_.end()) {
-    return ait->second->HeavyPendingRows();
-  }
-  return 0;
+  auto it = views_.find(view);
+  return it != views_.end() ? it->second->HeavyPendingRows() : 0;
 }
 
 int64_t Database::DeltaLogSize() const {
@@ -354,8 +341,7 @@ deferred::ViewRefreshState Database::RefreshState(
 
 deferred::RefreshStats Database::Refresh(const std::string& view) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  OJV_CHECK(views_.count(view) > 0 || agg_views_.count(view) > 0,
-            "unknown view");
+  OJV_CHECK(views_.count(view) > 0, "unknown view");
   return RefreshLocked(view);
 }
 
@@ -376,8 +362,8 @@ std::shared_ptr<GenerationStore> Database::SnapshotStoreFor(
 }
 
 void Database::InstallSnapshotStore(const std::string& name) {
-  auto store = std::make_shared<GenerationStore>(
-      name, agg_views_.find(name) != agg_views_.end());
+  auto store =
+      std::make_shared<GenerationStore>(name, views_.at(name)->is_aggregate());
   {
     std::lock_guard<std::mutex> slock(snapshot_mu_);
     snapshots_[name] = store;
@@ -388,14 +374,9 @@ void Database::InstallSnapshotStore(const std::string& name) {
 void Database::PublishSnapshotLocked(
     const std::string& name, const std::shared_ptr<GenerationStore>& store) {
   if (store->UpToDate()) return;  // identical rows — keep the generation
-  Relation contents;
-  if (auto it = views_.find(name); it != views_.end()) {
-    contents = it->second->view().AsRelation();
-  } else if (auto ait = agg_views_.find(name); ait != agg_views_.end()) {
-    contents = ait->second->AsRelation();
-  } else {
-    return;  // dropped between lookups
-  }
+  auto it = views_.find(name);
+  if (it == views_.end()) return;  // dropped between lookups
+  Relation contents = it->second->Contents();
   const int64_t now = obs::SteadyNowMicros();
   int64_t stale_since = 0;
   if (scheduler_.IsDeferred(name)) {
@@ -510,33 +491,22 @@ deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
   obs::Span refresh_span(default_options_.trace, "deferred.refresh",
                          "deferred");
   refresh_span.AddArg("view", name);
-  ViewMaintainer* row_view = nullptr;
-  AggViewMaintainer* agg_view = nullptr;
-  if (auto it = views_.find(name); it != views_.end()) {
-    row_view = it->second.get();
-  } else {
-    auto ait = agg_views_.find(name);
-    OJV_CHECK(ait != agg_views_.end(), "unknown view");
-    agg_view = ait->second.get();
-  }
+  auto it = views_.find(name);
+  OJV_CHECK(it != views_.end(), "unknown view");
+  ViewMaintainer* view = it->second.get();
 
   // Deferred batches are much larger than single statements, so a view
   // may request more executor threads for its consolidated replays than
   // its foreground maintenance uses (ThresholdConfig::refresh_threads).
   // The override lasts for this refresh only.
   const int refresh_threads = scheduler_.config(name).refresh_threads;
-  const ExecConfig saved_exec =
-      row_view != nullptr ? row_view->exec_config() : agg_view->exec_config();
+  const ExecConfig saved_exec = view->exec_config();
   const bool boost = refresh_threads > 0 &&
                      refresh_threads != saved_exec.num_threads;
   if (boost) {
     ExecConfig boosted = saved_exec;
     boosted.num_threads = refresh_threads;
-    if (row_view != nullptr) {
-      row_view->set_exec(boosted);
-    } else {
-      agg_view->set_exec(boosted);
-    }
+    view->set_exec(boosted);
   }
 
   auto start = std::chrono::steady_clock::now();
@@ -575,24 +545,14 @@ deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
       // foreign-key plan set stays usable.
       const deferred::TableDelta& d = *active[0];
       if (!d.deletes.empty()) {
-        maintain(row_view != nullptr
-                     ? row_view->OnDelete(d.table, d.deletes,
-                                          PlanPolicy::kDefault)
-                     : agg_view->OnDelete(d.table, d.deletes,
-                                          PlanPolicy::kDefault));
+        maintain(view->OnDelete(d.table, d.deletes, PlanPolicy::kDefault));
       } else {
-        maintain(row_view != nullptr
-                     ? row_view->OnInsert(d.table, d.inserts,
-                                          PlanPolicy::kDefault)
-                     : agg_view->OnInsert(d.table, d.inserts,
-                                          PlanPolicy::kDefault));
+        maintain(view->OnInsert(d.table, d.inserts, PlanPolicy::kDefault));
       }
       // Heavy-key rows the replay diverted must fold before the refresh
       // ends: statements mutate base without preparing deferred views,
       // so pending lazy state must never outlive the refresh.
-      const MaintenanceStats drained =
-          row_view != nullptr ? row_view->DrainHeavyState()
-                              : agg_view->DrainHeavyState();
+      const MaintenanceStats drained = view->DrainHeavyState();
       if (drained.delta_rows > 0 || drained.total_micros > 0) {
         maintain(drained);
       }
@@ -628,13 +588,9 @@ deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
       }
       for (const deferred::TableDelta* d : active) {
         Table* base = catalog_.GetTable(d->table);
-        maintain(row_view != nullptr
-                     ? row_view->OnConsolidatedBatch(
-                           base, d->table, d->deletes, d->inserts,
-                           PlanPolicy::kConstraintFree)
-                     : agg_view->OnConsolidatedBatch(
-                           base, d->table, d->deletes, d->inserts,
-                           PlanPolicy::kConstraintFree));
+        maintain(view->OnConsolidatedBatch(base, d->table, d->deletes,
+                                           d->inserts,
+                                           PlanPolicy::kConstraintFree));
       }
       // Fully-cancelled tables were reverted but have nothing to replay:
       // restore their post-batch state by definition of cancellation
@@ -642,13 +598,7 @@ deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
     }
   }
 
-  if (boost) {
-    if (row_view != nullptr) {
-      row_view->set_exec(saved_exec);
-    } else {
-      agg_view->set_exec(saved_exec);
-    }
-  }
+  if (boost) view->set_exec(saved_exec);
 
   delta_log_.AdvanceTo(name, consumed_to);
   delta_log_.TruncateConsumed();
@@ -804,13 +754,6 @@ void Database::MaintainInsert(const std::string& table,
     Accumulate(name, stats);
     result->view_micros[name] += stats.total_micros;
   }
-  for (auto& [name, view] : agg_views_) {
-    if (view->base_view().tables().count(table) == 0) continue;
-    if (DeferredNow(name)) continue;
-    MaintenanceStats stats = view->OnInsert(table, rows, CurrentPolicy());
-    Accumulate(name, stats);
-    result->view_micros[name] += stats.total_micros;
-  }
   result->maintenance_micros += MicrosSince(start);
 }
 
@@ -820,13 +763,6 @@ void Database::MaintainDelete(const std::string& table,
   auto start = std::chrono::steady_clock::now();
   for (auto& [name, view] : views_) {
     if (view->view_def().tables().count(table) == 0) continue;
-    if (DeferredNow(name)) continue;
-    MaintenanceStats stats = view->OnDelete(table, rows, CurrentPolicy());
-    Accumulate(name, stats);
-    result->view_micros[name] += stats.total_micros;
-  }
-  for (auto& [name, view] : agg_views_) {
-    if (view->base_view().tables().count(table) == 0) continue;
     if (DeferredNow(name)) continue;
     MaintenanceStats stats = view->OnDelete(table, rows, CurrentPolicy());
     Accumulate(name, stats);
@@ -979,10 +915,17 @@ Database::StatementResult Database::Update(const std::string& table,
   }
   Table* base = catalog_.GetTable(table);
   // Keys must be unchanged (key updates would interact with FKs; model
-  // them as explicit delete+insert statements instead).
+  // them as explicit delete+insert statements instead), and each may be
+  // named once: a second pair would read the first pair's new row as its
+  // old row.
+  std::unordered_set<Row, KeyHash> seen;
   for (size_t i = 0; i < keys.size(); ++i) {
     if (!base->AcceptsKey(keys[i]) || !base->AcceptsRow(new_rows[i])) {
       result.error = "malformed update row for " + table;
+      return result;
+    }
+    if (!seen.insert(keys[i]).second) {
+      result.error = "update names a key twice";
       return result;
     }
     if (base->KeyOf(new_rows[i]) != keys[i]) {
@@ -1016,13 +959,6 @@ Database::StatementResult Database::Update(const std::string& table,
   auto start = std::chrono::steady_clock::now();
   for (auto& [name, view] : views_) {
     if (view->view_def().tables().count(table) == 0) continue;
-    if (DeferredNow(name)) continue;
-    MaintenanceStats stats = view->OnUpdate(table, old_rows, applied_new);
-    Accumulate(name, stats);
-    result.view_micros[name] += stats.total_micros;
-  }
-  for (auto& [name, view] : agg_views_) {
-    if (view->base_view().tables().count(table) == 0) continue;
     if (DeferredNow(name)) continue;
     MaintenanceStats stats = view->OnUpdate(table, old_rows, applied_new);
     Accumulate(name, stats);
@@ -1121,14 +1057,6 @@ void Database::Rollback() {
         const int64_t now = obs::SteadyNowMicros();
         for (auto& [name, view] : views_) {
           if (view->view_def().tables().count(it->table) > 0) {
-            view->OnUpdate(it->table, current, it->old_rows);
-            if (auto store = SnapshotStoreFor(name)) {
-              store->NoteContentChanged(now);
-            }
-          }
-        }
-        for (auto& [name, view] : agg_views_) {
-          if (view->base_view().tables().count(it->table) > 0) {
             view->OnUpdate(it->table, current, it->old_rows);
             if (auto store = SnapshotStoreFor(name)) {
               store->NoteContentChanged(now);

@@ -71,6 +71,8 @@ class Database {
       std::vector<AggregateSpec> aggregates,
       const MaintenanceOptions* options = nullptr);
 
+  /// Null for unknown names; GetView answers for row views only and
+  /// GetAggregateView for aggregation views only.
   ViewMaintainer* GetView(const std::string& name);
   AggViewMaintainer* GetAggregateView(const std::string& name);
 
@@ -251,6 +253,9 @@ class Database {
   std::string RefreshReport() const;
 
  private:
+  /// Materializes and registers a new view (row or aggregate) and
+  /// publishes its first generation. Caller holds `mu_`.
+  ViewMaintainer* AddView(std::unique_ptr<ViewMaintainer> view);
   // FK child check for inserted rows of `table`; true if row valid.
   bool RowSatisfiesForeignKeys(const std::string& table, const Row& row);
   // Referencing child rows that block / cascade a parent delete.
@@ -348,8 +353,8 @@ class Database {
 
   Catalog catalog_;
   MaintenanceOptions default_options_;
+  /// Row and aggregation views alike, by name.
   std::map<std::string, std::unique_ptr<ViewMaintainer>> views_;
-  std::map<std::string, std::unique_ptr<AggViewMaintainer>> agg_views_;
 
   struct ViewStats {
     int64_t statements = 0;

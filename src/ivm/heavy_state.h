@@ -75,8 +75,8 @@ class HeavyState {
   std::unordered_map<int, std::unordered_set<Value, ValueHash>> pinned_;
 };
 
-/// Glue shared by ViewMaintainer and AggViewMaintainer under
-/// MaintenanceOptions::skew = kHeavyLight: owns the heavy-hitter
+/// ViewMaintainer's glue under MaintenanceOptions::skew = kHeavyLight
+/// (row and aggregation views alike): owns the heavy-hitter
 /// catalog, the lazy state, and the per-table join-edge map extracted
 /// from the view definition; classifies and splits delta batches. The
 /// owner installs a drain hook that replays the taken batch through its

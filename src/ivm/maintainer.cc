@@ -154,16 +154,8 @@ void ViewMaintainer::BuildPlanSet(bool use_fks, PlanSet* out) {
 void ViewMaintainer::InitializeView() {
   obs::Span span(options_.trace, "ivm.init_view", "ivm");
   span.AddArg("view", view_def_.name());
-  view_store_ = std::make_unique<MaterializedView>(view_def_.output_schema());
-  Evaluator evaluator(catalog_);
-  evaluator.set_table_cache(&table_cache_);
-  evaluator.set_exec(options_.exec, pool_.get());
-  evaluator.set_join_algorithm(options_.join_algorithm);
-  evaluator.set_trace(options_.trace);
-  Relation contents = evaluator.EvalToRelation(view_def_.WithProjection());
-  for (const Row& row : contents.rows()) {
-    view_store_->Insert(row);
-  }
+  Relation contents = EvaluateView(options_.trace);
+  LoadContents(contents.rows());
   span.AddArg("rows", contents.size());
   if (stats_catalog_ != nullptr) {
     // Prime statistics while initialization already owns a full scan of
@@ -178,10 +170,46 @@ void ViewMaintainer::InitializeView() {
 }
 
 void ViewMaintainer::RestoreView(const std::vector<Row>& rows) {
+  LoadContents(rows);
+}
+
+Relation ViewMaintainer::EvaluateView(obs::TraceContext* trace) const {
+  Evaluator evaluator(catalog_);
+  evaluator.set_table_cache(&table_cache_);
+  evaluator.set_exec(options_.exec, pool_.get());
+  evaluator.set_join_algorithm(options_.join_algorithm);
+  evaluator.set_trace(trace);
+  return evaluator.EvalToRelation(view_def_.WithProjection());
+}
+
+void ViewMaintainer::LoadContents(const std::vector<Row>& rows) {
   view_store_ = std::make_unique<MaterializedView>(view_def_.output_schema());
   for (const Row& row : rows) {
     view_store_->Insert(row);
   }
+}
+
+void ViewMaintainer::ApplyPrimaryDelta(const Relation& primary,
+                                       bool is_insert) {
+  if (is_insert) {
+    for (const Row& row : primary.rows()) view_store_->Insert(row);
+  } else {
+    for (const Row& row : primary.rows()) {
+      OJV_CHECK(view_store_->DeleteMatching(row),
+                "primary delta row missing from view");
+    }
+  }
+}
+
+int64_t ViewMaintainer::ApplySecondaryDelta(SecondaryDeltaEngine* engine,
+                                            const Relation& primary,
+                                            const Relation& delta_t,
+                                            bool is_insert) {
+  return is_insert ? engine->ApplyAfterInsert(options_.secondary_strategy,
+                                              primary, delta_t,
+                                              view_store_.get())
+                   : engine->ApplyAfterDelete(options_.secondary_strategy,
+                                              primary, view_store_.get());
 }
 
 const MaintenanceGraph& ViewMaintainer::maintenance_graph(
@@ -191,11 +219,6 @@ const MaintenanceGraph& ViewMaintainer::maintenance_graph(
 
 const RelExprPtr& ViewMaintainer::delta_expr(const std::string& table) const {
   return main_.For(table).delta_expr;
-}
-
-Relation ViewMaintainer::ComputePrimaryDelta(const TablePlan& plan,
-                                             const Relation& delta_t) {
-  return EvalPrimaryDelta(plan.delta_expr, delta_t, options_.trace);
 }
 
 Relation ViewMaintainer::EvalPrimaryDelta(const RelExprPtr& expr,
@@ -245,7 +268,7 @@ Relation ViewMaintainer::ComputePrimaryDeltaRelation(const std::string& table,
                                                      const Relation& delta_t) {
   const TablePlan& plan = main_.For(table);
   OJV_CHECK(!plan.delta_empty, "delta is provably empty");
-  return ComputePrimaryDelta(plan, delta_t);
+  return EvalPrimaryDelta(plan.delta_expr, delta_t, options_.trace);
 }
 
 SecondaryDeltaEngine* ViewMaintainer::secondary_engine(
@@ -522,7 +545,7 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
         cache_entry != nullptr &&
         std::abs(std::log2(std::max(drows, 1.0)) -
                  std::log2(cache_entry->planned_delta_rows)) >=
-            options_.planner.replan_delta_log2;
+            opt::kReplanDeltaLog2;
     if (cache_entry == nullptr || cache_entry->dirty || replan_size) {
       const bool had = cache_entry != nullptr;
       opt::PlannedDelta planned =
@@ -552,8 +575,7 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
   size_t feedback_first = 0;
   bool harvest = false;
   if constexpr (obs::kEnabled) {
-    if (planner_ != nullptr && options_.planner.feedback &&
-        cache_entry != nullptr) {
+    if (planner_ != nullptr && cache_entry != nullptr) {
       if (eval_trace == nullptr) {
         if (feedback_trace_ == nullptr) {
           feedback_trace_ = std::make_unique<obs::TraceContext>();
@@ -585,9 +607,9 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
                   std::min(feedback_first, events.size())),
           events.end());
       opt::FeedbackResult fb = opt::HarvestFeedback(cache_entry->plan, window);
-      opt::UpdateFanoutEma(fb, options_.planner.ema_alpha,
+      opt::UpdateFanoutEma(fb, opt::kFanoutEmaAlpha,
                            &cache_entry->fanout_ema);
-      if (fb.max_drift > options_.planner.replan_drift) {
+      if (fb.max_drift > opt::kReplanDrift) {
         cache_entry->dirty = true;
       }
       if (eval_trace == feedback_trace_.get()) feedback_trace_->Clear();
@@ -601,14 +623,7 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
   // Step 2: apply it.
   obs::Span apply_span(options_.trace, "ivm.apply", "ivm");
   auto apply_start = std::chrono::steady_clock::now();
-  if (is_insert) {
-    for (const Row& row : primary.rows()) view_store_->Insert(row);
-  } else {
-    for (const Row& row : primary.rows()) {
-      OJV_CHECK(view_store_->DeleteMatching(row),
-                "primary delta row missing from view");
-    }
-  }
+  ApplyPrimaryDelta(primary, is_insert);
   stats.apply_micros = MicrosSince(apply_start);
   apply_span.AddArg("rows", stats.primary_rows);
   apply_span.FinishWithDuration(stats.apply_micros);
@@ -617,13 +632,8 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
   if (plan.secondary != nullptr && stats.indirect_terms > 0) {
     obs::Span secondary_span(options_.trace, "ivm.secondary_delta", "ivm");
     auto secondary_start = std::chrono::steady_clock::now();
-    if (is_insert) {
-      stats.secondary_rows = plan.secondary->ApplyAfterInsert(
-          options_.secondary_strategy, primary, delta_t, view_store_.get());
-    } else {
-      stats.secondary_rows = plan.secondary->ApplyAfterDelete(
-          options_.secondary_strategy, primary, view_store_.get());
-    }
+    stats.secondary_rows = ApplySecondaryDelta(plan.secondary.get(), primary,
+                                               delta_t, is_insert);
     stats.secondary_micros = MicrosSince(secondary_start);
     secondary_span.AddArg("rows", stats.secondary_rows);
     secondary_span.FinishWithDuration(stats.secondary_micros);

@@ -109,13 +109,22 @@ using MaintenanceStatsHook =
 ///
 /// All per-table plans (normal form, graphs, delta expressions) are
 /// computed once, up front.
+///
+/// The pipeline — plan sets, cost-based planner, heavy-light diversion,
+/// ivm.* spans — is the same for every view; only where the deltas land
+/// differs. A subclass stores its contents elsewhere by overriding the
+/// protected storage hooks (AggViewMaintainer merges them into groups).
 class ViewMaintainer {
  public:
   ViewMaintainer(const Catalog* catalog, ViewDef view,
                  MaintenanceOptions options = MaintenanceOptions());
+  virtual ~ViewMaintainer() = default;
+  // The heavy-light drain hook holds `this`.
+  ViewMaintainer(const ViewMaintainer&) = delete;
+  ViewMaintainer& operator=(const ViewMaintainer&) = delete;
 
   /// Fully computes the view contents (used for initialization and as
-  /// the oracle in tests).
+  /// the oracle in tests) and installs them through LoadContents.
   void InitializeView();
 
   /// Warm restart: installs previously saved view contents (e.g. from
@@ -124,7 +133,12 @@ class ViewMaintainer {
   /// responsible for the snapshot matching the base tables' state.
   void RestoreView(const std::vector<Row>& rows);
 
+  /// The row store; stays empty for aggregation views.
   const MaterializedView& view() const { return *view_store_; }
+  /// True for aggregation views, whose contents are groups.
+  virtual bool is_aggregate() const { return false; }
+  /// The contents a snapshot generation publishes.
+  virtual Relation Contents() const { return view_store_->AsRelation(); }
   const ViewDef& view_def() const { return view_def_; }
   const std::vector<Term>& terms() const { return main_.terms; }
   const SubsumptionGraph& subsumption_graph() const { return *main_.sgraph; }
@@ -201,7 +215,7 @@ class ViewMaintainer {
   /// The heavy-light controller; null under kUniform.
   HeavyLightController* heavy_controller() { return heavy_.get(); }
 
-  // --- plan access for wrappers (aggregation views) and benchmarks ---
+  // --- plan access for tests and benchmarks ---
 
   /// True when updates of `table` provably cannot change the view.
   bool DeltaIsEmpty(const std::string& table) const;
@@ -215,13 +229,7 @@ class ViewMaintainer {
   /// delta is provably empty).
   SecondaryDeltaEngine* secondary_engine(const std::string& table);
 
-  /// The maintainer's version-checked base-table cache (shared with the
-  /// aggregate wrapper so MIN/MAX group refreshes inside a maintenance
-  /// statement reuse the tables already materialized for the deltas).
-  TableRelationCache* table_cache() { return &table_cache_; }
-
   const ExecConfig& exec_config() const { return options_.exec; }
-  ThreadPool* thread_pool() const { return pool_.get(); }
 
   /// Swaps the executor configuration at runtime (the deferred refresh
   /// path uses this to run background batch replays with more threads
@@ -257,6 +265,23 @@ class ViewMaintainer {
   /// outside the maintainer's view should call this.)
   void InvalidatePlans();
 
+ protected:
+  // --- storage hooks: where the deltas land ---
+
+  /// Installs full view contents (InitializeView, RestoreView).
+  virtual void LoadContents(const std::vector<Row>& rows);
+  /// Applies ΔV^D (aligned to the output schema) of an insert or delete.
+  virtual void ApplyPrimaryDelta(const Relation& primary, bool is_insert);
+  /// Computes and applies ΔV^I with `engine` after ΔV^D was applied;
+  /// returns the number of rows it moved.
+  virtual int64_t ApplySecondaryDelta(SecondaryDeltaEngine* engine,
+                                      const Relation& primary,
+                                      const Relation& delta_t, bool is_insert);
+
+  /// Evaluates the whole view over the current base tables, reusing the
+  /// base tables the delta evaluations already materialized.
+  Relation EvaluateView(obs::TraceContext* trace) const;
+
  private:
   struct TablePlan {
     std::unique_ptr<MaintenanceGraph> graph;
@@ -288,8 +313,6 @@ class ViewMaintainer {
   MaintenanceStats Maintain(const TablePlan& plan, const std::string& table,
                             const std::vector<Row>& rows, bool is_insert,
                             PlanPolicy policy);
-  // Evaluates ΔV^D and aligns it to the view's output schema.
-  Relation ComputePrimaryDelta(const TablePlan& plan, const Relation& delta_t);
   // Evaluates one primary-delta expression (static or planner-chosen)
   // under an explicit trace sink and aligns it to the output schema.
   Relation EvalPrimaryDelta(const RelExprPtr& expr, const Relation& delta_t,
@@ -304,7 +327,7 @@ class ViewMaintainer {
   std::unique_ptr<MaterializedView> view_store_;
   /// Base tables materialized once per table version and shared across
   /// the primary- and secondary-delta evaluations of an operation.
-  TableRelationCache table_cache_;
+  mutable TableRelationCache table_cache_;
   /// Shared worker pool for morsel-parallel evaluation; null when
   /// options_.exec.num_threads <= 1 (serial execution).
   std::shared_ptr<ThreadPool> pool_;

@@ -23,7 +23,7 @@ struct FeedbackResult {
   std::vector<StepFeedback> steps;
   /// Max over matched join nodes of the estimate/actual row-count ratio
   /// (smoothed by +1 so empty results don't divide by zero). 1.0 = all
-  /// estimates exact; compare against PlannerOptions::replan_drift.
+  /// estimates exact; compare against kReplanDrift (opt/planner.h).
   double max_drift = 1.0;
 };
 

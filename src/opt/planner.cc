@@ -333,7 +333,7 @@ PlannedDelta DeltaPlanner::Plan(
       }
       std::vector<int> chosen = OrderRun(steps, run, run_fanout, run_rows,
                                          avail, card,
-                                         options_.exhaustive_max_joins);
+                                         kExhaustiveMaxJoins);
       for (int idx : chosen) {
         const Step& cs = steps[static_cast<size_t>(idx)];
         card = ApplyJoinCard(cs.join_kind, card,

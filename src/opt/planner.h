@@ -12,30 +12,28 @@
 namespace ojv {
 namespace opt {
 
-/// Knobs for cost-based delta planning (MaintenanceOptions.planner).
+/// Cost-based delta planning switch (MaintenanceOptions.planner).
 struct PlannerOptions {
   enum class Mode {
     kStatic,     // keep the syntactic left-deep order (pre-planner behavior)
     kCostBased,  // reorder join steps by estimated cost
   };
   Mode mode = Mode::kCostBased;
-
-  /// Runs with at most this many join steps are ordered by exhaustive
-  /// (branch-and-bound) enumeration; longer runs fall back to greedy
-  /// min-output-cardinality.
-  int exhaustive_max_joins = 6;
-
-  /// Re-plan when max per-step estimate/actual row drift exceeds this
-  /// ratio, or when |Δ| shifts by more than 2^replan_delta_log2 from the
-  /// |Δ| the cached plan was costed for.
-  double replan_drift = 4.0;
-  double replan_delta_log2 = 3.0;
-
-  /// Feedback loop: harvest actual per-operator cardinalities from the
-  /// obs trace after each run and fold them into a fanout EMA.
-  bool feedback = true;
-  double ema_alpha = 0.5;
 };
+
+/// Runs with at most this many join steps are ordered by exhaustive
+/// (branch-and-bound) enumeration; longer runs fall back to greedy
+/// min-output-cardinality.
+inline constexpr int kExhaustiveMaxJoins = 6;
+
+/// A cached plan is re-planned when the max per-step estimate/actual row
+/// drift of its last run exceeds kReplanDrift, or when |Δ| moved more
+/// than 2^kReplanDeltaLog2 from the |Δ| it was costed for.
+inline constexpr double kReplanDrift = 4.0;
+inline constexpr double kReplanDeltaLog2 = 3.0;
+
+/// Weight of the newest observed fanout in the plan cache's EMA.
+inline constexpr double kFanoutEmaAlpha = 0.5;
 
 /// Picks the left-deep join order of a delta tree by estimated cost.
 ///
@@ -47,7 +45,7 @@ struct PlannerOptions {
 /// which keeps every reordering semantically equal to the original (see
 /// DESIGN.md §10 for the legality argument). Within a run, an order is
 /// valid when each step's predicate only references tables already below
-/// it; runs up to `exhaustive_max_joins` are ordered exhaustively with
+/// it; runs up to kExhaustiveMaxJoins are ordered exhaustively with
 /// cost pruning, longer runs greedily. Cost is the sum of estimated
 /// intermediate cardinalities (C_out).
 ///

@@ -306,6 +306,31 @@ TEST_F(DatabaseTest, MistypedValuesAreRejected) {
   expect_payroll_consistent();
 }
 
+// Update applies its pairs one after another, so a key named twice
+// would hand the maintainers the first pair's new row as the second
+// pair's old row, which no view has seen, and would stage a second
+// insert of one key for deferred views. The statement must be rejected
+// before any mutation, for immediate row, aggregate and deferred views.
+TEST_F(DatabaseTest, UpdateRejectsRepeatedKey) {
+  AggViewMaintainer* payroll = db_.CreateAggregateView(
+      MakeDeptView("payroll"), {{"dept", "d_name"}},
+      {{AggregateSpec::Kind::kSum, {"emp", "e_salary"}, "payroll"}});
+  ViewMaintainer* lazy = db_.CreateMaterializedView(MakeDeptView("lazy"));
+  db_.SetRefreshPolicy("lazy", deferred::RefreshPolicy::kOnDemand);
+  ViewMaintainer* view = SeedForMalformed();
+
+  Database::StatementResult result =
+      db_.Update("emp", {Row{Value::Int64(10)}, Row{Value::Int64(10)}},
+                 {Emp(10, 1, 200.0), Emp(10, 2, 300.0)});
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.rows_affected, 0);
+  ExpectUnchangedAndConsistent(*view);
+  std::string diff;
+  EXPECT_TRUE(payroll->MatchesRecompute(1e-9, &diff)) << diff;
+  db_.Refresh("lazy");
+  ExpectUnchangedAndConsistent(*lazy);
+}
+
 TEST_F(DatabaseTest, UnknownTableAndDropView) {
   EXPECT_FALSE(db_.Insert("nope", {Row{}}).ok());
   EXPECT_FALSE(db_.Delete("nope", {}).ok());

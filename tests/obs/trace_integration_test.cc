@@ -154,7 +154,14 @@ TEST(TraceDatabaseTest, StatementSpansWrapMaintenance) {
   tpch::Dbgen dbgen(options);
   dbgen.Populate(db.catalog());
   tpch::RefreshStream refresh(db.catalog(), &dbgen, 77);
-  db.CreateMaterializedView(tpch::MakeV3(*db.catalog()));
+  const ViewDef v3 = tpch::MakeV3(*db.catalog());
+  db.CreateMaterializedView(v3);
+  db.CreateAggregateView(
+      ViewDef("v3_by_segment", v3.tree(), v3.output(), *db.catalog()),
+      {{"customer", "c_mktsegment"}},
+      {{AggregateSpec::Kind::kCountStar, {}, "rows"},
+       {AggregateSpec::Kind::kSum, {"lineitem", "l_extendedprice"},
+        "revenue"}});
 
   obs::TraceContext trace;
   db.set_trace(&trace);
@@ -184,6 +191,26 @@ TEST(TraceDatabaseTest, StatementSpansWrapMaintenance) {
     ASSERT_GE(ev.parent, 0);
     EXPECT_EQ(events[static_cast<size_t>(ev.parent)].category, "db");
   }
+  // The aggregate view runs the same pipeline: its lineitem maintenance
+  // is an ivm.maintain span under the statement, with a primary delta.
+  bool aggregate_primary = false;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const obs::TraceEvent& ev = events[i];
+    const std::string* view = ev.StrArg("view");
+    if (ev.name != "ivm.maintain" || view == nullptr ||
+        *view != "v3_by_segment") {
+      continue;
+    }
+    ASSERT_GE(ev.parent, 0);
+    EXPECT_EQ(events[static_cast<size_t>(ev.parent)].name, "db.insert");
+    for (const obs::TraceEvent& child : events) {
+      if (child.name == "ivm.primary_delta" &&
+          child.parent == static_cast<int>(i)) {
+        aggregate_primary = true;
+      }
+    }
+  }
+  EXPECT_TRUE(aggregate_primary);
 }
 
 }  // namespace

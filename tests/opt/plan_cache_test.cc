@@ -123,7 +123,7 @@ TEST_F(MaintainerPlanCacheTest, ReplansWhenDeltaSizeShifts) {
   Table* d = catalog_.GetTable("D");
 
   maintainer.OnInsert("D", ApplyBaseInsert(d, Fresh(4)));
-  // 4 -> 512 rows is a 7-doubling shift, past replan_delta_log2 = 3.
+  // 4 -> 512 rows is a 7-doubling shift, past kReplanDeltaLog2 = 3.
   maintainer.OnInsert("D", ApplyBaseInsert(d, Fresh(512)));
   const PlanCacheEntry* entry =
       maintainer.plan_entry("D", true, PlanPolicy::kDefault);
