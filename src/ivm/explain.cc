@@ -159,18 +159,14 @@ std::string ExplainMaintenance(const ViewMaintainer& maintainer) {
     out << "\n";
     const RelExprPtr& delta = maintainer.delta_expr(table);
     out << "  primary delta  = " << delta->ToString() << "\n";
-    if (maintainer.planner_options().mode ==
-        opt::PlannerOptions::Mode::kCostBased) {
-      out << "  planner: cost-based\n";
-      AppendPlanEntryLine(
-          out, "insert",
-          maintainer.plan_entry(table, /*is_insert=*/true,
-                                PlanPolicy::kDefault));
-      AppendPlanEntryLine(
-          out, "delete",
-          maintainer.plan_entry(table, /*is_insert=*/false,
-                                PlanPolicy::kDefault));
-    }
+    out << "  planner: cost-based\n";
+    AppendPlanEntryLine(
+        out, "insert",
+        maintainer.plan_entry(table, /*is_insert=*/true, PlanPolicy::kDefault));
+    AppendPlanEntryLine(
+        out, "delete",
+        maintainer.plan_entry(table, /*is_insert=*/false,
+                              PlanPolicy::kDefault));
     if (delta->kind() == RelKind::kDeltaScan ||
         (delta->kind() == RelKind::kSelect &&
          delta->input()->kind() == RelKind::kDeltaScan)) {
@@ -285,11 +281,9 @@ std::string ExplainMaintenance(const ViewMaintainer& maintainer,
         out << "  secondary delta: skipped ("
             << (reason != nullptr ? *reason : "?") << ")\n";
       } else if (stage.name == "ivm.secondary.strategy") {
-        const std::string* requested = stage.StrArg("requested");
-        const std::string* resolved = stage.StrArg("resolved");
+        const std::string* strategy = stage.StrArg("strategy");
         out << "  secondary strategy: "
-            << (resolved != nullptr ? *resolved : "?") << " (requested "
-            << (requested != nullptr ? *requested : "?") << ")\n";
+            << (strategy != nullptr ? *strategy : "?") << "\n";
       }
     }
   }

@@ -57,19 +57,18 @@ const ViewMaintainer::TablePlan& ViewMaintainer::PlanSet::For(
 
 ViewMaintainer::ViewMaintainer(const Catalog* catalog, ViewDef view,
                                MaintenanceOptions options)
-    : catalog_(catalog), view_def_(std::move(view)), options_(options) {
+    : catalog_(catalog),
+      view_def_(std::move(view)),
+      options_(options),
+      stats_catalog_(catalog),
+      planner_(&stats_catalog_) {
   if (options_.exec.num_threads > 1) {
     pool_ = ThreadPool::Shared(options_.exec.num_threads);
   }
-  if (options_.planner.mode == opt::PlannerOptions::Mode::kCostBased) {
-    stats_catalog_ = std::make_unique<opt::StatsCatalog>(catalog_);
-    planner_ = std::make_unique<opt::DeltaPlanner>(stats_catalog_.get(),
-                                                   options_.planner);
-    std::unordered_map<std::string, std::vector<std::string>> pred_columns;
-    CollectPredicateColumns(view_def_.tree(), &pred_columns);
-    for (const std::string& table : view_def_.tables()) {
-      stats_catalog_->RestrictColumns(table, pred_columns[table]);
-    }
+  std::unordered_map<std::string, std::vector<std::string>> pred_columns;
+  CollectPredicateColumns(view_def_.tree(), &pred_columns);
+  for (const std::string& table : view_def_.tables()) {
+    stats_catalog_.RestrictColumns(table, pred_columns[table]);
   }
   BuildPlanSet(options_.exploit_foreign_keys, &main_);
   if (options_.exploit_foreign_keys) {
@@ -141,11 +140,10 @@ void ViewMaintainer::BuildPlanSet(bool use_fks, PlanSet* out) {
     table_span.AddArg("delta_empty", static_cast<int64_t>(plan.delta_empty));
     if (!plan.delta_empty) {
       plan.secondary = std::make_unique<SecondaryDeltaEngine>(
-          view_def_, *catalog_, out->terms, *plan.graph, table);
+          view_def_, *catalog_, out->terms, *plan.graph, table, &planner_);
       plan.secondary->set_table_cache(&table_cache_);
       plan.secondary->set_exec(options_.exec, pool_.get());
       plan.secondary->set_trace(options_.trace);
-      if (planner_ != nullptr) plan.secondary->set_planner(planner_.get());
     }
     out->plans.emplace(table, std::move(plan));
   }
@@ -157,16 +155,14 @@ void ViewMaintainer::InitializeView() {
   Relation contents = EvaluateView(options_.trace);
   LoadContents(contents.rows());
   span.AddArg("rows", contents.size());
-  if (stats_catalog_ != nullptr) {
-    // Prime statistics while initialization already owns a full scan of
-    // every base table; the first maintenance call should plan, not
-    // ANALYZE.
-    obs::Span stats_span(options_.trace, "ivm.init_stats", "ivm");
-    for (const std::string& table : view_def_.tables()) {
-      stats_catalog_->Get(table);
-    }
-    stats_span.Finish();
+  // Prime statistics while initialization already owns a full scan of
+  // every base table; the first maintenance call should plan, not
+  // ANALYZE.
+  obs::Span stats_span(options_.trace, "ivm.init_stats", "ivm");
+  for (const std::string& table : view_def_.tables()) {
+    stats_catalog_.Get(table);
   }
+  stats_span.Finish();
 }
 
 void ViewMaintainer::RestoreView(const std::vector<Row>& rows) {
@@ -177,7 +173,6 @@ Relation ViewMaintainer::EvaluateView(obs::TraceContext* trace) const {
   Evaluator evaluator(catalog_);
   evaluator.set_table_cache(&table_cache_);
   evaluator.set_exec(options_.exec, pool_.get());
-  evaluator.set_join_algorithm(options_.join_algorithm);
   evaluator.set_trace(trace);
   return evaluator.EvalToRelation(view_def_.WithProjection());
 }
@@ -223,12 +218,12 @@ const RelExprPtr& ViewMaintainer::delta_expr(const std::string& table) const {
 
 Relation ViewMaintainer::EvalPrimaryDelta(const RelExprPtr& expr,
                                           const Relation& delta_t,
-                                          obs::TraceContext* eval_trace) {
+                                          Evaluator::RowCounts* row_counts) {
   Evaluator evaluator(catalog_);
   evaluator.set_table_cache(&table_cache_);
   evaluator.set_exec(options_.exec, pool_.get());
-  evaluator.set_join_algorithm(options_.join_algorithm);
-  evaluator.set_trace(eval_trace);
+  evaluator.set_trace(options_.trace);
+  evaluator.set_row_counts(row_counts);
   // The delta leaf is named after the updated table.
   for (const std::string& table : view_def_.tables()) {
     if (delta_t.schema().HasTable(table)) {
@@ -268,7 +263,7 @@ Relation ViewMaintainer::ComputePrimaryDeltaRelation(const std::string& table,
                                                      const Relation& delta_t) {
   const TablePlan& plan = main_.For(table);
   OJV_CHECK(!plan.delta_empty, "delta is provably empty");
-  return EvalPrimaryDelta(plan.delta_expr, delta_t, options_.trace);
+  return EvalPrimaryDelta(plan.delta_expr, delta_t);
 }
 
 SecondaryDeltaEngine* ViewMaintainer::secondary_engine(
@@ -311,7 +306,7 @@ const opt::PlanCacheEntry* ViewMaintainer::plan_entry(const std::string& table,
 
 void ViewMaintainer::InvalidatePlans() {
   plan_cache_.Clear();
-  if (stats_catalog_ != nullptr) stats_catalog_->InvalidateAll();
+  stats_catalog_.InvalidateAll();
 }
 
 MaintenanceStats& MaintenanceStats::Merge(const MaintenanceStats& other) {
@@ -386,7 +381,7 @@ MaintenanceStats ViewMaintainer::DrainHeavyState() {
 MaintenanceStats ViewMaintainer::OnInsert(const std::string& table,
                                           const std::vector<Row>& rows,
                                           PlanPolicy policy) {
-  if (stats_catalog_ != nullptr) stats_catalog_->OnInsert(table, rows);
+  stats_catalog_.OnInsert(table, rows);
   if (heavy_ != nullptr) heavy_->OnInsert(table, rows);
   const bool can_divert =
       CanDivert(table, policy, /*is_update=*/false) && !draining_heavy_;
@@ -408,7 +403,7 @@ MaintenanceStats ViewMaintainer::OnInsert(const std::string& table,
 MaintenanceStats ViewMaintainer::OnDelete(const std::string& table,
                                           const std::vector<Row>& rows,
                                           PlanPolicy policy) {
-  if (stats_catalog_ != nullptr) stats_catalog_->OnDelete(table, rows);
+  stats_catalog_.OnDelete(table, rows);
   if (heavy_ != nullptr) heavy_->OnDelete(table, rows);
   const bool can_divert =
       CanDivert(table, policy, /*is_update=*/false) && !draining_heavy_;
@@ -430,9 +425,7 @@ MaintenanceStats ViewMaintainer::OnDelete(const std::string& table,
 MaintenanceStats ViewMaintainer::OnUpdate(const std::string& table,
                                           const std::vector<Row>& old_rows,
                                           const std::vector<Row>& new_rows) {
-  if (stats_catalog_ != nullptr) {
-    stats_catalog_->OnUpdate(table, old_rows, new_rows);
-  }
+  stats_catalog_.OnUpdate(table, old_rows, new_rows);
   if (heavy_ != nullptr) heavy_->OnUpdate(table, old_rows, new_rows);
   const PlanSet& set = SetFor(PlanPolicy::kConstraintFree);
   const bool can_divert =
@@ -526,12 +519,12 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
   // marked it dirty or |Δ| moved far from what it was costed for.
   RelExprPtr exec_expr = plan.delta_expr;
   opt::PlanCacheEntry* cache_entry = nullptr;
-  if (planner_ != nullptr && ContainsJoin(plan.delta_expr)) {
+  if (ContainsJoin(plan.delta_expr)) {
     if (heavy_ != nullptr) {
       // Light batches never join the heavy partition — estimate the
       // counterpart tables minus it. Drain replays (and tables without
       // edges) plan against the full tables.
-      planner_->SetPartitionExclusions(
+      planner_.SetPartitionExclusions(
           !draining_heavy_ && heavy_->HasEdges(table)
               ? heavy_->Exclusions(table)
               : std::unordered_map<std::string, opt::PartitionExclusion>());
@@ -549,8 +542,8 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
     if (cache_entry == nullptr || cache_entry->dirty || replan_size) {
       const bool had = cache_entry != nullptr;
       opt::PlannedDelta planned =
-          planner_->Plan(plan.delta_expr, table, drows,
-                         had ? &cache_entry->fanout_ema : nullptr);
+          planner_.Plan(plan.delta_expr, table, drows,
+                        had ? &cache_entry->fanout_ema : nullptr);
       cache_entry = plan_cache_.Put(key, std::move(planned), drows);
       cache_entry->source = had ? "replan" : "planned";
       if (had) ++cache_entry->replans;
@@ -569,51 +562,26 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
   Relation delta_t(Evaluator::SchemaFor(*catalog_->GetTable(table)));
   for (const Row& row : rows) delta_t.Add(row);
 
-  // Step 1: compute the primary delta, routing exec spans into a private
-  // sink when feedback needs them but the caller attached no trace.
-  obs::TraceContext* eval_trace = options_.trace;
-  size_t feedback_first = 0;
-  bool harvest = false;
-  if constexpr (obs::kEnabled) {
-    if (planner_ != nullptr && cache_entry != nullptr) {
-      if (eval_trace == nullptr) {
-        if (feedback_trace_ == nullptr) {
-          feedback_trace_ = std::make_unique<obs::TraceContext>();
-        }
-        eval_trace = feedback_trace_.get();
-      }
-      feedback_first = eval_trace->event_count();
-      harvest = true;
-    }
-  }
+  // Step 1: compute the primary delta, counting every planned node's
+  // output rows for feedback.
+  Evaluator::RowCounts row_counts;
   obs::Span primary_span(options_.trace, "ivm.primary_delta", "ivm");
   auto primary_start = std::chrono::steady_clock::now();
-  Relation primary = EvalPrimaryDelta(exec_expr, delta_t, eval_trace);
+  Relation primary = EvalPrimaryDelta(
+      exec_expr, delta_t, cache_entry != nullptr ? &row_counts : nullptr);
   stats.primary_rows = primary.size();
   stats.fk_fast_path =
       plan.delta_expr->kind() == RelKind::kDeltaScan ||
       (plan.delta_expr->kind() == RelKind::kSelect &&
        plan.delta_expr->input()->kind() == RelKind::kDeltaScan);
   stats.primary_micros = MicrosSince(primary_start);
-  if constexpr (obs::kEnabled) {
-    if (harvest) {
-      // LEO-style feedback: zip actual per-operator cardinalities onto
-      // the planned tree, fold observed fanouts into the EMA, and mark
-      // the plan dirty when estimates drifted past the threshold.
-      std::vector<obs::TraceEvent> events = eval_trace->Snapshot();
-      std::vector<obs::TraceEvent> window(
-          events.begin() +
-              static_cast<std::ptrdiff_t>(
-                  std::min(feedback_first, events.size())),
-          events.end());
-      opt::FeedbackResult fb = opt::HarvestFeedback(cache_entry->plan, window);
-      opt::UpdateFanoutEma(fb, opt::kFanoutEmaAlpha,
-                           &cache_entry->fanout_ema);
-      if (fb.max_drift > opt::kReplanDrift) {
-        cache_entry->dirty = true;
-      }
-      if (eval_trace == feedback_trace_.get()) feedback_trace_->Clear();
-    }
+  if (cache_entry != nullptr) {
+    // LEO-style feedback: fold observed fanouts into the EMA, and mark
+    // the plan dirty when estimates drifted past the threshold.
+    opt::FeedbackResult fb =
+        opt::HarvestFeedback(cache_entry->plan, row_counts);
+    opt::UpdateFanoutEma(fb, opt::kFanoutEmaAlpha, &cache_entry->fanout_ema);
+    if (fb.max_drift > opt::kReplanDrift) cache_entry->dirty = true;
   }
   primary_span.AddArg("rows_in", stats.delta_rows);
   primary_span.AddArg("rows_out", stats.primary_rows);

@@ -44,16 +44,6 @@ struct MaintenanceOptions {
   /// runs the hot operators morsel-parallel on the process-wide shared
   /// thread pool; results are identical to serial execution.
   ExecConfig exec;
-  /// Physical join algorithm for the delta expressions (cross-validation
-  /// and benchmarks; results are identical).
-  Evaluator::JoinAlgorithm join_algorithm = Evaluator::JoinAlgorithm::kHash;
-  /// Cost-based delta planning (src/opt/): statistics-driven join order
-  /// for the primary-delta tree and the §5.3 from-base chains, with a
-  /// per-(table, op, policy) plan cache and trace-feedback re-planning.
-  /// planner.mode = kStatic reproduces the pre-planner plans and results
-  /// byte for byte. View contents are identical either way — only join
-  /// order (and therefore intermediate sizes) changes.
-  opt::PlannerOptions planner;
   /// Skew-adaptive heavy-light partitioning; kUniform leaves the
   /// pipeline untouched.
   SkewMode skew = SkewMode::kUniform;
@@ -243,19 +233,14 @@ class ViewMaintainer {
 
   // --- cost-based planner access (EXPLAIN, tests, benchmarks) ---
 
-  /// The statistics catalog backing the cost-based planner; null under
-  /// planner.mode = kStatic.
-  opt::StatsCatalog* stats_catalog() { return stats_catalog_.get(); }
+  /// The statistics catalog backing the cost-based planner.
+  opt::StatsCatalog* stats_catalog() { return &stats_catalog_; }
 
-  const opt::PlannerOptions& planner_options() const {
-    return options_.planner;
-  }
-
-  /// The per-(table, op, policy) plan cache (empty under kStatic).
+  /// The per-(table, op, policy) plan cache.
   const opt::PlanCache& plan_cache() const { return plan_cache_; }
 
   /// The cached plan for maintenance of `table` under the given op and
-  /// policy; null when the planner is off or the op never ran.
+  /// policy; null when the op never ran or its delta has no join.
   const opt::PlanCacheEntry* plan_entry(const std::string& table,
                                         bool is_insert,
                                         PlanPolicy policy) const;
@@ -314,9 +299,10 @@ class ViewMaintainer {
                             const std::vector<Row>& rows, bool is_insert,
                             PlanPolicy policy);
   // Evaluates one primary-delta expression (static or planner-chosen)
-  // under an explicit trace sink and aligns it to the output schema.
+  // and aligns it to the output schema. `row_counts`, when set, receives
+  // every node's output row count (planner feedback).
   Relation EvalPrimaryDelta(const RelExprPtr& expr, const Relation& delta_t,
-                            obs::TraceContext* eval_trace);
+                            Evaluator::RowCounts* row_counts = nullptr);
 
   const Catalog* catalog_;
   ViewDef view_def_;
@@ -332,15 +318,10 @@ class ViewMaintainer {
   /// options_.exec.num_threads <= 1 (serial execution).
   std::shared_ptr<ThreadPool> pool_;
   MaintenanceStatsHook stats_hook_;
-  /// Cost-based planner state; all null/empty under planner.mode =
-  /// kStatic, which leaves plans and results byte-identical to the
-  /// pre-planner code path.
-  std::unique_ptr<opt::StatsCatalog> stats_catalog_;
-  std::unique_ptr<opt::DeltaPlanner> planner_;
+  /// Cost-based planner state.
+  opt::StatsCatalog stats_catalog_;
+  opt::DeltaPlanner planner_;
   opt::PlanCache plan_cache_;
-  /// Internal sink for feedback harvesting when the caller did not
-  /// attach a trace; created lazily, cleared after each harvest.
-  std::unique_ptr<obs::TraceContext> feedback_trace_;
   /// Heavy-light partitioning state; null under skew = kUniform, which
   /// keeps every code path byte-identical to the pre-skew pipeline.
   std::unique_ptr<HeavyLightController> heavy_;

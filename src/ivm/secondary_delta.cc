@@ -39,18 +39,35 @@ ScalarExprPtr NullTest(const BoundSchema& schema, const std::string& table) {
   return ScalarExpr::IsNull(ScalarExpr::Column(col.table, col.column));
 }
 
+// Moves the conjuncts whose every referenced table satisfies `bound` out
+// of `conjuncts` and returns them.
+template <typename Bound>
+std::vector<ScalarExprPtr> TakeBound(std::vector<ScalarExprPtr>* conjuncts,
+                                     Bound bound) {
+  std::vector<ScalarExprPtr> taken, kept;
+  for (ScalarExprPtr& c : *conjuncts) {
+    std::set<std::string> refs = c->ReferencedTables();
+    (std::all_of(refs.begin(), refs.end(), bound) ? taken : kept)
+        .push_back(std::move(c));
+  }
+  *conjuncts = std::move(kept);
+  return taken;
+}
+
 }  // namespace
 
 SecondaryDeltaEngine::SecondaryDeltaEngine(const ViewDef& view_def,
                                            const Catalog& catalog,
                                            const std::vector<Term>& terms,
                                            const MaintenanceGraph& graph,
-                                           const std::string& updated_table)
+                                           const std::string& updated_table,
+                                           opt::DeltaPlanner* planner)
     : view_def_(view_def),
       catalog_(catalog),
       terms_(terms),
       graph_(graph),
-      updated_table_(updated_table) {
+      updated_table_(updated_table),
+      planner_(planner) {
   const BoundSchema& schema = view_def_.output_schema();
   // A table is null-extended iff its first key column (non-nullable in
   // the base table) is NULL, so one probe position per table suffices.
@@ -159,34 +176,8 @@ std::vector<Row> SecondaryDeltaEngine::CandidatesFromBaseTables(
   return out;
 }
 
-SecondaryStrategy SecondaryDeltaEngine::ResolveStrategy(
-    SecondaryStrategy requested, int64_t primary_rows) const {
-  if (requested != SecondaryStrategy::kAuto) return requested;
-  // Base-table plan cost: every parent fragment re-joins its Rk tables
-  // with the updated table's state. View plan cost: one indexed probe
-  // per delta row per term. Sum both over the indirect terms and pick.
-  int64_t base_cost = 0;
-  for (const TermPlan& plan : plans_) {
-    for (int parent_index : plan.direct_parents) {
-      const Term& parent = terms_[static_cast<size_t>(parent_index)];
-      for (const std::string& t : parent.source) {
-        if (t == updated_table_ ||
-            std::find(plan.ti_tables.begin(), plan.ti_tables.end(), t) ==
-                plan.ti_tables.end()) {
-          base_cost += catalog_.GetTable(t)->size();
-        }
-      }
-    }
-  }
-  int64_t view_cost = primary_rows * static_cast<int64_t>(plans_.size());
-  return view_cost <= base_cost ? SecondaryStrategy::kFromView
-                                : SecondaryStrategy::kFromBaseTables;
-}
-
 const char* SecondaryStrategyName(SecondaryStrategy strategy) {
   switch (strategy) {
-    case SecondaryStrategy::kAuto:
-      return "auto";
     case SecondaryStrategy::kFromView:
       return "from_view";
     case SecondaryStrategy::kFromBaseTables:
@@ -197,24 +188,22 @@ const char* SecondaryStrategyName(SecondaryStrategy strategy) {
 
 namespace {
 
-// One strategy-resolution record per apply: which plan kAuto (or an
-// explicit request) landed on, for the trace and the global counters.
-void RecordStrategy(obs::TraceContext* trace, SecondaryStrategy requested,
-                    SecondaryStrategy resolved, int64_t primary_rows,
-                    size_t num_terms) {
+// One strategy record per apply: which plan ran, for the trace and the
+// global counters.
+void RecordStrategy(obs::TraceContext* trace, SecondaryStrategy strategy,
+                    int64_t primary_rows, size_t num_terms) {
   if constexpr (obs::kEnabled) {
     static obs::Counter& from_view =
         obs::Registry::Global().GetCounter("ojv.secondary.from_view");
     static obs::Counter& from_base =
         obs::Registry::Global().GetCounter("ojv.secondary.from_base");
-    (resolved == SecondaryStrategy::kFromView ? from_view : from_base).Add(1);
+    (strategy == SecondaryStrategy::kFromView ? from_view : from_base).Add(1);
     if (trace != nullptr) {
       trace->RecordComplete(
           "ivm.secondary.strategy", "ivm", trace->NowMicros(), 0,
           {{"primary_rows", primary_rows},
            {"indirect_terms", static_cast<int64_t>(num_terms)}},
-          {{"requested", SecondaryStrategyName(requested)},
-           {"resolved", SecondaryStrategyName(resolved)}});
+          {{"strategy", SecondaryStrategyName(strategy)}});
     }
   }
 }
@@ -225,10 +214,7 @@ int64_t SecondaryDeltaEngine::ApplyAfterInsert(SecondaryStrategy strategy,
                                                const Relation& primary_delta,
                                                const Relation& delta_t,
                                                MaterializedView* view) {
-  SecondaryStrategy requested = strategy;
-  strategy = ResolveStrategy(strategy, primary_delta.size());
-  RecordStrategy(trace_, requested, strategy, primary_delta.size(),
-                 plans_.size());
+  RecordStrategy(trace_, strategy, primary_delta.size(), plans_.size());
   int64_t affected = 0;
   for (const TermPlan& plan : plans_) {
     if (strategy == SecondaryStrategy::kFromView) {
@@ -245,10 +231,7 @@ int64_t SecondaryDeltaEngine::ApplyAfterInsert(SecondaryStrategy strategy,
 int64_t SecondaryDeltaEngine::ApplyAfterDelete(SecondaryStrategy strategy,
                                                const Relation& primary_delta,
                                                MaterializedView* view) {
-  SecondaryStrategy requested = strategy;
-  strategy = ResolveStrategy(strategy, primary_delta.size());
-  RecordStrategy(trace_, requested, strategy, primary_delta.size(),
-                 plans_.size());
+  RecordStrategy(trace_, strategy, primary_delta.size(), plans_.size());
   int64_t affected = 0;
   for (const TermPlan& plan : plans_) {
     if (strategy == SecondaryStrategy::kFromView) {
@@ -473,30 +456,71 @@ std::vector<Row> SecondaryDeltaEngine::ComputeFromBaseTables(
                              RelExpr::DeltaScan("#dtkeys"), delta_key_pred);
     }
 
-    RelExprPtr parent_expr;
-    if (rk.empty()) {
-      parent_expr = t_side;
-    } else {
-      Term rk_term;
-      rk_term.source = rk;
-      rk_term.predicates = q_rk;
-      // Inner-join chain over the residual parent tables: any order is
-      // valid, so let the cost-based planner (when attached) start from
-      // the smallest estimated input.
-      RelExprPtr rk_expr =
-          planner_ != nullptr
-              ? rk_term.ToRelExprOrdered(planner_->OrderTablesByRows(rk))
-              : rk_term.ToRelExpr();
-      if (!q_ip_rk.empty()) {
-        rk_expr = RelExpr::Join(JoinKind::kLeftSemi, rk_expr,
-                                RelExpr::DeltaScan("#cands"),
-                                MakeConjunction(q_ip_rk));
+    // Join the residual parent tables onto the T side one at a time,
+    // smallest first among those a conjunct links to the tables already
+    // joined; a product only when none is linked. The rk tables may share
+    // no conjunct among themselves (V3's {lineitem, customer} both join
+    // through orders), so joining them before T would multiply them. A
+    // table's own conjuncts filter its scan, and the anti-join conjuncts
+    // bound once it joins prune it (or the join) against the candidates.
+    RelExprPtr parent_expr = t_side;
+    std::set<std::string> joined = {updated_table_};
+    std::vector<ScalarExprPtr> links = q_rk;
+    links.insert(links.end(), q_rk_t.begin(), q_rk_t.end());
+    std::vector<std::string> pending = planner_->OrderTablesByRows(rk);
+    auto linked = [&](const std::string& table) {
+      return std::any_of(links.begin(), links.end(),
+                         [&](const ScalarExprPtr& c) {
+                           std::set<std::string> refs = c->ReferencedTables();
+                           if (refs.size() < 2 || refs.erase(table) == 0) {
+                             return false;
+                           }
+                           return std::includes(joined.begin(), joined.end(),
+                                                refs.begin(), refs.end());
+                         });
+    };
+    while (!pending.empty()) {
+      auto next = std::find_if(pending.begin(), pending.end(), linked);
+      if (next == pending.end()) next = pending.begin();
+      const std::string table = *next;
+      pending.erase(next);
+      joined.insert(table);
+      auto of_table = [&](const std::string& t) { return t == table; };
+      auto of_joined = [&](const std::string& t) {
+        return joined.count(t) > 0;
+      };
+      auto of_si = [&](const std::string& t) {
+        return term.source.count(t) > 0;
+      };
+      std::vector<ScalarExprPtr> filter = TakeBound(&links, of_table);
+      std::vector<ScalarExprPtr> join = TakeBound(&links, of_joined);
+      std::vector<ScalarExprPtr> scan_prune =
+          TakeBound(&q_ip_rk, [&](const std::string& t) {
+            return of_table(t) || of_si(t);
+          });
+      std::vector<ScalarExprPtr> join_prune =
+          TakeBound(&q_ip_rk, [&](const std::string& t) {
+            return of_joined(t) || of_si(t);
+          });
+
+      RelExprPtr right = RelExpr::Scan(table);
+      if (!filter.empty()) {
+        right = RelExpr::Select(right, MakeConjunction(filter));
       }
-      ScalarExprPtr join_pred = q_rk_t.empty()
-                                    ? ScalarExpr::Literal(Value::Int64(1))
-                                    : MakeConjunction(q_rk_t);
-      parent_expr =
-          RelExpr::Join(JoinKind::kInner, rk_expr, t_side, join_pred);
+      if (!scan_prune.empty()) {
+        right = RelExpr::Join(JoinKind::kLeftSemi, right,
+                              RelExpr::DeltaScan("#cands"),
+                              MakeConjunction(scan_prune));
+      }
+      parent_expr = RelExpr::Join(JoinKind::kInner, parent_expr, right,
+                                  join.empty()
+                                      ? ScalarExpr::Literal(Value::Int64(1))
+                                      : MakeConjunction(join));
+      if (!join_prune.empty()) {
+        parent_expr = RelExpr::Join(JoinKind::kLeftSemi, parent_expr,
+                                    RelExpr::DeltaScan("#cands"),
+                                    MakeConjunction(join_prune));
+      }
     }
     expr = RelExpr::Join(JoinKind::kLeftAnti, expr, parent_expr,
                          MakeConjunction(q_ip));

@@ -15,12 +15,10 @@
 
 namespace ojv {
 
-/// Where to compute the secondary delta from (paper §5.2 vs §5.3). The
-/// paper notes the optimizer should choose cost-based; kAuto implements
-/// that choice with a simple cardinality model, and the explicit values
-/// let benchmarks compare the two plans.
+/// Where to compute the secondary delta from: the view (paper §5.2) or
+/// the base tables (§5.3), kept as an ablation. Row views default to
+/// kFromView; aggregation views always compute from base tables.
 enum class SecondaryStrategy {
-  kAuto,            // pick per operation from estimated costs
   kFromView,        // semijoin/antijoin of ΔV^D against the view itself
   kFromBaseTables,  // recompute parent fragments from base tables
 };
@@ -34,12 +32,15 @@ enum class SecondaryStrategy {
 /// tuples may expose new orphans, which must be inserted.
 class SecondaryDeltaEngine {
  public:
-  /// All references must outlive the engine. `primary_delta` must be
-  /// aligned to the view's output schema.
+  /// All references and `planner` must outlive the engine.
+  /// `primary_delta` must be aligned to the view's output schema. The
+  /// planner's row estimates pick the order in which the §5.3
+  /// expressions join the residual parent tables.
   SecondaryDeltaEngine(const ViewDef& view_def, const Catalog& catalog,
                        const std::vector<Term>& terms,
                        const MaintenanceGraph& graph,
-                       const std::string& updated_table);
+                       const std::string& updated_table,
+                       opt::DeltaPlanner* planner);
 
   /// Uses `cache` for base-table scans of the §5.3 expressions
   /// (optional; not owned).
@@ -53,15 +54,9 @@ class SecondaryDeltaEngine {
   }
 
   /// Trace sink (optional; not owned). Records which strategy each
-  /// apply resolved to and, for the base-table plan, the §5.3
-  /// expressions' operator spans.
+  /// apply ran and, for the base-table plan, the §5.3 expressions'
+  /// operator spans.
   void set_trace(obs::TraceContext* trace) { trace_ = trace; }
-
-  /// Cost-based planner (optional; not owned). When set, the §5.3
-  /// expressions' inner-join chains over the residual parent tables (rk)
-  /// are ordered by estimated cardinality instead of name order. Null
-  /// (the static default) keeps the historic name order byte-for-byte.
-  void set_planner(opt::DeltaPlanner* planner) { planner_ = planner; }
 
   /// Processes every indirectly affected term for an insertion into the
   /// updated table. Deletes subsumed orphans from `view`; returns the
@@ -86,13 +81,6 @@ class SecondaryDeltaEngine {
   std::vector<Row> CandidatesFromBaseTables(const Relation& primary_delta,
                                             const Relation& delta_t,
                                             bool is_insert);
-
-  /// The strategy kAuto resolves to for a delta of the given size: the
-  /// view plan costs O(|ΔV^D|) index probes, the base-table plan touches
-  /// every parent fragment's tables, so the view wins unless the delta
-  /// dwarfs them (paper §5: "usually cheaper to use the view").
-  SecondaryStrategy ResolveStrategy(SecondaryStrategy requested,
-                                    int64_t primary_rows) const;
 
  private:
   struct TermPlan {
@@ -163,10 +151,10 @@ class SecondaryDeltaEngine {
   ExecConfig exec_;
   ThreadPool* pool_ = nullptr;
   obs::TraceContext* trace_ = nullptr;
-  opt::DeltaPlanner* planner_ = nullptr;
+  opt::DeltaPlanner* planner_;
 };
 
-/// Human-readable strategy name ("auto"/"from_view"/"from_base_tables").
+/// Human-readable strategy name ("from_view"/"from_base_tables").
 const char* SecondaryStrategyName(SecondaryStrategy strategy);
 
 }  // namespace ojv

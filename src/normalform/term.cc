@@ -24,14 +24,7 @@ bool Term::IsStrictSubsetOf(const Term& other) const {
 }
 
 RelExprPtr Term::ToRelExpr() const {
-  return ToRelExprOrdered(std::vector<std::string>(source.begin(), source.end()));
-}
-
-RelExprPtr Term::ToRelExprOrdered(const std::vector<std::string>& order) const {
   OJV_CHECK(!source.empty(), "term without source tables");
-  OJV_CHECK(order.size() == source.size() &&
-                std::set<std::string>(order.begin(), order.end()) == source,
-            "join order must be a permutation of the term's source");
   // Place each conjunct at the first join where all its tables are bound;
   // single-table conjuncts become selections on the scan.
   std::vector<bool> used(predicates.size(), false);
@@ -58,7 +51,7 @@ RelExprPtr Term::ToRelExprOrdered(const std::vector<std::string>& order) const {
     return out;
   };
 
-  for (const std::string& table : order) {
+  for (const std::string& table : source) {
     RelExprPtr scan = RelExpr::Scan(table);
     if (expr == nullptr) {
       std::vector<ScalarExprPtr> preds = conjuncts_bound_by(table);

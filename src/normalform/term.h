@@ -28,18 +28,10 @@ struct Term {
   /// True when `other.source` is a strict superset of `source`.
   bool IsStrictSubsetOf(const Term& other) const;
 
-  /// Builds the evaluable expression σ_p(T1 join T2 join ... join Tm).
-  /// The joins are inner joins over a cross-product chain; predicates are
-  /// applied in a single selection on top, which the evaluator's
-  /// conjunct-splitting turns back into hash joins where possible.
+  /// Builds the evaluable expression σ_p(T1 join T2 join ... join Tm):
+  /// inner joins in name order, each conjunct attached where all its
+  /// tables are first bound (a selection on T1's scan, else a join).
   RelExprPtr ToRelExpr() const;
-
-  /// ToRelExpr with an explicit join order. `order` must be a
-  /// permutation of `source`; each conjunct still attaches at the first
-  /// join where all its tables are bound (inner joins and conjunctive
-  /// predicates make every order equivalent). Cost-based planning feeds
-  /// an order sorted by estimated cardinality here.
-  RelExprPtr ToRelExprOrdered(const std::vector<std::string>& order) const;
 };
 
 /// Evaluable expression for the minimum union E1 ⊕ E2 ⊕ ... ⊕ En of all

@@ -2,43 +2,26 @@
 
 #include <algorithm>
 
-#include "exec/evaluator.h"
-
 namespace ojv {
 namespace opt {
 
 namespace {
 
-/// Post-order zip of exec events onto the plan tree (same pairing rule
-/// as ExplainMaintenance): children first, then this node consumes the
-/// next event if the span name matches its kind.
-void ZipPlan(const RelExprPtr& node,
-             const std::vector<const obs::TraceEvent*>& events, size_t* next,
-             std::unordered_map<const RelExpr*, const obs::TraceEvent*>* out) {
-  for (const RelExprPtr& child : node->children()) {
-    ZipPlan(child, events, next, out);
-  }
-  if (*next < events.size() &&
-      events[*next]->name == ExecSpanNameFor(node->kind())) {
-    (*out)[node.get()] = events[*next];
-    ++*next;
-  }
-}
-
 void Collect(const RelExprPtr& node, const PlannedDelta& plan,
-             const std::unordered_map<const RelExpr*, const obs::TraceEvent*>&
-                 node_event,
+             const std::unordered_map<const RelExpr*, int64_t>& rows_out,
              FeedbackResult* result) {
   if (node->kind() != RelKind::kJoin) {
-    if (!node->children().empty()) Collect(node->children()[0], plan, node_event, result);
+    if (!node->children().empty()) {
+      Collect(node->children()[0], plan, rows_out, result);
+    }
     return;
   }
   // Main path first so steps come out bottom-up.
-  Collect(node->left(), plan, node_event, result);
+  Collect(node->left(), plan, rows_out, result);
 
-  auto ev_it = node_event.find(node.get());
-  if (ev_it == node_event.end()) return;
-  double actual = static_cast<double>(ev_it->second->ArgOr("rows_out", 0));
+  auto out_it = rows_out.find(node.get());
+  if (out_it == rows_out.end()) return;
+  double actual = static_cast<double>(out_it->second);
 
   auto est_it = plan.node_est.find(node.get());
   if (est_it != plan.node_est.end()) {
@@ -50,15 +33,14 @@ void Collect(const RelExprPtr& node, const PlannedDelta& plan,
   std::set<std::string> right_tables = node->right()->ReferencedTables();
   if (right_tables.size() != 1) return;
 
-  // Fanout is rows-out per *left-input* row. With a partial event
-  // stream the left child may have no span; defaulting its cardinality
-  // would overstate the fanout by the missing row count and poison the
-  // EMA (a spurious drift re-plan at the next maintenance), so the step
-  // is skipped entirely — no observation beats a fabricated one.
-  auto left_ev = node_event.find(node->left().get());
-  if (left_ev == node_event.end()) return;
-  double left_rows =
-      static_cast<double>(left_ev->second->ArgOr("rows_out", 0));
+  // Fanout is rows-out per *left-input* row. When the left child has no
+  // count, defaulting its cardinality would overstate the fanout by the
+  // missing row count and poison the EMA (a spurious drift re-plan at
+  // the next maintenance), so the step is skipped entirely — no
+  // observation beats a fabricated one.
+  auto left_it = rows_out.find(node->left().get());
+  if (left_it == rows_out.end()) return;
+  double left_rows = static_cast<double>(left_it->second);
 
   StepFeedback step;
   step.right_table = *right_tables.begin();
@@ -70,23 +52,11 @@ void Collect(const RelExprPtr& node, const PlannedDelta& plan,
 
 }  // namespace
 
-FeedbackResult HarvestFeedback(const PlannedDelta& plan,
-                               const std::vector<obs::TraceEvent>& events) {
+FeedbackResult HarvestFeedback(
+    const PlannedDelta& plan,
+    const std::unordered_map<const RelExpr*, int64_t>& rows_out) {
   FeedbackResult result;
-  if (plan.expr == nullptr) return result;
-
-  std::vector<const obs::TraceEvent*> execs;
-  execs.reserve(events.size());
-  for (const obs::TraceEvent& ev : events) {
-    if (ev.category == "exec") execs.push_back(&ev);
-  }
-  if (execs.empty()) return result;
-
-  std::unordered_map<const RelExpr*, const obs::TraceEvent*> node_event;
-  size_t next = 0;
-  ZipPlan(plan.expr, execs, &next, &node_event);
-
-  Collect(plan.expr, plan, node_event, &result);
+  if (plan.expr != nullptr) Collect(plan.expr, plan, rows_out, &result);
   return result;
 }
 

@@ -1,11 +1,11 @@
 #ifndef OJV_OPT_FEEDBACK_H_
 #define OJV_OPT_FEEDBACK_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "obs/trace.h"
 #include "opt/plan_cache.h"
 
 namespace ojv {
@@ -28,15 +28,14 @@ struct FeedbackResult {
 };
 
 /// Harvests actual per-operator cardinalities for one evaluation of
-/// `plan.expr` from recorded trace events (LEO-style feedback). `events`
-/// must be the events recorded during that evaluation, in record order;
-/// non-exec events are ignored. The evaluator records exec spans in
-/// post-order, so zipping a post-order walk of the plan against the
-/// event sequence pairs each node with its span. Join steps whose right
+/// `plan.expr` (LEO-style feedback). `rows_out` maps each node of the
+/// plan that the evaluation reached to its output row count, as
+/// Evaluator::set_row_counts records them. Join steps whose right
 /// operand is a single base table yield an observed fanout keyed by that
 /// table; everything else only contributes to drift.
-FeedbackResult HarvestFeedback(const PlannedDelta& plan,
-                               const std::vector<obs::TraceEvent>& events);
+FeedbackResult HarvestFeedback(
+    const PlannedDelta& plan,
+    const std::unordered_map<const RelExpr*, int64_t>& rows_out);
 
 /// Folds observed fanouts into the plan-cache EMA:
 /// ema = alpha * actual + (1 - alpha) * old (seeded with actual).

@@ -38,7 +38,7 @@ struct PlanCacheEntry {
   std::unordered_map<std::string, double> fanout_ema;
   double planned_delta_rows = 1;  // |Δ| the plan was costed for
   bool dirty = false;             // drift exceeded threshold → re-plan
-  std::string source = "planned";  // planned | cache | replan | static
+  std::string source = "planned";  // planned | cache | replan
   int64_t hits = 0;
   int64_t replans = 0;
 };

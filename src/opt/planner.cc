@@ -267,16 +267,6 @@ void Annotate(const RelExprPtr& e, CardinalityEstimator* est,
 
 }  // namespace
 
-const char* PlannerModeName(PlannerOptions::Mode mode) {
-  switch (mode) {
-    case PlannerOptions::Mode::kStatic:
-      return "static";
-    case PlannerOptions::Mode::kCostBased:
-      return "cost_based";
-  }
-  return "?";
-}
-
 PlannedDelta DeltaPlanner::Plan(
     const RelExprPtr& static_expr, const std::string& delta_table,
     double delta_rows,

@@ -12,15 +12,6 @@
 namespace ojv {
 namespace opt {
 
-/// Cost-based delta planning switch (MaintenanceOptions.planner).
-struct PlannerOptions {
-  enum class Mode {
-    kStatic,     // keep the syntactic left-deep order (pre-planner behavior)
-    kCostBased,  // reorder join steps by estimated cost
-  };
-  Mode mode = Mode::kCostBased;
-};
-
 /// Runs with at most this many join steps are ordered by exhaustive
 /// (branch-and-bound) enumeration; longer runs fall back to greedy
 /// min-output-cardinality.
@@ -54,8 +45,7 @@ inline constexpr double kFanoutEmaAlpha = 0.5;
 /// executor has not already been proven against.
 class DeltaPlanner {
  public:
-  DeltaPlanner(StatsCatalog* stats, const PlannerOptions& options)
-      : stats_(stats), options_(options) {}
+  explicit DeltaPlanner(StatsCatalog* stats) : stats_(stats) {}
 
   /// Plans `static_expr` (the ToLeftDeep output for updates of
   /// `delta_table`) for a pending delta of `delta_rows` rows.
@@ -77,21 +67,15 @@ class DeltaPlanner {
   }
 
   /// Orders `tables` by ascending estimated row count (deterministic:
-  /// ties break by name). Used for inner-join chains whose order is
-  /// unconstrained, e.g. the secondary-delta from-base rk chains.
+  /// ties break by name). The secondary delta's §5.3 fragments join
+  /// their residual parent tables in this order where conjuncts allow.
   std::vector<std::string> OrderTablesByRows(
       const std::set<std::string>& tables);
 
-  const PlannerOptions& options() const { return options_; }
-  StatsCatalog* stats() { return stats_; }
-
  private:
   StatsCatalog* stats_;
-  PlannerOptions options_;
   std::unordered_map<std::string, PartitionExclusion> exclusions_;
 };
-
-const char* PlannerModeName(PlannerOptions::Mode mode);
 
 }  // namespace opt
 }  // namespace ojv

@@ -10,6 +10,7 @@
 #include "baseline/recompute.h"
 #include "exec/relation.h"
 #include "ivm/database.h"
+#include "obs/trace.h"
 #include "tpch/dbgen.h"
 #include "tpch/refresh.h"
 #include "tpch/tpch_schema.h"
@@ -128,6 +129,75 @@ TEST_F(DeferredTpchTest, PoliciesConvergeOnRandomizedRefreshMix) {
   EXPECT_TRUE(ViewMatchesRecompute(*immediate_.catalog(),
                                    views_[0]->view_def(), views_[0]->view(),
                                    &diff))
+      << diff;
+}
+
+// A deferred refresh that computes ΔV^I from base tables (every
+// aggregation view, and a row view with kFromBaseTables) replays the
+// batch's orders insert on the constraint-free plans. There V3's {part}
+// term has the parent {lineitem, orders, customer, part}, whose residual
+// tables {lineitem, customer} share no conjunct: both join through
+// orders. Joining them before orders built a |lineitem| x |customer|
+// product; every join of the refresh must stay within |lineitem| rows.
+TEST(DeferredFromBaseTablesTest, RefreshJoinsStayWithinLineitemRows) {
+  tpch::DbgenOptions options;
+  options.scale_factor = 0.002;
+  tpch::Dbgen dbgen(options);
+  Database db;
+  tpch::CreateSchema(db.catalog());
+  dbgen.Populate(db.catalog());
+  const ViewDef v3 = tpch::MakeV3(*db.catalog());
+  db.CreateAggregateView(
+      ViewDef("v3_by_segment_date", v3.tree(), v3.output(), *db.catalog()),
+      {{"customer", "c_mktsegment"}, {"orders", "o_orderdate"}},
+      {{AggregateSpec::Kind::kCountStar, {}, "rows"},
+       {AggregateSpec::Kind::kSum, {"lineitem", "l_extendedprice"},
+        "revenue"}});
+  MaintenanceOptions from_base;
+  from_base.secondary_strategy = SecondaryStrategy::kFromBaseTables;
+  db.CreateMaterializedView(
+      ViewDef("v3_from_base", v3.tree(), v3.output(), *db.catalog()),
+      &from_base);
+  for (const char* view : {"v3_by_segment_date", "v3_from_base"}) {
+    db.SetRefreshPolicy(view, RefreshPolicy::kOnDemand);
+  }
+
+  // 10 new lineitems on existing orders, then delete those 10, then 5
+  // new orders with 3 lineitems each.
+  tpch::RefreshStream stream(db.catalog(), &dbgen, 42);
+  const Table& lineitem = *db.catalog()->GetTable("lineitem");
+  std::vector<Row> lines = stream.NewLineitems(10);
+  ASSERT_TRUE(db.Insert("lineitem", lines).ok());
+  std::vector<Row> keys;
+  for (const Row& row : lines) keys.push_back(lineitem.KeyOf(row));
+  ASSERT_TRUE(db.Delete("lineitem", keys).ok());
+  std::vector<Row> orders = stream.NewOrders(5);
+  ASSERT_TRUE(db.Insert("orders", orders).ok());
+  ASSERT_TRUE(db.Insert("lineitem", stream.NewLineitemsFor(orders, 3)).ok());
+
+  obs::TraceContext trace;
+  db.set_trace(&trace);
+  db.Refresh("v3_by_segment_date");
+  db.Refresh("v3_from_base");
+  db.set_trace(nullptr);
+
+  int64_t joins = 0;
+  for (const obs::TraceEvent& ev : trace.Snapshot()) {
+    if (ev.name != "exec.join") continue;
+    ++joins;
+    EXPECT_LE(ev.ArgOr("rows_out", 0), lineitem.size());
+  }
+  if (obs::kEnabled) {
+    EXPECT_GT(joins, 0);
+  }
+
+  std::string diff;
+  EXPECT_TRUE(db.GetAggregateView("v3_by_segment_date")
+                  ->MatchesRecompute(1e-9, &diff))
+      << diff;
+  ViewMaintainer* from_base_view = db.GetView("v3_from_base");
+  EXPECT_TRUE(ViewMatchesRecompute(*db.catalog(), from_base_view->view_def(),
+                                   from_base_view->view(), &diff))
       << diff;
 }
 

@@ -1,6 +1,6 @@
 // Equivalence of every physical execution strategy over the TPC-H
-// views: serial hash joins (the reference), sort-merge joins, and the
-// morsel-parallel operators at 1 / 2 / 8 threads must produce
+// views: serial hash joins (the reference) and the morsel-parallel
+// operators at 1 / 2 / 8 threads must produce
 // Relation::Equals view contents for the full maintenance pipeline —
 // initialization, primary delta, secondary delta (both the §5.2
 // view-based and §5.3 base-table strategies), and the deferred
@@ -34,10 +34,6 @@ struct Variant {
 std::vector<Variant> Variants() {
   std::vector<Variant> variants;
   variants.push_back({"serial-hash", MaintenanceOptions()});
-
-  Variant sort_merge{"sort-merge", MaintenanceOptions()};
-  sort_merge.options.join_algorithm = Evaluator::JoinAlgorithm::kSortMerge;
-  variants.push_back(sort_merge);
 
   for (int threads : {1, 2, 8}) {
     Variant parallel{"parallel-" + std::to_string(threads),

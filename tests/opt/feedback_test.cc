@@ -1,8 +1,8 @@
-// LEO-style feedback harvesting: full event streams yield per-step
-// fanouts; partial streams (a missing left-child exec span) must not
-// fabricate a fanout — the regression here is that a missing left event
-// used to default left_rows to 1, overstating the fanout by orders of
-// magnitude and poisoning the plan cache's EMA.
+// LEO-style feedback harvesting: full row counts yield per-step fanouts;
+// partial counts (a missing left-child count) must not fabricate a
+// fanout — the regression here is that a missing left count used to
+// default left_rows to 1, overstating the fanout by orders of magnitude
+// and poisoning the plan cache's EMA.
 
 #include "opt/feedback.h"
 
@@ -10,7 +10,6 @@
 
 #include "algebra/rel_expr.h"
 #include "algebra/scalar_expr.h"
-#include "exec/evaluator.h"
 
 namespace ojv {
 namespace opt {
@@ -22,13 +21,7 @@ ScalarExprPtr JoinPred(const char* t1, const char* c1, const char* t2,
                              ScalarExpr::Column(t2, c2));
 }
 
-obs::TraceEvent ExecEvent(const char* name, int64_t rows_out) {
-  obs::TraceEvent ev;
-  ev.name = name;
-  ev.category = "exec";
-  ev.args.emplace_back("rows_out", rows_out);
-  return ev;
-}
+using RowCounts = std::unordered_map<const RelExpr*, int64_t>;
 
 /// ΔR ⋈ S ⋈ T, the left-deep main path the planner emits.
 PlannedDelta MakePlan() {
@@ -41,15 +34,22 @@ PlannedDelta MakePlan() {
   return plan;
 }
 
-TEST(FeedbackTest, FullEventStreamYieldsBothFanouts) {
-  PlannedDelta plan = MakePlan();
-  // Post-order: ΔR(10) S(50) join1(20) T(5) join2(40).
-  std::vector<obs::TraceEvent> events = {
-      ExecEvent("exec.delta_scan", 10), ExecEvent("exec.scan", 50),
-      ExecEvent("exec.join", 20), ExecEvent("exec.scan", 5),
-      ExecEvent("exec.join", 40)};
+/// Counts for ΔR(10) S(50) join1(20) T(5) join2(40); without_delta
+/// leaves out ΔR's.
+RowCounts Counts(const PlannedDelta& plan, bool without_delta = false) {
+  const RelExprPtr& join2 = plan.expr;
+  const RelExprPtr& join1 = join2->left();
+  RowCounts counts = {{join1->right().get(), 50},
+                      {join1.get(), 20},
+                      {join2->right().get(), 5},
+                      {join2.get(), 40}};
+  if (!without_delta) counts[join1->left().get()] = 10;
+  return counts;
+}
 
-  FeedbackResult result = HarvestFeedback(plan, events);
+TEST(FeedbackTest, FullCountsYieldBothFanouts) {
+  PlannedDelta plan = MakePlan();
+  FeedbackResult result = HarvestFeedback(plan, Counts(plan));
   ASSERT_EQ(result.steps.size(), 2u);
   EXPECT_EQ(result.steps[0].right_table, "S");
   EXPECT_DOUBLE_EQ(result.steps[0].actual_fanout, 20.0 / 10.0);
@@ -57,31 +57,24 @@ TEST(FeedbackTest, FullEventStreamYieldsBothFanouts) {
   EXPECT_DOUBLE_EQ(result.steps[1].actual_fanout, 40.0 / 20.0);
 }
 
-TEST(FeedbackTest, MissingLeftEventSkipsStepInsteadOfFabricatingFanout) {
+TEST(FeedbackTest, MissingLeftCountSkipsStepInsteadOfFabricatingFanout) {
   PlannedDelta plan = MakePlan();
-  // Partial stream: the ΔR delta-scan span is missing (e.g. the trace
-  // window started mid-evaluation). join1's left child then has no
-  // event; its step must be dropped, not computed against left_rows=1
-  // (which would claim fanout 20 instead of 2).
-  std::vector<obs::TraceEvent> events = {
-      ExecEvent("exec.scan", 50), ExecEvent("exec.join", 20),
-      ExecEvent("exec.scan", 5), ExecEvent("exec.join", 40)};
-
-  FeedbackResult result = HarvestFeedback(plan, events);
+  // Partial counts: the ΔR delta scan has none. join1's left child then
+  // has no count; its step must be dropped, not computed against
+  // left_rows=1 (which would claim fanout 20 instead of 2).
+  FeedbackResult result =
+      HarvestFeedback(plan, Counts(plan, /*without_delta=*/true));
   ASSERT_EQ(result.steps.size(), 1u);
-  // join2's left (join1) still has its event, so T's step survives.
+  // join2's left (join1) still has its count, so T's step survives.
   EXPECT_EQ(result.steps[0].right_table, "T");
   EXPECT_DOUBLE_EQ(result.steps[0].actual_fanout, 40.0 / 20.0);
 }
 
-TEST(FeedbackTest, MissingLeftEventLeavesEmaUnperturbed) {
+TEST(FeedbackTest, MissingLeftCountLeavesEmaUnperturbed) {
   PlannedDelta plan = MakePlan();
-  std::vector<obs::TraceEvent> partial = {
-      ExecEvent("exec.scan", 50), ExecEvent("exec.join", 20),
-      ExecEvent("exec.scan", 5), ExecEvent("exec.join", 40)};
-
   std::unordered_map<std::string, double> ema = {{"S", 2.0}, {"T", 2.0}};
-  FeedbackResult result = HarvestFeedback(plan, partial);
+  FeedbackResult result =
+      HarvestFeedback(plan, Counts(plan, /*without_delta=*/true));
   UpdateFanoutEma(result, /*alpha=*/0.5, &ema);
 
   // S saw no (fabricated) observation: its EMA is untouched. T folded
@@ -89,7 +82,7 @@ TEST(FeedbackTest, MissingLeftEventLeavesEmaUnperturbed) {
   EXPECT_DOUBLE_EQ(ema["S"], 2.0);
   EXPECT_DOUBLE_EQ(ema["T"], 2.0);
 
-  // The regression: before the fix, the partial stream produced an S
+  // The regression: before the fix, the partial counts produced an S
   // step with fanout = 20 (actual rows over a defaulted left of 1),
   // which at alpha=0.5 would have dragged the EMA to 11.
   for (const StepFeedback& step : result.steps) {
@@ -97,7 +90,7 @@ TEST(FeedbackTest, MissingLeftEventLeavesEmaUnperturbed) {
   }
 }
 
-TEST(FeedbackTest, EmptyEventStreamYieldsNothing) {
+TEST(FeedbackTest, EmptyCountsYieldNothing) {
   PlannedDelta plan = MakePlan();
   FeedbackResult result = HarvestFeedback(plan, {});
   EXPECT_TRUE(result.steps.empty());

@@ -8,6 +8,7 @@
 #include "catalog/catalog.h"
 #include "ivm/maintainer.h"
 #include "ivm/view_def.h"
+#include "obs/trace.h"
 
 namespace ojv {
 namespace opt {
@@ -155,6 +156,59 @@ TEST_F(MaintainerPlanCacheTest, InvalidatePlansDropsCacheAndStats) {
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->source, "planned");
   EXPECT_GT(maintainer.stats_catalog()->rebuild_count(), rebuilds_before);
+}
+
+TEST_F(MaintainerPlanCacheTest, FeedbackRunsWithoutTrace) {
+  ViewMaintainer maintainer(&catalog_, *view_, MaintenanceOptions());
+  maintainer.InitializeView();
+  maintainer.OnInsert("D", ApplyBaseInsert(catalog_.GetTable("D"), Fresh(8)));
+
+  const PlanCacheEntry* entry =
+      maintainer.plan_entry("D", true, PlanPolicy::kDefault);
+  ASSERT_NE(entry, nullptr);
+  // Every D row matches exactly one B row.
+  ASSERT_EQ(entry->fanout_ema.count("B"), 1u);
+  EXPECT_DOUBLE_EQ(entry->fanout_ema.at("B"), 1.0);
+}
+
+TEST_F(MaintainerPlanCacheTest, TraceDoesNotChangePlanning) {
+  obs::TraceContext trace;
+  MaintenanceOptions traced_options;
+  traced_options.trace = &trace;
+  ViewMaintainer traced(&catalog_, *view_, traced_options);
+  ViewMaintainer untraced(&catalog_, *view_, MaintenanceOptions());
+  traced.InitializeView();
+  untraced.InitializeView();
+  Table* d = catalog_.GetTable("D");
+
+  // Batch sizes that shift |Δ| past kReplanDeltaLog2 both ways; each
+  // batch is half deleted again.
+  for (int64_t n : {4, 8, 512, 3, 64}) {
+    std::vector<Row> inserted = ApplyBaseInsert(d, Fresh(n));
+    traced.OnInsert("D", inserted);
+    untraced.OnInsert("D", inserted);
+    std::vector<Row> keys;
+    for (size_t i = 0; i < inserted.size() / 2; ++i) {
+      keys.push_back(Row{inserted[i][0]});
+    }
+    std::vector<Row> deleted = ApplyBaseDelete(d, keys);
+    traced.OnDelete("D", deleted);
+    untraced.OnDelete("D", deleted);
+  }
+
+  const PlanCacheEntry* insert_entry =
+      untraced.plan_entry("D", true, PlanPolicy::kDefault);
+  ASSERT_NE(insert_entry, nullptr);
+  EXPECT_GT(insert_entry->replans, 0);
+  EXPECT_FALSE(insert_entry->fanout_ema.empty());
+  ASSERT_EQ(traced.plan_cache().size(), untraced.plan_cache().size());
+  for (const auto& [key, entry] : traced.plan_cache().entries()) {
+    const PlanCacheEntry* other = untraced.plan_cache().Find(key);
+    ASSERT_NE(other, nullptr) << key;
+    EXPECT_EQ(entry.plan.order, other->plan.order) << key;
+    EXPECT_EQ(entry.replans, other->replans) << key;
+    EXPECT_EQ(entry.fanout_ema, other->fanout_ema) << key;
+  }
 }
 
 TEST_F(MaintainerPlanCacheTest, UpdatePolicyUsesConstraintFreeSlot) {

@@ -133,8 +133,7 @@ TEST_P(PlannerPropertyTest, EveryValidOrderEvaluatesIdentically) {
 
 // Full-system check: maintenance with the cost-based planner (serial and
 // morsel-parallel) tracks a from-scratch recomputation across a random
-// insert/delete workload, and both maintainers agree with the static
-// planner row for row.
+// insert/delete workload.
 class PlannerMaintenanceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PlannerMaintenanceTest, CostBasedMaintenanceMatchesRecompute) {
@@ -194,14 +193,10 @@ TEST_P(PlannerMaintenanceTest, CostBasedMaintenanceMatchesRecompute) {
   MaintenanceOptions costed;  // cost-based default
   MaintenanceOptions parallel = costed;
   parallel.exec.num_threads = 4;
-  MaintenanceOptions statik;
-  statik.planner.mode = opt::PlannerOptions::Mode::kStatic;
   ViewMaintainer costed_m(&catalog, view, costed);
   ViewMaintainer parallel_m(&catalog, view, parallel);
-  ViewMaintainer static_m(&catalog, view, statik);
   costed_m.InitializeView();
   parallel_m.InitializeView();
-  static_m.InitializeView();
 
   int64_t next_key = 5000;
   const char* tables[] = {"D", "A", "B"};
@@ -217,7 +212,6 @@ TEST_P(PlannerMaintenanceTest, CostBasedMaintenanceMatchesRecompute) {
       std::vector<Row> deleted = ApplyBaseDelete(table, keys);
       costed_m.OnDelete(name, deleted);
       parallel_m.OnDelete(name, deleted);
-      static_m.OnDelete(name, deleted);
     } else {
       std::vector<Row> rows;
       int n = static_cast<int>(rng.Uniform(1, 5));
@@ -236,15 +230,12 @@ TEST_P(PlannerMaintenanceTest, CostBasedMaintenanceMatchesRecompute) {
       std::vector<Row> inserted = ApplyBaseInsert(table, rows);
       costed_m.OnInsert(name, inserted);
       parallel_m.OnInsert(name, inserted);
-      static_m.OnInsert(name, inserted);
     }
     std::string diff;
     ASSERT_TRUE(ViewMatchesRecompute(catalog, view, costed_m.view(), &diff))
         << "costed op " << op << " on " << name << ": " << diff;
     ASSERT_TRUE(ViewMatchesRecompute(catalog, view, parallel_m.view(), &diff))
         << "parallel op " << op << " on " << name << ": " << diff;
-    ASSERT_TRUE(ViewMatchesRecompute(catalog, view, static_m.view(), &diff))
-        << "static op " << op << " on " << name << ": " << diff;
   }
 }
 

@@ -72,7 +72,7 @@ class PlannerTest : public ::testing::Test {
 };
 
 TEST_F(PlannerTest, ReordersSelectiveJoinFirst) {
-  DeltaPlanner planner(stats_.get(), PlannerOptions());
+  DeltaPlanner planner(stats_.get());
   PlannedDelta plan = planner.Plan(StaticDelta(), "D", 100);
   EXPECT_TRUE(plan.reordered);
   EXPECT_EQ(plan.order, "S,B");
@@ -86,7 +86,7 @@ TEST_F(PlannerTest, ReordersSelectiveJoinFirst) {
 }
 
 TEST_F(PlannerTest, PlanningIsDeterministic) {
-  DeltaPlanner planner(stats_.get(), PlannerOptions());
+  DeltaPlanner planner(stats_.get());
   PlannedDelta a = planner.Plan(StaticDelta(), "D", 100);
   PlannedDelta b = planner.Plan(StaticDelta(), "D", 100);
   EXPECT_EQ(a.order, b.order);
@@ -101,7 +101,7 @@ TEST_F(PlannerTest, KeepsStaticOrderWhenAlreadyOptimal) {
                     RelExpr::Scan("S"), Eq("D", "d_s", "S", "s_id"));
   RelExprPtr expr = RelExpr::Join(JoinKind::kInner, ds, RelExpr::Scan("B"),
                                   Eq("D", "d_b", "B", "b_id"));
-  DeltaPlanner planner(stats_.get(), PlannerOptions());
+  DeltaPlanner planner(stats_.get());
   PlannedDelta plan = planner.Plan(expr, "D", 100);
   EXPECT_FALSE(plan.reordered);
   EXPECT_EQ(plan.expr.get(), expr.get());
@@ -111,7 +111,7 @@ TEST_F(PlannerTest, KeepsStaticOrderWhenAlreadyOptimal) {
 TEST_F(PlannerTest, FanoutEmaOverridesStatistics) {
   // Feedback says B is actually selective (fanout 0.01) and S expands
   // (fanout 30): the planner must flip its order.
-  DeltaPlanner planner(stats_.get(), PlannerOptions());
+  DeltaPlanner planner(stats_.get());
   std::unordered_map<std::string, double> ema = {{"B", 0.01}, {"S", 30.0}};
   PlannedDelta plan = planner.Plan(StaticDelta(), "D", 100, &ema);
   EXPECT_EQ(plan.order, "B,S");
@@ -126,45 +126,14 @@ TEST_F(PlannerTest, PredicateDependencyConstrainsOrder) {
                     RelExpr::Scan("B"), Eq("D", "d_b", "B", "b_id"));
   RelExprPtr expr = RelExpr::Join(JoinKind::kInner, db, RelExpr::Scan("S"),
                                   Eq("B", "b_seq", "S", "s_id"));
-  DeltaPlanner planner(stats_.get(), PlannerOptions());
+  DeltaPlanner planner(stats_.get());
   PlannedDelta plan = planner.Plan(expr, "D", 100);
   EXPECT_EQ(plan.order, "B,S");
   EXPECT_FALSE(plan.reordered);
 }
 
-TEST_F(PlannerTest, StaticModeNeverPlans) {
-  // The maintainer in kStatic mode constructs no planner at all and its
-  // plan cache stays empty.
-  ViewDef view(
-      "v",
-      RelExpr::Join(
-          JoinKind::kInner,
-          RelExpr::Join(JoinKind::kInner, RelExpr::Scan("D"),
-                        RelExpr::Scan("B"), Eq("D", "d_b", "B", "b_id")),
-          RelExpr::Scan("S"), Eq("D", "d_s", "S", "s_id")),
-      {{"D", "d_id"},
-       {"D", "d_b"},
-       {"D", "d_s"},
-       {"B", "b_id"},
-       {"B", "b_seq"},
-       {"S", "s_id"}},
-      catalog_);
-  MaintenanceOptions options;
-  options.planner.mode = PlannerOptions::Mode::kStatic;
-  ViewMaintainer maintainer(&catalog_, view, options);
-  maintainer.InitializeView();
-  std::vector<Row> rows = {Row{Value::Int64(5000), Value::Int64(3),
-                               Value::Int64(50)}};
-  std::vector<Row> inserted =
-      ApplyBaseInsert(catalog_.GetTable("D"), rows);
-  maintainer.OnInsert("D", inserted);
-  EXPECT_EQ(maintainer.stats_catalog(), nullptr);
-  EXPECT_EQ(maintainer.plan_cache().size(), 0u);
-  EXPECT_EQ(maintainer.plan_entry("D", true, PlanPolicy::kDefault), nullptr);
-}
-
 TEST_F(PlannerTest, OrderTablesByRowsAscendingWithNameTieBreak) {
-  DeltaPlanner planner(stats_.get(), PlannerOptions());
+  DeltaPlanner planner(stats_.get());
   std::vector<std::string> order =
       planner.OrderTablesByRows({"D", "B", "S"});
   // |S|=100 < |B|=400 < |D|=1000.
