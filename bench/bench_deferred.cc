@@ -15,9 +15,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
-#include <thread>
-
 #include "bench_util.h"
 #include "ivm/database.h"
 #include "obs/flight_recorder.h"
@@ -31,13 +28,12 @@ namespace {
 /// A Database with TPC-H populated and V3 registered.
 struct Instance {
   Database db;
-  ViewMaintainer* v3 = nullptr;
 
-  explicit Instance(tpch::Dbgen* dbgen) {
+  Instance(tpch::Dbgen* dbgen, const MaintenanceOptions& options) {
     tpch::CreateSchema(db.catalog());
     // Populate is deterministic: both instances get identical tables.
     dbgen->Populate(db.catalog());
-    v3 = db.CreateMaterializedView(tpch::MakeV3(*db.catalog()));
+    db.CreateMaterializedView(tpch::MakeV3(*db.catalog()), &options);
   }
 };
 
@@ -57,8 +53,8 @@ int Run(int argc, char** argv) {
 
   // Live telemetry: `--metrics-port=9464` serves /metrics (Prometheus),
   // /snapshot.json, and /flight.json on localhost for the whole run, so
-  // the admission tables below can be watched from curl or ojv_top
-  // while they execute.
+  // the tables below can be watched from curl or ojv_top while they
+  // execute.
   obs::HttpExportServer metrics_server;
   if (options.metrics_port != 0) {
     if (metrics_server.Start(options.metrics_port)) {
@@ -83,14 +79,15 @@ int Run(int argc, char** argv) {
   gen_options.scale_factor = options.scale_factor;
   gen_options.seed = options.seed;
   tpch::Dbgen dbgen(gen_options);
-  Instance immediate(&dbgen);
-  Instance deferred(&dbgen);
-  // Consolidated batch replays may use the morsel-parallel executor
-  // (--threads=N); foreground statements stay serial.
-  deferred::ThresholdConfig refresh_config;
-  refresh_config.refresh_threads = options.threads;
-  deferred.db.SetRefreshPolicy("v3", deferred::RefreshPolicy::kOnDemand,
-                               refresh_config);
+  Instance immediate(&dbgen, MaintenanceOptions());
+  // A deferred view is maintained only by its refreshes, so its executor
+  // config is its refresh executor: consolidated batch replays may use
+  // the morsel-parallel executor (--threads=N), while the immediate
+  // instance's per-statement maintenance stays serial.
+  MaintenanceOptions refresh_options;
+  refresh_options.exec.num_threads = options.threads;
+  Instance deferred(&dbgen, refresh_options);
+  deferred.db.SetRefreshPolicy("v3", deferred::RefreshPolicy::kOnDemand);
 
   // One stream drives both databases so their base states stay equal.
   tpch::RefreshStream stream(immediate.db.catalog(), &dbgen, options.seed);
@@ -159,100 +156,6 @@ int Run(int argc, char** argv) {
     report.Num("deferred_ms", deferred_ms);
     report.Count("consolidated_rows", stats.consolidated_rows);
     report.Count("cancelled_rows", stats.cancelled_rows);
-  }
-
-  // Admission control: the same insert loop against a kThreshold view.
-  // Without a controller every threshold trip pays an inline refresh in
-  // the middle of the hot loop; with one, the loop goes hot (delta-log
-  // depth over budget), trips are deferred, and one promoted refresh
-  // drains the backlog once staleness drifts toward its 200ms ceiling —
-  // while actual staleness is still under the ceiling, because the
-  // windowed percentile bound rounds up and so promotes early.
-  constexpr double kCeilingMicros = 200'000;
-  PrintHeader(
-      "Admission control (hot threshold loop: defer under load, promote on "
-      "staleness)",
-      {"Rows", "NoAdmission", "Admission", "Deferred", "Promoted", "Promote",
-       "Staleness"});
-  for (int64_t batch : options.batches) {
-    deferred::ThresholdConfig threshold;
-    threshold.refresh_threads = options.threads;
-    threshold.max_pending_rows = std::max<int64_t>(batch / 4, 8);
-    threshold.staleness_ceiling_micros = kCeilingMicros;
-    deferred.db.SetRefreshPolicy("v3", deferred::RefreshPolicy::kThreshold,
-                                 threshold);
-
-    // Legacy scan: threshold trips refresh inline, mid-loop.
-    std::vector<Row> rows = stream.NewLineitems(batch);
-    double noadm_ms = TimeMs([&] {
-      for (const Row& row : rows) deferred.db.Insert("lineitem", {row});
-    });
-    deferred.db.Refresh("v3");
-    std::vector<Row> keys = LineitemKeys(rows);
-    deferred.db.Delete("lineitem", keys);
-    deferred.db.Refresh("v3");
-
-    // Admission control on: depth budget 4 makes the loop hot within
-    // four statements; hot_slice 0 defers every trip.
-    deferred::AdmissionConfig admission;
-    admission.enabled = true;
-    admission.statement_budget_micros = 1'000'000'000;
-    admission.refresh_budget_micros = 1'000'000'000;
-    admission.log_depth_budget_rows = 4;
-    admission.hot_slice = 0;
-    admission.backoff_initial_micros = 200;
-    admission.backoff_max_micros = 2'000;
-    deferred.db.SetAdmissionControl(admission);
-
-    rows = stream.NewLineitems(batch);
-    double adm_ms = TimeMs([&] {
-      for (const Row& row : rows) deferred.db.Insert("lineitem", {row});
-    });
-
-    // Let staleness drift: at ~131ms the windowed p99 bucket bound
-    // crosses the 200ms ceiling. The next statement's due-view scan
-    // then promotes v3 past the load gate and drains the whole backlog
-    // in one consolidated refresh.
-    std::this_thread::sleep_for(std::chrono::milliseconds(135));
-    MaintenanceStats promote_stats;
-    deferred.v3->set_stats_hook(
-        [&promote_stats](const std::string&, const MaintenanceStats& s) {
-          promote_stats.Merge(s);
-        });
-    Row sentinel = stream.NewLineitems(1)[0];
-    double promote_ms =
-        TimeMs([&] { deferred.db.Insert("lineitem", {sentinel}); });
-    deferred.v3->set_stats_hook(nullptr);
-
-    Database::AdmissionStats adm_stats = deferred.db.GetAdmissionStats();
-    const deferred::ViewRefreshState state = deferred.db.RefreshState("v3");
-    double stale_ms = state.last.staleness_micros / 1000.0;
-
-    char stale[32];
-    std::snprintf(stale, sizeof(stale), "%.1f/%.0fms", stale_ms,
-                  kCeilingMicros / 1000.0);
-    PrintRow({FormatCount(batch), FormatMs(noadm_ms), FormatMs(adm_ms),
-              FormatCount(adm_stats.deferred), FormatCount(adm_stats.promoted),
-              FormatMs(promote_ms), stale});
-    report.BeginRow();
-    report.Str("workload", "admission");
-    report.Count("batch_rows", batch);
-    report.Num("noadmission_ms", noadm_ms);
-    report.Num("ours_ms", adm_ms);
-    report.Num("promote_refresh_ms", promote_ms);
-    report.Num("stale_ms", stale_ms);
-    report.Num("ceiling_ms", kCeilingMicros / 1000.0);
-    report.Count("deferred", adm_stats.deferred);
-    report.Count("promoted", adm_stats.promoted);
-    report.Count("hot_transitions", adm_stats.hot_transitions);
-    report.Obj("stages", StagesJson(promote_stats));
-
-    // Restore for the next batch size.
-    deferred.db.SetAdmissionControl(deferred::AdmissionConfig{});
-    keys = LineitemKeys(rows);
-    keys.push_back(LineitemKeys({sentinel})[0]);
-    deferred.db.Delete("lineitem", keys);
-    deferred.db.Refresh("v3");
   }
 
   std::printf("\n%s\n", deferred.db.RefreshReport().c_str());

@@ -4,8 +4,7 @@
 // Each batch size runs the same mixed workload twice. The writer stages
 // single-row lineitem inserts against a kThreshold V3 with a tiny trip
 // threshold and a 1ms background worker, so consolidated replays fire
-// continuously, with the admission controller watching the load. The
-// difference is the reader thread running alongside:
+// continuously. The difference is the reader thread running alongside:
 //
 //   snapshot  AcquireSnapshot (kSnapshot): pin the last published
 //             generation, never touch the maintenance mutex except for
@@ -13,8 +12,7 @@
 //             column — its p99 is what the generation design buys, and a
 //             read path that starts blocking on maintenance again shows
 //             up here as a ~10ms p99 jump.
-//   fresh     ReadView (kFresh): block, drain the backlog, publish,
-//             observe the latency into the admission read signal. The
+//   fresh     ReadView (kFresh): block, drain the backlog, publish. The
 //             contrast column — read-your-writes pays the refresh it
 //             forces, so its p99 tracks refresh cost, not snapshot cost.
 //
@@ -62,7 +60,7 @@ struct ReadStats {
 
 int Run(int argc, char** argv) {
   BenchOptions options = BenchOptions::Parse(argc, argv);
-  std::printf("TPC-H SF=%.3f, V3 under kThreshold + admission + 1ms worker\n",
+  std::printf("TPC-H SF=%.3f, V3 under kThreshold + 1ms worker\n",
               options.scale_factor);
 
   tpch::DbgenOptions gen_options;
@@ -78,9 +76,6 @@ int Run(int argc, char** argv) {
   deferred::ThresholdConfig threshold;
   threshold.max_pending_rows = 8;  // trip every few statements: a storm
   db.SetRefreshPolicy("v3", deferred::RefreshPolicy::kThreshold, threshold);
-  deferred::AdmissionConfig admission;
-  admission.enabled = true;  // storm + blocking reads feed the load score
-  db.SetAdmissionControl(admission);
   db.StartBackgroundRefresh(std::chrono::milliseconds(1));
 
   tpch::RefreshStream stream(db.catalog(), &dbgen, options.seed);
@@ -186,13 +181,6 @@ int Run(int argc, char** argv) {
     db.Refresh("v3");
   }
   db.StopBackgroundRefresh();
-
-  Database::AdmissionStats adm = db.GetAdmissionStats();
-  std::printf("\nadmission: load=%.2f, %lld deferred, %lld promoted, "
-              "%lld hot transitions\n",
-              adm.load_score, static_cast<long long>(adm.deferred),
-              static_cast<long long>(adm.promoted),
-              static_cast<long long>(adm.hot_transitions));
   report.Write();
   return 0;
 }

@@ -36,12 +36,6 @@ RefreshPolicy RefreshScheduler::policy(const std::string& view) const {
   return it == views_.end() ? RefreshPolicy::kImmediate : it->second.policy;
 }
 
-const ThresholdConfig& RefreshScheduler::config(const std::string& view) const {
-  auto it = views_.find(view);
-  OJV_CHECK(it != views_.end(), "no refresh state for view");
-  return it->second.config;
-}
-
 bool RefreshScheduler::IsDeferred(const std::string& view) const {
   return policy(view) != RefreshPolicy::kImmediate;
 }
@@ -107,7 +101,7 @@ void RefreshScheduler::RecordRefresh(const std::string& view,
     pairs.Add(stats.update_pairs);
     latency.Record(static_cast<int64_t>(stats.refresh_micros));
     staleness.Record(static_cast<int64_t>(stats.staleness_micros));
-    // Per-view freshness SLO series. Labeled names vary by view, so the
+    // Per-view freshness series. Labeled names vary by view, so the
     // static-reference cache idiom does not apply; a registry lookup per
     // refresh is fine — refreshes are batch-scale events, not per-row.
     reg.GetCounter(obs::LabeledMetric("ojv.deferred.view.refreshes", "view",
@@ -119,17 +113,6 @@ void RefreshScheduler::RecordRefresh(const std::string& view,
     reg.GetGauge(obs::LabeledMetric("ojv.deferred.view.refresh_micros", "view",
                                     view))
         .Set(static_cast<int64_t>(stats.refresh_micros));
-    // SLO burn: cumulative micros the view was past its admission
-    // staleness ceiling at refresh time. Zero ceiling = no SLO = no
-    // series; a configured ceiling exposes the counter even at zero so
-    // scrapers see the series before the first violation.
-    const double ceiling = state.config.staleness_ceiling_micros;
-    if (ceiling > 0) {
-      const double burn = stats.staleness_micros - ceiling;
-      reg.GetCounter(obs::LabeledMetric("ojv.deferred.view.slo_burn_micros",
-                                        "view", view))
-          .Add(burn > 0 ? static_cast<int64_t>(burn) : 0);
-    }
   }
 }
 

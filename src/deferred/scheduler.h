@@ -35,17 +35,6 @@ const char* RefreshPolicyName(RefreshPolicy policy);
 struct ThresholdConfig {
   int64_t max_pending_rows = 1024;
   double max_staleness_micros = 0;
-  /// Worker threads for the consolidated-batch replay of this view's
-  /// refreshes (0 = inherit the maintainer's own executor config).
-  /// Deferred batches are much larger than single statements, so the
-  /// refresh path is where morsel parallelism pays off most.
-  int refresh_threads = 0;
-  /// Staleness bound enforced by the admission controller (0 = none):
-  /// when the view's recent staleness percentile drifts past this
-  /// ceiling, its refresh is *promoted* — admitted regardless of load —
-  /// so deferral under sustained pressure cannot leave the view stale
-  /// without bound. Ignored when no AdmissionController is installed.
-  double staleness_ceiling_micros = 0;
 };
 
 /// Outcome of one refresh of one view.
@@ -83,7 +72,6 @@ class RefreshScheduler {
   void Forget(const std::string& view);
 
   RefreshPolicy policy(const std::string& view) const;
-  const ThresholdConfig& config(const std::string& view) const;
   bool IsDeferred(const std::string& view) const;
   bool HasDeferredViews() const;
   std::vector<std::string> DeferredViews() const;

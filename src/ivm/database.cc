@@ -79,7 +79,7 @@ AggViewMaintainer* Database::CreateAggregateView(
 
 ViewMaintainer* Database::AddView(std::unique_ptr<ViewMaintainer> view) {
   const std::string name = view->view_def().name();
-  OJV_CHECK(views_.find(name) == views_.end(), "duplicate view name");
+  if (views_.count(name) > 0) return nullptr;
   view->InitializeView();
   ViewMaintainer* raw = view.get();
   views_[name] = std::move(view);
@@ -116,7 +116,6 @@ bool Database::DropView(const std::string& name) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (delta_log_.IsConsumer(name)) delta_log_.UnregisterConsumer(name);
   scheduler_.Forget(name);
-  if (admission_ != nullptr) admission_->Forget(name);
   stats_.erase(name);
   {
     // Readers still holding a ViewSnapshot keep their pinned generation
@@ -288,11 +287,11 @@ void Database::StageDeferred(const std::string& table, deferred::DeltaOp op,
   }
 }
 
-void Database::SetRefreshPolicy(const std::string& view,
+bool Database::SetRefreshPolicy(const std::string& view,
                                 deferred::RefreshPolicy policy,
                                 deferred::ThresholdConfig config) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  OJV_CHECK(views_.count(view) > 0, "unknown view");
+  if (views_.count(view) == 0) return false;
   bool was_deferred = scheduler_.IsDeferred(view);
   bool now_deferred = policy != deferred::RefreshPolicy::kImmediate;
   if (was_deferred && !now_deferred) {
@@ -307,6 +306,7 @@ void Database::SetRefreshPolicy(const std::string& view,
   }
   scheduler_.SetPolicy(view, policy, config);
   if (!was_deferred && now_deferred) delta_log_.RegisterConsumer(view);
+  return true;
 }
 
 deferred::RefreshPolicy Database::GetRefreshPolicy(
@@ -341,8 +341,7 @@ deferred::ViewRefreshState Database::RefreshState(
 
 deferred::RefreshStats Database::Refresh(const std::string& view) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  OJV_CHECK(views_.count(view) > 0, "unknown view");
-  return RefreshLocked(view);
+  return RefreshLocked(view);  // zero stats: unknown views are not deferred
 }
 
 std::map<std::string, deferred::RefreshStats> Database::RefreshAll() {
@@ -396,6 +395,18 @@ ViewSnapshot Database::SnapshotReadLocked(
     RefreshLocked(name);
   }
   DrainHeavyView(name);
+  if (in_transaction_) {
+    // The stored view holds the transaction's uncommitted writes: this
+    // read sees them, but publishing them would hand them to every
+    // snapshot reader, and keep them there after a Rollback.
+    auto it = views_.find(name);
+    if (it == views_.end()) return store->Acquire();  // dropped meanwhile
+    return ViewSnapshot(
+        std::make_shared<const ViewGeneration>(
+            it->second->Contents(), /*number=*/0, store->content_version(),
+            obs::SteadyNowMicros(), /*stale_since_micros=*/0),
+        nullptr);
+  }
   PublishSnapshotLocked(name, store);
   return store->Acquire();
 }
@@ -405,7 +416,6 @@ ViewSnapshot Database::AcquireSnapshotImpl(
     const ReadOptions& options) {
   const auto read_start = std::chrono::steady_clock::now();
   ViewSnapshot snap;
-  bool blocked = false;
   switch (options.freshness) {
     case ReadFreshness::kSnapshot: {
       snap = store->Acquire();
@@ -432,25 +442,14 @@ ViewSnapshot Database::AcquireSnapshotImpl(
     }
     case ReadFreshness::kFresh: {
       std::lock_guard<std::recursive_mutex> lock(mu_);
-      blocked = true;
       snap = SnapshotReadLocked(name, store, /*allow_refresh=*/true);
       break;
-    }
-  }
-  const double micros = MicrosSince(read_start);
-  if (blocked) {
-    // Blocking reads contend with statements and refreshes for the
-    // same mutex — their latency is a load signal just like statement
-    // latency, so feed it to the admission controller.
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    if (admission_ != nullptr) {
-      admission_->ObserveRead(micros, obs::SteadyNowMicros());
     }
   }
   if constexpr (obs::kEnabled) {
     obs::Registry::Global()
         .GetHistogram("ojv.serve.read_micros")
-        .Record(static_cast<int64_t>(micros));
+        .Record(static_cast<int64_t>(MicrosSince(read_start)));
     if (snap.valid() &&
         snap.staleness_micros(obs::SteadyNowMicros()) > 0) {
       static obs::Counter& stale = obs::Registry::Global().GetCounter(
@@ -480,8 +479,7 @@ ViewSnapshot Database::ReadView(const std::string& name,
 ViewSnapshot Database::ReadAggregateRelation(const std::string& name,
                                              const ReadOptions& options) {
   auto store = SnapshotStoreFor(name);
-  OJV_CHECK(store != nullptr && store->is_aggregate(),
-            "unknown aggregate view");
+  if (store == nullptr || !store->is_aggregate()) return ViewSnapshot();
   return AcquireSnapshotImpl(name, store, options);
 }
 
@@ -494,20 +492,6 @@ deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
   auto it = views_.find(name);
   OJV_CHECK(it != views_.end(), "unknown view");
   ViewMaintainer* view = it->second.get();
-
-  // Deferred batches are much larger than single statements, so a view
-  // may request more executor threads for its consolidated replays than
-  // its foreground maintenance uses (ThresholdConfig::refresh_threads).
-  // The override lasts for this refresh only.
-  const int refresh_threads = scheduler_.config(name).refresh_threads;
-  const ExecConfig saved_exec = view->exec_config();
-  const bool boost = refresh_threads > 0 &&
-                     refresh_threads != saved_exec.num_threads;
-  if (boost) {
-    ExecConfig boosted = saved_exec;
-    boosted.num_threads = refresh_threads;
-    view->set_exec(boosted);
-  }
 
   auto start = std::chrono::steady_clock::now();
   const std::set<std::string>& tables = TablesOf(name);
@@ -598,8 +582,6 @@ deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
     }
   }
 
-  if (boost) view->set_exec(saved_exec);
-
   delta_log_.AdvanceTo(name, consumed_to);
   delta_log_.TruncateConsumed();
   stats.refresh_micros = MicrosSince(start);
@@ -609,9 +591,6 @@ deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
   // touching the statement mutex. (No-op when the batch was empty.)
   if (auto store = SnapshotStoreFor(name); store != nullptr) {
     PublishSnapshotLocked(name, store);
-  }
-  if (admission_ != nullptr) {
-    admission_->ObserveRefresh(stats.refresh_micros, obs::SteadyNowMicros());
   }
   refresh_span.AddArg("raw_entries", stats.raw_entries);
   refresh_span.AddArg("consolidated_rows", stats.consolidated_rows);
@@ -631,21 +610,19 @@ void Database::MaybeAutoRefresh(StatementResult* result) {
     if (!CollectDueViews().empty()) refresher_.Notify();
     return;
   }
-  AdmitAndRefresh(result);
+  RefreshDueViews(result);
 }
 
 void Database::DrainDueViews() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (in_transaction_) return;  // transactions drain at Begin and run eager
-  AdmitAndRefresh(nullptr);
-  // Heavy-key backlogs drain on the worker tick too. A controller gates
-  // them: while it is hot the lazy state keeps absorbing skew, and folds
-  // as soon as pressure fades.
-  if (admission_ == nullptr || !admission_->hot()) DrainHeavyBacklog();
+  RefreshDueViews(nullptr);
+  // Heavy-key backlogs drain on the worker tick too.
+  DrainHeavyBacklog();
 }
 
-std::vector<deferred::DueView> Database::CollectDueViews() const {
-  std::vector<deferred::DueView> due;
+std::vector<std::string> Database::CollectDueViews() const {
+  std::vector<std::string> due;
   for (const std::string& view : scheduler_.DeferredViews()) {
     if (scheduler_.policy(view) != deferred::RefreshPolicy::kThreshold) {
       continue;
@@ -654,44 +631,13 @@ std::vector<deferred::DueView> Database::CollectDueViews() const {
     int64_t pending = delta_log_.PendingRows(view, tables);
     double staleness = delta_log_.OldestPendingMicros(view, tables);
     PublishViewPressure(view, pending, staleness);
-    if (!scheduler_.Due(view, pending, staleness)) continue;
-    const deferred::ThresholdConfig& config = scheduler_.config(view);
-    due.push_back({view, pending, staleness, config.max_staleness_micros,
-                   config.staleness_ceiling_micros});
+    if (scheduler_.Due(view, pending, staleness)) due.push_back(view);
   }
   return due;
 }
 
-void Database::AdmitAndRefresh(StatementResult* result) {
-  obs::Span admission_span;
-  if (admission_ != nullptr) {
-    admission_span =
-        obs::Span(default_options_.trace, "deferred.admission", "deferred");
-  }
-  std::vector<deferred::DueView> due = CollectDueViews();
-  std::vector<std::string> admitted;
-  if (admission_ == nullptr) {
-    // No controller: every due view refreshes, in scan order.
-    for (const deferred::DueView& d : due) admitted.push_back(d.name);
-  } else {
-    // Plan even on an empty due set: the hot state tracks load between
-    // trips, so the controller exits hot as soon as pressure fades
-    // rather than on the next due view.
-    deferred::AdmissionPlan plan =
-        admission_->Plan(due, delta_log_.size(), obs::SteadyNowMicros());
-    admission_span.AddArg("due", static_cast<int64_t>(due.size()));
-    admission_span.AddArg("admitted",
-                          static_cast<int64_t>(plan.admitted.size()));
-    admission_span.AddArg("promoted",
-                          static_cast<int64_t>(plan.promoted.size()));
-    admission_span.AddArg("deferred",
-                          static_cast<int64_t>(plan.deferred.size()));
-    admission_span.AddArg("hot", plan.hot ? 1 : 0);
-    admission_span.AddArg("load_score_milli",
-                          static_cast<int64_t>(plan.load_score * 1000.0));
-    admitted = std::move(plan.admitted);
-  }
-  for (const std::string& view : admitted) {
+void Database::RefreshDueViews(StatementResult* result) {
+  for (const std::string& view : CollectDueViews()) {
     deferred::RefreshStats stats = RefreshLocked(view);
     if (result != nullptr) {
       result->maintenance_micros += stats.maintenance_micros;
@@ -700,43 +646,10 @@ void Database::AdmitAndRefresh(StatementResult* result) {
   }
 }
 
-void Database::SetAdmissionControl(const deferred::AdmissionConfig& config) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  admission_ = config.enabled
-                   ? std::make_unique<deferred::AdmissionController>(config)
-                   : nullptr;
-}
-
-Database::AdmissionStats Database::GetAdmissionStats() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  AdmissionStats stats;
-  if (admission_ == nullptr) return stats;
-  stats.enabled = true;
-  stats.hot = admission_->hot();
-  stats.load_score =
-      admission_->LoadScore(delta_log_.size(), obs::SteadyNowMicros());
-  stats.deferred = admission_->deferred_total();
-  stats.promoted = admission_->promoted_total();
-  stats.hot_transitions = admission_->hot_transitions();
-  return stats;
-}
-
-int64_t Database::AdmissionStalenessPercentile(const std::string& view,
-                                               double p) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (admission_ == nullptr) return 0;
-  return admission_->StalenessPercentile(view, p, obs::SteadyNowMicros());
-}
-
-void Database::ObserveStatementLatency(
-    std::chrono::steady_clock::time_point start) {
-  if (admission_ == nullptr) return;
-  admission_->ObserveStatement(MicrosSince(start), obs::SteadyNowMicros());
-}
-
-void Database::StartBackgroundRefresh(std::chrono::milliseconds interval) {
-  OJV_CHECK(!refresher_.running(), "background refresh already running");
+bool Database::StartBackgroundRefresh(std::chrono::milliseconds interval) {
+  if (refresher_.running()) return false;
   refresher_.Start(interval, [this] { DrainDueViews(); });
+  return true;
 }
 
 void Database::StopBackgroundRefresh() { refresher_.Stop(); }
@@ -774,7 +687,6 @@ void Database::MaintainDelete(const std::string& table,
 Database::StatementResult Database::Insert(const std::string& table,
                                            const std::vector<Row>& rows) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  auto stmt_start = std::chrono::steady_clock::now();
   obs::Span span(default_options_.trace, "db.insert", "db");
   span.AddArg("table", table);
   span.AddArg("rows_in", static_cast<int64_t>(rows.size()));
@@ -809,7 +721,6 @@ Database::StatementResult Database::Insert(const std::string& table,
     }
   }
   MaybeAutoRefresh(&result);
-  ObserveStatementLatency(stmt_start);
   span.AddArg("rows_affected", result.rows_affected);
   span.AddArg("rows_rejected", result.rows_rejected);
   return result;
@@ -818,13 +729,11 @@ Database::StatementResult Database::Insert(const std::string& table,
 Database::StatementResult Database::Delete(const std::string& table,
                                            const std::vector<Row>& keys) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  auto stmt_start = std::chrono::steady_clock::now();
   obs::Span span(default_options_.trace, "db.delete", "db");
   span.AddArg("table", table);
   span.AddArg("rows_in", static_cast<int64_t>(keys.size()));
   StatementResult result = DeleteLocked(table, keys);
   if (result.ok()) MaybeAutoRefresh(&result);
-  ObserveStatementLatency(stmt_start);
   span.AddArg("rows_affected", result.rows_affected);
   span.AddArg("rows_rejected", result.rows_rejected);
   return result;
@@ -900,7 +809,6 @@ Database::StatementResult Database::Update(const std::string& table,
                                            const std::vector<Row>& keys,
                                            const std::vector<Row>& new_rows) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  auto stmt_start = std::chrono::steady_clock::now();
   obs::Span span(default_options_.trace, "db.update", "db");
   span.AddArg("table", table);
   span.AddArg("rows_in", static_cast<int64_t>(keys.size()));
@@ -977,7 +885,6 @@ Database::StatementResult Database::Update(const std::string& table,
         {UndoEntry::Kind::kReverseUpdate, table, applied_new, old_rows});
   }
   MaybeAutoRefresh(&result);
-  ObserveStatementLatency(stmt_start);
   span.AddArg("rows_affected", result.rows_affected);
   span.AddArg("rows_rejected", result.rows_rejected);
   return result;
@@ -1018,9 +925,9 @@ Database::StatementResult Database::Commit() {
   return result;
 }
 
-void Database::Rollback() {
+bool Database::Rollback() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  OJV_CHECK(in_transaction_, "no open transaction");
+  if (!in_transaction_) return false;
   // Replay inverses newest-first; maintenance stays constraint-free
   // (in_transaction_ remains set until we are done).
   StatementResult scratch;
@@ -1069,6 +976,7 @@ void Database::Rollback() {
   }
   undo_log_.clear();
   in_transaction_ = false;
+  return true;
 }
 
 }  // namespace ojv

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "deferred/admission.h"
 #include "deferred/delta_log.h"
 #include "deferred/scheduler.h"
 #include "ivm/aggregate_view.h"
@@ -61,11 +60,13 @@ class Database {
   const Catalog& catalog() const { return catalog_; }
 
   /// Creates and materializes a view; returns its maintainer. The view
-  /// is maintained by every subsequent statement.
+  /// is maintained by every subsequent statement. Null, and nothing is
+  /// created, when a view of the same name exists.
   ViewMaintainer* CreateMaterializedView(
       ViewDef view, const MaintenanceOptions* options = nullptr);
 
-  /// Creates and materializes an aggregation view.
+  /// Creates and materializes an aggregation view (null when the name
+  /// is in use, as for CreateMaterializedView).
   AggViewMaintainer* CreateAggregateView(
       ViewDef base, std::vector<ColumnRef> group_by,
       std::vector<AggregateSpec> aggregates,
@@ -121,16 +122,17 @@ class Database {
 
   /// Sets a view's refresh policy. Switching away from kImmediate
   /// registers the view on the delta log (it is up to date at that
-  /// point); switching back drains it first. `config`'s thresholds only
-  /// matter for kThreshold; config.refresh_threads applies to the
-  /// consolidated replays of every deferred policy.
-  void SetRefreshPolicy(
+  /// point); switching back drains it first. `config` only matters for
+  /// kThreshold. A refresh replays on the view's own executor config
+  /// (MaintenanceOptions::exec). Returns false for an unknown view.
+  bool SetRefreshPolicy(
       const std::string& view, deferred::RefreshPolicy policy,
       deferred::ThresholdConfig config = deferred::ThresholdConfig());
   deferred::RefreshPolicy GetRefreshPolicy(const std::string& view) const;
 
   /// Drains the view's pending deltas into its contents. A no-op (zero
-  /// stats) for kImmediate views, which are never stale.
+  /// stats) for kImmediate views, which are never stale, and for
+  /// unknown views.
   deferred::RefreshStats Refresh(const std::string& view);
 
   /// Refreshes every deferred view; returns per-view stats.
@@ -157,8 +159,11 @@ class Database {
   /// deferred view catches up first and, under skew = kHeavyLight, any
   /// pending heavy-key lazy state folds, so the read observes the full
   /// view. Pass ReadOptions::Snapshot()/Bounded() for the non-blocking
-  /// serving path. An invalid snapshot (== nullptr) means unknown view
-  /// (ReadAggregateRelation aborts instead, as it always has).
+  /// serving path. An invalid snapshot (== nullptr) means unknown view;
+  /// ReadView answers row views only, ReadAggregateRelation aggregation
+  /// views only. Inside a transaction a fresh read sees the
+  /// transaction's own writes through an unpublished generation
+  /// (number 0): other readers keep the last committed generation.
   ViewSnapshot ReadView(const std::string& name,
                         const ReadOptions& options = ReadOptions::Fresh());
   ViewSnapshot ReadAggregateRelation(
@@ -184,39 +189,11 @@ class Database {
 
   /// Starts/stops the background worker that drains kThreshold views.
   /// While running, threshold trips ping the worker instead of
-  /// refreshing inline.
-  void StartBackgroundRefresh(std::chrono::milliseconds interval);
+  /// refreshing inline. Start returns false, and changes nothing, when
+  /// the worker is already running.
+  bool StartBackgroundRefresh(std::chrono::milliseconds interval);
   void StopBackgroundRefresh();
   bool background_refresh_running() const { return refresher_.running(); }
-
-  /// Installs (enabled=true) or removes (enabled=false, the default)
-  /// the refresh admission controller. Without one, every due
-  /// kThreshold view is refreshed on the spot. With one, statement/
-  /// refresh latencies and delta-log depth feed a load score; when hot,
-  /// due refreshes are deferred with bounded backoff and drained
-  /// staleness-debt-first in capped slices, and views past their
-  /// staleness ceiling are promoted past the load gate (see
-  /// deferred::AdmissionConfig).
-  void SetAdmissionControl(const deferred::AdmissionConfig& config);
-
-  /// Point-in-time admission counters (zero-valued when no controller
-  /// is installed). Locked, so safe against the background worker.
-  struct AdmissionStats {
-    bool enabled = false;
-    bool hot = false;
-    double load_score = 0;
-    int64_t deferred = 0;
-    int64_t promoted = 0;
-    int64_t hot_transitions = 0;
-  };
-  AdmissionStats GetAdmissionStats() const;
-
-  /// The view's staleness percentile over the admission window, in
-  /// microseconds (0 when no controller is installed or the view has
-  /// not been observed). Benches compare this against the configured
-  /// staleness ceiling.
-  int64_t AdmissionStalenessPercentile(const std::string& view,
-                                       double p) const;
 
   // --- multi-statement transactions (§6 caveat 3) ---
   //
@@ -239,7 +216,8 @@ class Database {
   StatementResult Commit();
 
   /// Reverts every statement of the open transaction (inverse order).
-  void Rollback();
+  /// Returns false when no transaction is open.
+  bool Rollback();
 
   bool in_transaction() const { return in_transaction_; }
 
@@ -284,7 +262,7 @@ class Database {
   /// nothing pends or the view runs kUniform); stats are accumulated.
   MaintenanceStats DrainHeavyView(const std::string& name);
   /// Opportunistically folds every view's heavy-key backlog (background
-  /// refresher tick, gated off while the admission controller is hot).
+  /// refresher tick).
   void DrainHeavyBacklog();
   /// Tables referenced by the (row or aggregate) view.
   const std::set<std::string>& TablesOf(const std::string& view) const;
@@ -299,16 +277,12 @@ class Database {
   /// folds heavy-key backlogs.
   void DrainDueViews();
   /// The one due-view scan: the kThreshold views past their Due()
-  /// limits right now, in scan order, with the signals the admission
-  /// controller plans on. Publishes every threshold view's pressure
-  /// gauges on the way.
-  std::vector<deferred::DueView> CollectDueViews() const;
-  /// Refreshes the current due set — all of it without a controller,
-  /// the admitted part of the controller's plan with one — attributing
-  /// inline costs to `result` when non-null.
-  void AdmitAndRefresh(StatementResult* result);
-  /// Feeds one finished statement's wall latency to the controller.
-  void ObserveStatementLatency(std::chrono::steady_clock::time_point start);
+  /// limits right now, in scan order. Publishes every threshold view's
+  /// pressure gauges on the way.
+  std::vector<std::string> CollectDueViews() const;
+  /// Refreshes the current due set, attributing inline costs to
+  /// `result` when non-null.
+  void RefreshDueViews(StatementResult* result);
 
   // --- snapshot-read internals (ivm/view_snapshot.h) ---
 
@@ -326,9 +300,10 @@ class Database {
   /// staleness origin.
   void PublishSnapshotLocked(const std::string& name,
                              const std::shared_ptr<GenerationStore>& store);
-  /// Shared blocking read path: refresh (unless mid-transaction or
-  /// !allow_refresh), fold heavy state, publish, pin. Caller holds
-  /// `mu_`.
+  /// Shared blocking read path: refresh (unless !allow_refresh), fold
+  /// heavy state, publish, pin. Inside a transaction nothing refreshes
+  /// or publishes: the read pins an unpublished copy of the current
+  /// contents. Caller holds `mu_`.
   ViewSnapshot SnapshotReadLocked(const std::string& name,
                                   const std::shared_ptr<GenerationStore>& store,
                                   bool allow_refresh);
@@ -380,8 +355,6 @@ class Database {
   deferred::DeltaLog delta_log_;
   deferred::RefreshScheduler scheduler_;
   deferred::BackgroundRefresher refresher_;
-  /// Null unless SetAdmissionControl installed an enabled config.
-  std::unique_ptr<deferred::AdmissionController> admission_;
 
   struct UndoEntry {
     enum class Kind { kDeleteInserted, kReinsertDeleted, kReverseUpdate };

@@ -84,8 +84,7 @@ class Histogram {
   static constexpr int kBuckets = 64;
 
   /// Bucket index for a sample: 0 for v <= 1, else 1 + floor(log2(v-1)),
-  /// clamped to the last bucket. Shared with WindowedHistogram so both
-  /// agree on bucket boundaries.
+  /// clamped to the last bucket.
   static int BucketOf(int64_t value);
   /// Upper bound of bucket b (the value PercentileBound reports).
   static int64_t BucketUpperBound(int b) {

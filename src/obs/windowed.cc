@@ -1,9 +1,6 @@
 #include "obs/windowed.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/check.h"
+#include <chrono>
 
 namespace ojv {
 namespace obs {
@@ -12,74 +9,6 @@ int64_t SteadyNowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-WindowedHistogram::WindowedHistogram(int64_t epoch_micros, int epochs)
-    : epoch_micros_(epoch_micros),
-      ring_(static_cast<size_t>(std::max(epochs, 1))) {
-  OJV_CHECK(epoch_micros > 0, "windowed histogram epoch must be positive");
-}
-
-void WindowedHistogram::Record(int64_t value, int64_t now_micros) {
-  if (value < 0) value = 0;  // same clamp as Histogram::Record
-  const int64_t index = now_micros / epoch_micros_;
-  Epoch& epoch = ring_[static_cast<size_t>(index) % ring_.size()];
-  if (epoch.index != index) {
-    // The slot last held an epoch a full ring ago: it has aged out of
-    // every window that could still include this sample. Recycle it.
-    epoch.buckets.fill(0);
-    epoch.count = 0;
-    epoch.sum = 0;
-    epoch.index = index;
-  }
-  ++epoch.buckets[static_cast<size_t>(Histogram::BucketOf(value))];
-  ++epoch.count;
-  epoch.sum += value;
-}
-
-int64_t WindowedHistogram::WindowCount(int64_t now_micros) const {
-  const int64_t now_index = now_micros / epoch_micros_;
-  int64_t count = 0;
-  for (const Epoch& e : ring_) {
-    if (Live(e, now_index)) count += e.count;
-  }
-  return count;
-}
-
-int64_t WindowedHistogram::WindowSum(int64_t now_micros) const {
-  const int64_t now_index = now_micros / epoch_micros_;
-  int64_t sum = 0;
-  for (const Epoch& e : ring_) {
-    if (Live(e, now_index)) sum += e.sum;
-  }
-  return sum;
-}
-
-int64_t WindowedHistogram::PercentileBound(double p, int64_t now_micros) const {
-  const int64_t now_index = now_micros / epoch_micros_;
-  const int64_t total = WindowCount(now_micros);
-  if (total <= 0) return 0;
-  // Same ceil-rank rule as Histogram::PercentileBound.
-  int64_t rank = static_cast<int64_t>(
-      std::ceil(p / 100.0 * static_cast<double>(total)));
-  rank = std::clamp<int64_t>(rank, 1, total);
-  int64_t seen = 0;
-  for (int b = 0; b < Histogram::kBuckets; ++b) {
-    for (const Epoch& e : ring_) {
-      if (Live(e, now_index)) seen += e.buckets[static_cast<size_t>(b)];
-    }
-    if (seen >= rank) return Histogram::BucketUpperBound(b);
-  }
-  return Histogram::BucketUpperBound(Histogram::kBuckets - 1);
-}
-
-void WindowedHistogram::Reset() {
-  for (Epoch& e : ring_) {
-    e.buckets.fill(0);
-    e.count = 0;
-    e.sum = 0;
-    e.index = -1;
-  }
 }
 
 }  // namespace obs

@@ -1,76 +1,14 @@
 #ifndef OJV_OBS_WINDOWED_H_
 #define OJV_OBS_WINDOWED_H_
 
-#include <array>
-#include <chrono>
 #include <cstdint>
-#include <vector>
-
-#include "obs/metrics.h"
 
 namespace ojv {
 namespace obs {
 
-/// Microseconds on the steady clock, for feeding WindowedHistogram from
-/// production code paths (tests pass synthetic times instead).
+/// Microseconds on the steady clock: the time base of snapshot
+/// generations' publish and staleness stamps.
 int64_t SteadyNowMicros();
-
-/// Time-windowed histogram: a ring of bucketed epochs that decays by
-/// dropping whole epochs as they age out. Where the cumulative Histogram
-/// answers "p99 since process start", this answers "p99 over the last
-/// `epochs * epoch_micros` microseconds" — the question admission
-/// control asks of refresh/statement latency and staleness.
-///
-/// Samples land in the epoch containing `now_micros`; readers merge the
-/// epochs still inside the window ending at their `now_micros`. Bucket
-/// boundaries are Histogram's power-of-two buckets, so percentile
-/// answers are good to a factor of two, and negative samples clamp to 0
-/// exactly like Histogram::Record.
-///
-/// Callers pass time explicitly (SteadyNowMicros in production) — that
-/// keeps the primitive deterministic under test. Not thread-safe: the
-/// admission controller mutates it under the database mutex. Unlike the
-/// Registry metrics this is a decision input, not an observability
-/// surface, so it stays live under -DOJV_OBS=OFF.
-class WindowedHistogram {
- public:
-  /// `epoch_micros` must be > 0, `epochs` >= 1; the window spans
-  /// `epochs * epoch_micros`.
-  WindowedHistogram(int64_t epoch_micros, int epochs);
-
-  void Record(int64_t value, int64_t now_micros);
-
-  /// Samples inside the window ending at `now_micros`.
-  int64_t WindowCount(int64_t now_micros) const;
-  int64_t WindowSum(int64_t now_micros) const;
-
-  /// Upper bound of the bucket holding the p-th percentile (0 < p <=
-  /// 100) of the samples inside the window; 0 when the window is empty.
-  int64_t PercentileBound(double p, int64_t now_micros) const;
-
-  int64_t window_micros() const {
-    return epoch_micros_ * static_cast<int64_t>(ring_.size());
-  }
-  void Reset();
-
- private:
-  struct Epoch {
-    int64_t index = -1;  // now / epoch_micros when live; -1 = empty
-    std::array<int64_t, Histogram::kBuckets> buckets{};
-    int64_t count = 0;
-    int64_t sum = 0;
-  };
-
-  /// Epochs live in the window ending at `now_micros`, i.e. with index
-  /// in (now_index - ring size, now_index].
-  bool Live(const Epoch& e, int64_t now_index) const {
-    return e.index >= 0 && e.index <= now_index &&
-           e.index > now_index - static_cast<int64_t>(ring_.size());
-  }
-
-  int64_t epoch_micros_;
-  std::vector<Epoch> ring_;
-};
 
 }  // namespace obs
 }  // namespace ojv

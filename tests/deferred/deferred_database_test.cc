@@ -227,6 +227,26 @@ TEST_F(DeferredDatabaseTest, BackgroundWorkerDrainsThresholdViews) {
   EXPECT_TRUE(Matches(view));
 }
 
+TEST_F(DeferredDatabaseTest, SecondBackgroundRefreshStartFails) {
+  ViewMaintainer* view = db_.CreateMaterializedView(MakeDeptView());
+  ThresholdConfig config;
+  config.max_pending_rows = 1;
+  db_.SetRefreshPolicy("dept_emp", RefreshPolicy::kThreshold, config);
+  EXPECT_TRUE(db_.StartBackgroundRefresh(std::chrono::milliseconds(2)));
+  EXPECT_FALSE(db_.StartBackgroundRefresh(std::chrono::milliseconds(2)));
+  EXPECT_TRUE(db_.background_refresh_running());
+
+  // The one worker still drains the view.
+  db_.Insert("dept", {Dept(1, "eng")});
+  db_.Insert("emp", {Emp(10, 1, 100.0)});
+  for (int i = 0; i < 500 && db_.PendingRows("dept_emp") > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  db_.StopBackgroundRefresh();
+  EXPECT_EQ(db_.PendingRows("dept_emp"), 0);
+  EXPECT_TRUE(Matches(view));
+}
+
 TEST_F(DeferredDatabaseTest, MultiTableBatchRevertsAndReplays) {
   // Changes to both operands of the full outer join in one pending
   // batch, including a same-batch cancellation: the refresh must revert

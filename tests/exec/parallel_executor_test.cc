@@ -152,7 +152,7 @@ TEST_F(ParallelExecutorFixture, V3AllStrategiesAgree) {
 }
 
 // Deferred consolidated replay: a deferred database whose refreshes run
-// with refresh_threads=8 must converge to the same view contents as an
+// on an 8-thread executor must converge to the same view contents as an
 // immediate serial database fed the identical statement stream —
 // including churn rows that consolidate away entirely.
 TEST(ParallelExecutorDeferredTest, ConsolidatedReplayMatchesImmediate) {
@@ -169,13 +169,12 @@ TEST(ParallelExecutorDeferredTest, ConsolidatedReplayMatchesImmediate) {
   tpch::CreateSchema(deferred.catalog());
   dbgen.Populate(deferred.catalog());
   MaintenanceOptions parallel_options;
+  parallel_options.exec.num_threads = 8;
   parallel_options.exec.parallel_min_rows = 1;
   parallel_options.exec.morsel_rows = 64;
   deferred.CreateMaterializedView(tpch::MakeV3(*deferred.catalog()),
                                   &parallel_options);
-  deferred::ThresholdConfig config;
-  config.refresh_threads = 8;
-  deferred.SetRefreshPolicy("v3", deferred::RefreshPolicy::kOnDemand, config);
+  deferred.SetRefreshPolicy("v3", deferred::RefreshPolicy::kOnDemand);
 
   tpch::RefreshStream stream(immediate.catalog(), &dbgen, /*seed=*/7);
   for (int round = 0; round < 3; ++round) {

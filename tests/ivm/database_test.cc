@@ -331,6 +331,52 @@ TEST_F(DatabaseTest, UpdateRejectsRepeatedKey) {
   ExpectUnchangedAndConsistent(*lazy);
 }
 
+// Client calls that name an unknown view, or a view name already in
+// use, fail through their return value instead of aborting, and leave
+// base tables and every view as they were.
+TEST_F(DatabaseTest, RefreshOfUnknownViewReturnsZeroStats) {
+  ViewMaintainer* view = SeedForMalformed();
+  deferred::RefreshStats stats = db_.Refresh("nope");
+  EXPECT_EQ(stats.raw_entries, 0);
+  EXPECT_EQ(stats.consolidated_rows, 0);
+  EXPECT_EQ(db_.RefreshState("nope").refreshes, 0);
+  ExpectUnchangedAndConsistent(*view);
+}
+
+TEST_F(DatabaseTest, SetRefreshPolicyOfUnknownViewFails) {
+  ViewMaintainer* view = SeedForMalformed();
+  EXPECT_FALSE(
+      db_.SetRefreshPolicy("nope", deferred::RefreshPolicy::kOnDemand));
+  EXPECT_EQ(db_.GetRefreshPolicy("nope"),
+            deferred::RefreshPolicy::kImmediate);
+  ExpectUnchangedAndConsistent(*view);
+}
+
+TEST_F(DatabaseTest, ViewNameInUseIsRejected) {
+  ViewMaintainer* view = SeedForMalformed();
+  EXPECT_EQ(db_.CreateMaterializedView(MakeDeptView()), nullptr);
+  EXPECT_EQ(db_.CreateAggregateView(
+                MakeDeptView(), {{"dept", "d_name"}},
+                {{AggregateSpec::Kind::kCountStar, {}, "n"}}),
+            nullptr);
+  EXPECT_EQ(db_.GetView("dept_emp"), view);
+  ExpectUnchangedAndConsistent(*view);
+}
+
+TEST_F(DatabaseTest, ReadAggregateRelationOfUnknownViewIsInvalid) {
+  AggViewMaintainer* payroll = db_.CreateAggregateView(
+      MakeDeptView("payroll"), {{"dept", "d_name"}},
+      {{AggregateSpec::Kind::kSum, {"emp", "e_salary"}, "payroll"}});
+  ViewMaintainer* view = SeedForMalformed();
+  EXPECT_FALSE(db_.ReadAggregateRelation("nope").valid());
+  // A row view is not an aggregation view either.
+  EXPECT_FALSE(db_.ReadAggregateRelation("dept_emp").valid());
+  EXPECT_TRUE(db_.ReadAggregateRelation("payroll").valid());
+  ExpectUnchangedAndConsistent(*view);
+  std::string diff;
+  EXPECT_TRUE(payroll->MatchesRecompute(1e-9, &diff)) << diff;
+}
+
 TEST_F(DatabaseTest, UnknownTableAndDropView) {
   EXPECT_FALSE(db_.Insert("nope", {Row{}}).ok());
   EXPECT_FALSE(db_.Delete("nope", {}).ok());

@@ -161,6 +161,38 @@ TEST_F(SnapshotReadTest, PinnedSnapshotSurvivesDropView) {
   EXPECT_EQ(db_.ReadView("dept_emp"), nullptr);
 }
 
+// A fresh read inside a transaction sees the transaction's own writes,
+// but must not publish them: until Commit every other reader pins the
+// last committed generation, and after Rollback the writes are gone.
+TEST_F(SnapshotReadTest, FreshReadInsideTransactionPublishesNothing) {
+  db_.CreateMaterializedView(MakeDeptView());
+  db_.Insert("dept", {Dept(1, "eng")});
+  // What a concurrent serving-path reader pins.
+  auto other_reader_rows = [&] {
+    int64_t rows = -1;
+    std::thread reader([&] { rows = db_.AcquireSnapshot("dept_emp").size(); });
+    reader.join();
+    return rows;
+  };
+  ASSERT_EQ(other_reader_rows(), 1);
+
+  ASSERT_TRUE(db_.BeginTransaction());
+  db_.Insert("dept", {Dept(2, "ops")});
+  EXPECT_EQ(db_.ReadView("dept_emp").size(), 2);  // its own write
+  EXPECT_EQ(other_reader_rows(), 1);
+  ASSERT_TRUE(db_.Rollback());
+  EXPECT_EQ(other_reader_rows(), 1);
+  EXPECT_EQ(db_.ReadView("dept_emp").size(), 1);
+
+  ASSERT_TRUE(db_.BeginTransaction());
+  db_.Insert("dept", {Dept(3, "hr")});
+  EXPECT_EQ(db_.ReadView("dept_emp").size(), 2);
+  EXPECT_EQ(other_reader_rows(), 1);
+  ASSERT_TRUE(db_.Commit().ok());
+  EXPECT_EQ(other_reader_rows(), 2);
+  EXPECT_EQ(db_.ReadView("dept_emp").size(), 2);
+}
+
 // --- the TSan regression --------------------------------------------------
 //
 // Reader threads pin snapshots while the background refresher replays

@@ -128,6 +128,14 @@ TEST_F(TransactionTest, ExplicitRollback) {
       << diff;
 }
 
+TEST_F(TransactionTest, RollbackWithoutTransactionFails) {
+  EXPECT_FALSE(db_.Rollback());
+  EXPECT_FALSE(db_.in_transaction());
+  EXPECT_EQ(db_.catalog()->GetTable("dept")->size(), 1);
+  EXPECT_EQ(db_.catalog()->GetTable("emp")->size(), 1);
+  ExpectConsistent("after a rollback with no transaction");
+}
+
 TEST_F(TransactionTest, NestedBeginAndEmptyCommit) {
   ASSERT_TRUE(db_.BeginTransaction());
   EXPECT_FALSE(db_.BeginTransaction());

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "obs/windowed.h"
 
 namespace ojv {
 namespace obs {
@@ -111,71 +110,6 @@ TEST(HistogramTest, ThreadHammer) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(h.count(), int64_t{kThreads} * kPerThread);
-}
-
-// --- WindowedHistogram: the admission controller's "p99 over the last
-// --- N seconds" primitive. Times are synthetic (microseconds).
-
-constexpr int64_t kEpoch = 1000;  // 1ms epochs, 4-epoch window
-
-TEST(WindowedHistogramTest, AnswersPercentileOverWindowOnly) {
-  WindowedHistogram h(kEpoch, 4);
-  // An old spike, then a quiet recent window.
-  for (int i = 0; i < 100; ++i) h.Record(1 << 20, /*now=*/0);
-  for (int i = 0; i < 100; ++i) h.Record(2, /*now=*/10 * kEpoch);
-
-  // At t=10ms the window is (6ms, 10ms]: the spike has decayed out.
-  EXPECT_EQ(h.WindowCount(10 * kEpoch), 100);
-  EXPECT_LE(h.PercentileBound(99, 10 * kEpoch), 2);
-  // A cumulative histogram would still answer ~1<<20 here.
-  Histogram cumulative;
-  for (int i = 0; i < 100; ++i) cumulative.Record(1 << 20);
-  for (int i = 0; i < 100; ++i) cumulative.Record(2);
-  EXPECT_GE(cumulative.PercentileBound(99), 1 << 20);
-}
-
-TEST(WindowedHistogramTest, MergesLiveEpochs) {
-  WindowedHistogram h(kEpoch, 4);
-  h.Record(4, 0 * kEpoch);
-  h.Record(8, 1 * kEpoch);
-  h.Record(16, 2 * kEpoch);
-  h.Record(1 << 19, 3 * kEpoch);
-  // All four epochs are inside the window ending in epoch 3.
-  EXPECT_EQ(h.WindowCount(3 * kEpoch), 4);
-  EXPECT_EQ(h.WindowSum(3 * kEpoch), 4 + 8 + 16 + (1 << 19));
-  EXPECT_GE(h.PercentileBound(100, 3 * kEpoch), 1 << 19);
-  EXPECT_LE(h.PercentileBound(25, 3 * kEpoch), 4);
-
-  // One epoch later the oldest sample (4) has decayed out.
-  EXPECT_EQ(h.WindowCount(4 * kEpoch), 3);
-  EXPECT_EQ(h.WindowSum(4 * kEpoch), 8 + 16 + (1 << 19));
-}
-
-TEST(WindowedHistogramTest, RingSlotsRecycle) {
-  WindowedHistogram h(kEpoch, 2);
-  h.Record(7, 0);
-  // Epoch 2 maps onto epoch 0's ring slot; the old samples must not
-  // bleed into the new epoch's counts.
-  h.Record(9, 2 * kEpoch);
-  EXPECT_EQ(h.WindowCount(2 * kEpoch), 1);
-  EXPECT_EQ(h.WindowSum(2 * kEpoch), 9);
-}
-
-TEST(WindowedHistogramTest, EmptyWindowReportsZero) {
-  WindowedHistogram h(kEpoch, 4);
-  EXPECT_EQ(h.WindowCount(0), 0);
-  EXPECT_EQ(h.PercentileBound(99, 0), 0);
-  h.Record(100, 0);
-  h.Reset();
-  EXPECT_EQ(h.WindowCount(0), 0);
-}
-
-TEST(WindowedHistogramTest, NegativeSamplesClampLikeHistogram) {
-  WindowedHistogram h(kEpoch, 4);
-  h.Record(-100, 0);
-  h.Record(6, 0);
-  EXPECT_EQ(h.WindowCount(0), 2);
-  EXPECT_EQ(h.WindowSum(0), 6);
 }
 
 TEST(RegistryTest, SameNameSameCounter) {

@@ -60,7 +60,7 @@ case "$mode" in
     # The full suite is serial-dominated; under TSan only the tests that
     # actually spawn threads carry signal, and they carry all of it.
     # metrics/trace join the filter for their thread-hammer cases.
-    run_config tsan --tests 'parallel_executor|deferred|database|metrics|trace|admission|snapshot' \
+    run_config tsan --tests 'parallel_executor|deferred|database|metrics|trace|snapshot' \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOJV_TSAN=ON
     ;;&
   obs-export|all)
@@ -94,7 +94,7 @@ case "$mode" in
     # unit tests plus the Zipf-stream equivalence property suite that
     # pins kHeavyLight == kUniform view contents at every drain point.
     # TSan because the Database drain paths interleave with the
-    # background refresher and admission worker.
+    # background refresher.
     run_config skew --tests 'heavy_hitters|heavy_state|skew_equivalence' \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOJV_TSAN=ON
     ;;&
@@ -142,17 +142,13 @@ case "$mode" in
     cmake -B "$dir" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
     echo "==> [bench-gate] build"
     cmake --build "$dir" -j "$jobs" \
-        --target bench_fig5_insert bench_fig5_delete bench_deferred \
+        --target bench_fig5_insert bench_fig5_delete \
         bench_obs_overhead bench_skew bench_serve bench_gate >/dev/null
     echo "==> [bench-gate] run fig5 benchmarks"
     "$dir/bench/bench_fig5_insert" --threads=4 \
         --json="$dir/fig5_insert.json" >/dev/null
     "$dir/bench/bench_fig5_delete" --threads=4 \
         --json="$dir/fig5_delete.json" >/dev/null
-    # The deferred bench's admission scenario (hot threshold loop):
-    # small batches keep the immediate-mode comparison columns quick.
-    "$dir/bench/bench_deferred" --batches=60,600 \
-        --json="$dir/deferred.json" >/dev/null
     # Telemetry overhead: recorder-on and full-export timings over the
     # bare maintenance loop (the "no measurable overhead" claim, gated).
     "$dir/bench/bench_obs_overhead" --batches=60,600 \
@@ -169,13 +165,6 @@ case "$mode" in
         --candidate="$dir/fig5_insert.json" --section=fig5_insert
     "$dir/tools/bench_gate" --baseline="$root/BENCH_pipeline.json" \
         --candidate="$dir/fig5_delete.json" --section=fig5_delete
-    # Floor 2ms: the hot-loop column is sub-millisecond at batch=60, so
-    # only absolute movement beyond scheduler noise counts — a refresh
-    # leaking back into the admission-controlled loop costs ~10ms and
-    # still trips the gate.
-    "$dir/tools/bench_gate" --baseline="$root/BENCH_pipeline.json" \
-        --candidate="$dir/deferred.json" --section=deferred_admission \
-        --floor-ms=2
     # Floor 2ms on the overhead rows: the maintenance loop is a few ms
     # at these batch sizes, so only real instrumentation cost counts.
     "$dir/tools/bench_gate" --baseline="$root/BENCH_pipeline.json" \

@@ -7,11 +7,10 @@
 // localhost) or re-reads an exporter snapshot file (--file, written
 // atomically by obs::WriteSnapshotFiles) and renders:
 //
-//   - admission state: hot flag, load score, deferred/promoted totals
 //   - delta-log depth
 //   - refresh latency p50/p99 (ojv.deferred.refresh_micros)
 //   - a per-view table: staleness, pending rows, refreshes, last
-//     refresh duration, cumulative SLO burn
+//     refresh duration
 //
 // --once renders a single frame without clearing the screen (also what
 // the ctest integration runs); otherwise the screen redraws every
@@ -120,7 +119,6 @@ struct ViewRow {
   int64_t pending_rows = 0;
   int64_t refreshes = 0;
   int64_t refresh_micros = 0;
-  int64_t slo_burn_micros = 0;
 };
 
 int64_t IntAt(const io::JsonValue* obj, const std::string& key) {
@@ -151,22 +149,9 @@ void Render(const io::JsonValue& snapshot, bool clear) {
   collect(gauges, "ojv.deferred.view.refresh_micros",
           &ViewRow::refresh_micros);
   collect(counters, "ojv.deferred.view.refreshes", &ViewRow::refreshes);
-  collect(counters, "ojv.deferred.view.slo_burn_micros",
-          &ViewRow::slo_burn_micros);
 
   if (clear) std::printf("\x1b[2J\x1b[H");
   std::printf("ojv_top — materialized-view maintenance telemetry\n\n");
-  std::printf(
-      "admission: %s  load=%.3f  deferred=%lld  promoted=%lld"
-      "  transitions=%lld\n",
-      IntAt(gauges, "ojv.deferred.admission.hot") != 0 ? "HOT " : "cold",
-      static_cast<double>(
-          IntAt(gauges, "ojv.deferred.admission.load_score_milli")) /
-          1000.0,
-      static_cast<long long>(IntAt(counters, "ojv.deferred.admission.deferred")),
-      static_cast<long long>(IntAt(counters, "ojv.deferred.admission.promoted")),
-      static_cast<long long>(
-          IntAt(counters, "ojv.deferred.admission.hot_transitions")));
   std::printf("delta log: %lld rows pending\n",
               static_cast<long long>(
                   IntAt(gauges, "ojv.deferred.log_depth_rows")));
@@ -201,19 +186,18 @@ void Render(const io::JsonValue& snapshot, bool clear) {
                 refresh_hist->NumberOr("p99", 0) / 1000.0,
                 static_cast<long long>(refresh_hist->NumberOr("count", 0)));
   }
-  std::printf("\n%-24s %12s %10s %10s %12s %12s\n", "view", "stale(ms)",
-              "pending", "refreshes", "refresh(ms)", "slo-burn(ms)");
+  std::printf("\n%-24s %12s %10s %10s %12s\n", "view", "stale(ms)",
+              "pending", "refreshes", "refresh(ms)");
   if (views.empty()) {
     std::printf("  (no per-view telemetry — no deferred views, or an"
                 " OJV_OBS=OFF build)\n");
   }
   for (const auto& [name, row] : views) {
-    std::printf("%-24s %12.1f %10lld %10lld %12.1f %12.1f\n", name.c_str(),
+    std::printf("%-24s %12.1f %10lld %10lld %12.1f\n", name.c_str(),
                 static_cast<double>(row.staleness_micros) / 1000.0,
                 static_cast<long long>(row.pending_rows),
                 static_cast<long long>(row.refreshes),
-                static_cast<double>(row.refresh_micros) / 1000.0,
-                static_cast<double>(row.slo_burn_micros) / 1000.0);
+                static_cast<double>(row.refresh_micros) / 1000.0);
   }
   std::fflush(stdout);
 }

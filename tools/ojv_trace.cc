@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/date.h"
-#include "deferred/admission.h"
 #include "ivm/database.h"
 #include "ivm/explain.h"
 #include "obs/export.h"
@@ -70,7 +69,7 @@ Options ParseArgs(int argc, char** argv) {
   return options;
 }
 
-/// The deferred view of the workload's admission tail: customers left
+/// The deferred view of the workload's threshold tail: customers left
 /// outer joined to their orders placed since 1993.
 ViewDef MakeCustomerOrdersView(const Catalog& catalog) {
   auto col = [](const char* table, const char* column) {
@@ -118,9 +117,17 @@ int CheckTrace(const obs::TraceContext& trace) {
   for (const char* span : {"ivm.plan.jdnf", "ivm.plan.table"}) {
     require(trace.HasSpan(span), span);
   }
-  // The admission tail of the workload must record its decision.
-  // Presence-only — tiny batches round to zero micros.
-  require(trace.HasSpan("deferred.admission"), "deferred.admission");
+  // The threshold tail's trip must refresh inline, inside the
+  // statement that tripped it: a deferred.refresh nested in a db.insert.
+  const std::vector<obs::TraceEvent> events = trace.Snapshot();
+  bool inline_refresh = false;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name == "deferred.refresh" && e.parent >= 0 &&
+        events[static_cast<size_t>(e.parent)].name == "db.insert") {
+      inline_refresh = true;
+    }
+  }
+  require(inline_refresh, "deferred.refresh inside db.insert");
   // Theorem 3 prunes the secondary delta of V3's lineitem updates: the
   // trace must say so explicitly rather than just omit the stage.
   require(trace.HasSpan("ivm.secondary_delta.skipped"),
@@ -181,19 +188,15 @@ int Run(int argc, char** argv) {
   // Bring the deferred view up to date: consolidation + batched replay.
   db.Refresh("oj_view");
 
-  // --- admission tail ---------------------------------------------------
+  // --- threshold tail ---------------------------------------------------
   // A second deferred view, refreshed on demand once.
   db.CreateMaterializedView(MakeCustomerOrdersView(*db.catalog()));
   db.SetRefreshPolicy("cust_orders", deferred::RefreshPolicy::kOnDemand);
   db.Insert("orders", refresh.NewOrders(20));
   db.Refresh("cust_orders");
 
-  // Admission control on, with a pending threshold the next statement
-  // trips: the due-view scan goes through AdmitAndRefresh, recording a
-  // deferred.admission span with the plan's audit args.
-  deferred::AdmissionConfig admission;
-  admission.enabled = true;
-  db.SetAdmissionControl(admission);
+  // A pending threshold the next statement trips: the due-view scan
+  // refreshes the view inline, inside that statement's db.insert span.
   deferred::ThresholdConfig tight;
   tight.max_pending_rows = 1;
   db.SetRefreshPolicy("cust_orders", deferred::RefreshPolicy::kThreshold,
