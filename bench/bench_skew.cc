@@ -1,5 +1,5 @@
-// Skew-adaptive maintenance: heavy-light partitioning vs uniform eager
-// maintenance under Zipf-distributed join keys.
+// Skewed streams through deferred refresh: eager (kImmediate) vs
+// on-demand (kOnDemand) maintenance under Zipf-distributed join keys.
 //
 // Setup: V = R lo S on r_a = s_a, where S.s_a is Zipf-distributed so a
 // handful of key values carry most of the join fanout. The workload is
@@ -7,27 +7,26 @@
 // join-key updates) whose r_a values draw from the same Zipf
 // distribution — i.e. most statements join a hot key.
 //
-// The uniform maintainer pays one full delta pipeline per statement;
-// for a hot key that includes the large fanout apply. The heavy-light
-// maintainer diverts hot-key rows into per-key lazy state (an O(1)
-// append after a sketch probe) and folds the netted backlog once at the
-// end — ours_ms includes that drain, so the comparison is end-to-end
-// with both views byte-identical (self-checked).
+// The immediate view pays one full delta pipeline per statement; for a
+// hot key that includes the large fanout apply. The on-demand view only
+// stages each statement in the delta log, and the final fresh ReadView
+// consolidates the backlog to its net effect (N touches of one row fold
+// to at most one delete + one insert) and replays it once. Both times
+// cover every statement plus that one read, so the comparison is end to
+// end, and both views must end byte-identical (self-checked).
 //
-// The uniform-control row (zipf_s = 0, batch_rows = 0) runs the same
-// stream over a flat key domain where nothing ever promotes: it
-// measures the pure overhead of the sketch probes and must stay within
-// noise of the uniform maintainer (the "you only pay when skew exists"
-// claim).
+// The control row (zipf_s = 0) runs the same stream over a flat, wide
+// key domain where every key has a small fanout.
 //
 // Row convention in the JSON report: batch_rows = int(100 * zipf_s), so
 // the skew section's rows are keyed 0 / 80 / 120 for the gate.
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 
 #include "bench_util.h"
-#include "ivm/maintainer.h"
+#include "ivm/database.h"
 
 namespace ojv {
 namespace bench {
@@ -36,15 +35,13 @@ namespace {
 constexpr int64_t kCounterpartRows = 6000;  // |S|
 constexpr int64_t kSeedRRows = 200;
 constexpr int kOps = 300;
-constexpr int64_t kPromoteThreshold = 50;
 
 struct StreamResult {
-  double uniform_ms = 0;
-  double ours_ms = 0;   // heavy-light, including the final drain
-  double drain_ms = 0;
-  int64_t diverted_rows = 0;  // raw entries folded by the drain
-  int64_t heavy_keys = 0;     // promoted keys at end of stream
-  MaintenanceStats heavy_stages;
+  double uniform_ms = 0;  // kImmediate, statements + final fresh read
+  double ours_ms = 0;     // kOnDemand, statements + final fresh read
+  double refresh_ms = 0;  // the refresh that read ran
+  int64_t consolidated_rows = 0;
+  int64_t cancelled_rows = 0;
 };
 
 /// R(r_id, r_a, r_v) lo S(s_id, s_a, s_v) on r_a = s_a.
@@ -61,122 +58,105 @@ ViewDef MakeSkewView(const Catalog& catalog) {
 /// Runs the statement stream once; `zipf_s` shapes both S's key
 /// distribution and the stream's key draws. `domain` controls the
 /// per-key fanout: the skewed rows use a small domain (hot keys carry
-/// thousands of S rows); the control uses a wide one where every key
-/// stays far below the promote threshold.
+/// thousands of S rows); the control uses a wide one.
 StreamResult RunStream(double zipf_s, int64_t domain, uint64_t seed) {
-  Catalog catalog;
-  catalog.CreateTable("R", Schema({{"r_id", ValueType::kInt64, false},
-                                   {"r_a", ValueType::kInt64, true},
-                                   {"r_v", ValueType::kInt64, true}}),
-                      {"r_id"});
-  catalog.CreateTable("S", Schema({{"s_id", ValueType::kInt64, false},
-                                   {"s_a", ValueType::kInt64, true},
-                                   {"s_v", ValueType::kInt64, true}}),
-                      {"s_id"});
+  Database immediate;
+  Database on_demand;
+  Database* dbs[] = {&immediate, &on_demand};
+  for (Database* db : dbs) {
+    db->catalog()->CreateTable("R",
+                               Schema({{"r_id", ValueType::kInt64, false},
+                                       {"r_a", ValueType::kInt64, true},
+                                       {"r_v", ValueType::kInt64, true}}),
+                               {"r_id"});
+    db->catalog()->CreateTable("S",
+                               Schema({{"s_id", ValueType::kInt64, false},
+                                       {"s_a", ValueType::kInt64, true},
+                                       {"s_v", ValueType::kInt64, true}}),
+                               {"s_id"});
+  }
 
   Rng rng(seed);
   const ZipfDistribution zipf(domain, zipf_s);
-  Table* r = catalog.GetTable("R");
-  Table* s = catalog.GetTable("S");
   for (int64_t i = 0; i < kCounterpartRows; ++i) {
-    s->Insert({Value::Int64(i), Value::Int64(zipf.Sample(&rng)),
-               Value::Int64(rng.Uniform(0, 999))});
+    const Row row = {Value::Int64(i), Value::Int64(zipf.Sample(&rng)),
+                     Value::Int64(rng.Uniform(0, 999))};
+    for (Database* db : dbs) db->catalog()->GetTable("S")->Insert(row);
   }
   std::vector<int64_t> live_keys;
   for (int64_t i = 0; i < kSeedRRows; ++i) {
-    r->Insert({Value::Int64(i), Value::Int64(zipf.Sample(&rng)),
-               Value::Int64(rng.Uniform(0, 999))});
+    const Row row = {Value::Int64(i), Value::Int64(zipf.Sample(&rng)),
+                     Value::Int64(rng.Uniform(0, 999))};
+    for (Database* db : dbs) db->catalog()->GetTable("R")->Insert(row);
     live_keys.push_back(i);
   }
 
-  ViewDef view = MakeSkewView(catalog);
-  MaintenanceOptions uniform_options;
-  ViewMaintainer uniform(&catalog, view, uniform_options);
-  MaintenanceOptions heavy_options;
-  heavy_options.skew = SkewMode::kHeavyLight;
-  heavy_options.heavy.promote_threshold = kPromoteThreshold;
-  // Space-saving error is bounded by N/capacity; with |S| = 6000 the
-  // default 64 slots would overestimate flat 512-domain counts by ~94 —
-  // past the promote threshold — and promote keys in the control. 256
-  // slots bound the error at ~23, well under the threshold.
-  heavy_options.heavy.sketch_capacity = 256;
-  ViewMaintainer heavy(&catalog, view, heavy_options);
-  uniform.InitializeView();
-  heavy.InitializeView();
+  for (Database* db : dbs) {
+    db->CreateMaterializedView(MakeSkewView(*db->catalog()));
+  }
+  on_demand.SetRefreshPolicy("v_skew", deferred::RefreshPolicy::kOnDemand);
 
   StreamResult result;
-  heavy.set_stats_hook(
-      [&result](const std::string&, const MaintenanceStats& stats) {
-        result.heavy_stages.Merge(stats);
-      });
+  const Table& r = *immediate.catalog()->GetTable("R");
 
   // Deletes and updates target the most recently touched rows — the
-  // OLTP hot-tail pattern. That is where the lazy state's netting pays:
-  // N touches of one heavy key fold to at most one delete + one insert
-  // at the drain, while the uniform maintainer pays the key's full join
-  // fanout on every single touch.
+  // OLTP hot-tail pattern. That is where consolidation pays: N touches
+  // of one row fold to at most one delete + one insert at the refresh,
+  // while the immediate view pays the key's full join fanout on every
+  // single touch.
   constexpr size_t kHotTail = 16;
-  auto pick_recent = [&](Rng* r) {
+  auto pick_recent = [&] {
     const size_t span = std::min(kHotTail, live_keys.size());
     return live_keys.size() - 1 -
-           static_cast<size_t>(r->Uniform(0, static_cast<int64_t>(span) - 1));
+           static_cast<size_t>(rng.Uniform(0, static_cast<int64_t>(span) - 1));
   };
 
   int64_t next_key = kSeedRRows;
   for (int op = 0; op < kOps; ++op) {
     const int choice = static_cast<int>(rng.Uniform(0, 9));
+    std::function<void(Database*)> statement;
     if (choice < 2 && live_keys.size() > 8) {
-      // Churn delete of a recently inserted row (nets away entirely
-      // when its insert is still pending in the lazy state).
-      const size_t pick = pick_recent(&rng);
+      // Churn delete of a recently inserted row (cancels entirely when
+      // its insert is still pending in the delta log).
+      const size_t pick = pick_recent();
       const Row key = {Value::Int64(live_keys[pick])};
       live_keys.erase(live_keys.begin() + static_cast<ptrdiff_t>(pick));
-      result.ours_ms += TimeMs(
-          [&] { heavy.PrepareHeavyForOp("R", PlanPolicy::kDefault); });
-      std::vector<Row> deleted = ApplyBaseDelete(r, {key});
-      result.uniform_ms += TimeMs([&] { uniform.OnDelete("R", deleted); });
-      result.ours_ms += TimeMs([&] { heavy.OnDelete("R", deleted); });
+      statement = [key](Database* db) { db->Delete("R", {key}); };
     } else if (choice < 5 && live_keys.size() > 8) {
       // Join-key update of a recently touched row (repeated updates of
       // one row net to a single update pair).
-      const size_t pick = pick_recent(&rng);
+      const size_t pick = pick_recent();
       const Row key = {Value::Int64(live_keys[pick])};
-      Row updated = *r->FindByKey(key);
+      Row updated = *r.FindByKey(key);
       updated[1] = Value::Int64(zipf.Sample(&rng));
-      result.ours_ms += TimeMs([&] {
-        heavy.PrepareHeavyForOp("R", PlanPolicy::kDefault, /*is_update=*/true);
-      });
-      std::vector<Row> old_rows;
-      ApplyBaseUpdate(r, {key}, {updated}, &old_rows);
-      result.uniform_ms +=
-          TimeMs([&] { uniform.OnUpdate("R", old_rows, {updated}); });
-      result.ours_ms +=
-          TimeMs([&] { heavy.OnUpdate("R", old_rows, {updated}); });
+      statement = [key, updated](Database* db) {
+        db->Update("R", {key}, {updated});
+      };
     } else {
       const Row row = {Value::Int64(next_key), Value::Int64(zipf.Sample(&rng)),
                        Value::Int64(rng.Uniform(0, 999))};
       live_keys.push_back(next_key++);
-      result.ours_ms += TimeMs(
-          [&] { heavy.PrepareHeavyForOp("R", PlanPolicy::kDefault); });
-      std::vector<Row> inserted = ApplyBaseInsert(r, {row});
-      result.uniform_ms += TimeMs([&] { uniform.OnInsert("R", inserted); });
-      result.ours_ms += TimeMs([&] { heavy.OnInsert("R", inserted); });
+      statement = [row](Database* db) { db->Insert("R", {row}); };
     }
+    result.uniform_ms += TimeMs([&] { statement(&immediate); });
+    result.ours_ms += TimeMs([&] { statement(&on_demand); });
   }
 
-  result.diverted_rows = heavy.HeavyPendingRows();
-  if (heavy.heavy_controller() != nullptr) {
-    result.heavy_keys =
-        heavy.heavy_controller()->hitters()->PromotedKeys("S");
-  }
-  result.drain_ms = TimeMs([&] { heavy.DrainHeavyState(); });
-  result.ours_ms += result.drain_ms;
+  ViewSnapshot eager, deferred_read;
+  result.uniform_ms += TimeMs([&] { eager = immediate.ReadView("v_skew"); });
+  result.ours_ms +=
+      TimeMs([&] { deferred_read = on_demand.ReadView("v_skew"); });
+  const deferred::ViewRefreshState state = on_demand.RefreshState("v_skew");
+  result.refresh_ms = state.refresh_micros / 1000.0;
+  result.consolidated_rows = state.consolidated_rows;
+  result.cancelled_rows = state.cancelled_rows;
 
-  // Self-check: the whole comparison is void if the lazy path diverged.
-  if (!heavy.view().AsRelation().Equals(uniform.view().AsRelation())) {
+  // Self-check: the whole comparison is void if the deferred path
+  // diverged.
+  if (!eager.relation().Equals(deferred_read.relation())) {
     std::fprintf(stderr,
-                 "bench_skew: SELF-CHECK FAILED at zipf_s=%.1f — heavy-light "
-                 "and uniform views differ\n",
+                 "bench_skew: SELF-CHECK FAILED at zipf_s=%.1f — on-demand "
+                 "and immediate views differ\n",
                  zipf_s);
     std::exit(1);
   }
@@ -186,36 +166,33 @@ StreamResult RunStream(double zipf_s, int64_t domain, uint64_t seed) {
 int Run(int argc, char** argv) {
   BenchOptions options = BenchOptions::Parse(argc, argv);
   std::printf(
-      "skew-adaptive maintenance: %d single-row R statements against "
-      "|S|=%lld, promote_threshold=%lld\n",
-      kOps, static_cast<long long>(kCounterpartRows),
-      static_cast<long long>(kPromoteThreshold));
+      "skewed streams: %d single-row R statements against |S|=%lld, then "
+      "one fresh read\n",
+      kOps, static_cast<long long>(kCounterpartRows));
 
   JsonReport report("skew", options);
-  PrintHeader("Heavy-light vs uniform maintenance under Zipf join keys",
-              {"Zipf s", "Uniform", "HeavyLight", "Drain", "Speedup",
-               "HeavyKeys", "Diverted"});
+  PrintHeader("Immediate vs on-demand maintenance under Zipf join keys",
+              {"Zipf s", "Immediate", "OnDemand", "Refresh", "Speedup",
+               "Consolidated", "Cancelled"});
 
   struct Config {
     double s;
     int64_t domain;
     const char* label;
   };
-  // Control first: flat keys over a wide domain — per-key counts stay
-  // far below the promote threshold, so nothing diverts and the row
-  // measures pure probe overhead.
+  // Control first: flat keys over a wide domain.
   const Config configs[] = {
       {0.0, 512, "control"}, {0.8, 64, "moderate"}, {1.2, 64, "heavy"}};
   for (const Config& config : configs) {
     StreamResult result = RunStream(config.s, config.domain, options.seed);
-    char sbuf[16], speedup[16];
+    const double speedup = result.uniform_ms / std::max(result.ours_ms, 1e-3);
+    char sbuf[16], speedup_buf[16];
     std::snprintf(sbuf, sizeof(sbuf), "%.1f", config.s);
-    std::snprintf(speedup, sizeof(speedup), "%.1fx",
-                  result.uniform_ms / std::max(result.ours_ms, 1e-3));
+    std::snprintf(speedup_buf, sizeof(speedup_buf), "%.1fx", speedup);
     PrintRow({sbuf, FormatMs(result.uniform_ms), FormatMs(result.ours_ms),
-              FormatMs(result.drain_ms), speedup,
-              FormatCount(result.heavy_keys),
-              FormatCount(result.diverted_rows)});
+              FormatMs(result.refresh_ms), speedup_buf,
+              FormatCount(result.consolidated_rows),
+              FormatCount(result.cancelled_rows)});
 
     report.BeginRow();
     report.Str("workload", config.label);
@@ -224,11 +201,10 @@ int Run(int argc, char** argv) {
     report.Count("key_domain", config.domain);
     report.Num("uniform_ms", result.uniform_ms);
     report.Num("ours_ms", result.ours_ms);
-    report.Num("drain_ms", result.drain_ms);
-    report.Num("speedup", result.uniform_ms / std::max(result.ours_ms, 1e-3));
-    report.Count("heavy_keys", result.heavy_keys);
-    report.Count("diverted_rows", result.diverted_rows);
-    report.Obj("stages", StagesJson(result.heavy_stages));
+    report.Num("refresh_ms", result.refresh_ms);
+    report.Num("speedup", speedup);
+    report.Count("consolidated_rows", result.consolidated_rows);
+    report.Count("cancelled_rows", result.cancelled_rows);
   }
 
   report.Write();

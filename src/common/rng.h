@@ -45,8 +45,8 @@ class Rng {
 /// [0, n). s = 0 degenerates to uniform; s around 1 is the classic
 /// web/retail skew. The CDF is precomputed once (O(n) doubles) so each
 /// draw is one Uniform double plus a binary search — deterministic
-/// across platforms, like the generator itself. Used by the skew
-/// benchmarks and the heavy-light equivalence property tests.
+/// across platforms, like the generator itself. Used by bench_skew and
+/// the hot-key streams of the deferred policy-equivalence tests.
 class ZipfDistribution {
  public:
   /// Requires n >= 1 and s >= 0.

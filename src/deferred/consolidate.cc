@@ -7,10 +7,18 @@
 namespace ojv {
 namespace deferred {
 
-NetFold::NetFold(std::vector<int> key_positions)
-    : key_positions_(std::move(key_positions)) {}
-
 namespace {
+
+/// Key-order comparison of unique-key tuples.
+struct RowKeyLess {
+  bool operator()(const Row& a, const Row& b) const {
+    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+      int c = a[i].SortCompare(b[i]);
+      if (c != 0) return c < 0;
+    }
+    return a.size() < b.size();
+  }
+};
 
 Row KeyOf(const Row& row, const std::vector<int>& key_positions) {
   Row key;
@@ -19,7 +27,42 @@ Row KeyOf(const Row& row, const std::vector<int>& key_positions) {
   return key;
 }
 
-}  // namespace
+/// The per-key netting core of Consolidate: repeated touches of one key
+/// collapse to at most one pre-image + one post-image (insert+delete
+/// cancels, delete+reinsert folds to an update pair or cancels when
+/// identical).
+class NetFold {
+ public:
+  explicit NetFold(std::vector<int> key_positions)
+      : key_positions_(std::move(key_positions)) {}
+
+  /// Entries arrive in statement order, exactly like log entries.
+  void AddInsert(const Row& row);
+  void AddDelete(const Row& row);
+
+  struct Net {
+    std::vector<Row> deletes;  // net pre-images, key order
+    std::vector<Row> inserts;  // net post-images, key order
+    int64_t update_pairs = 0;
+    int64_t cancelled = 0;
+    int64_t raw_entries = 0;
+  };
+
+  /// Extracts the net effect and resets the fold.
+  Net Take();
+
+ private:
+  struct NetState {
+    bool has_old = false;  // pre-image deleted from the fold's pre-state
+    bool has_new = false;  // post-image present in the fold's post-state
+    Row old_row;
+    Row new_row;
+  };
+
+  std::vector<int> key_positions_;
+  std::map<Row, NetState, RowKeyLess> by_key_;
+  int64_t raw_entries_ = 0;
+};
 
 void NetFold::AddInsert(const Row& row) {
   ++raw_entries_;
@@ -66,8 +109,6 @@ NetFold::Net NetFold::Take() {
   raw_entries_ = 0;
   return net;
 }
-
-namespace {
 
 TableDelta ConsolidateTable(const std::string& table,
                             const std::vector<DeltaEntry>& entries,

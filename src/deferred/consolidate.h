@@ -44,60 +44,6 @@ std::vector<TableDelta> Consolidate(
     const std::map<std::string, std::vector<DeltaEntry>>& pending,
     const Catalog& catalog);
 
-/// Key-order comparison of unique-key tuples.
-struct RowKeyLess {
-  bool operator()(const Row& a, const Row& b) const {
-    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      int c = a[i].SortCompare(b[i]);
-      if (c != 0) return c < 0;
-    }
-    return a.size() < b.size();
-  }
-};
-
-/// The per-key netting core of Consolidate, reusable outside the delta
-/// log: repeated touches of one key collapse to at most one pre-image +
-/// one post-image (insert+delete cancels, delete+reinsert folds to an
-/// update pair or cancels when identical). The heavy-key lazy state of
-/// skew-adaptive maintenance (src/ivm/heavy_state.*) runs every diverted
-/// row through the same fold, so a hot key touched a thousand times
-/// between drains replays as one consolidated statement — the hot-key
-/// analogue of deferred batch consolidation.
-class NetFold {
- public:
-  explicit NetFold(std::vector<int> key_positions);
-
-  /// Entries arrive in statement order, exactly like log entries.
-  void AddInsert(const Row& row);
-  void AddDelete(const Row& row);
-
-  bool empty() const { return by_key_.empty(); }
-  int64_t raw_entries() const { return raw_entries_; }
-
-  struct Net {
-    std::vector<Row> deletes;  // net pre-images, key order
-    std::vector<Row> inserts;  // net post-images, key order
-    int64_t update_pairs = 0;
-    int64_t cancelled = 0;
-    int64_t raw_entries = 0;
-  };
-
-  /// Extracts the net effect and resets the fold.
-  Net Take();
-
- private:
-  struct NetState {
-    bool has_old = false;  // pre-image deleted from the fold's pre-state
-    bool has_new = false;  // post-image present in the fold's post-state
-    Row old_row;
-    Row new_row;
-  };
-
-  std::vector<int> key_positions_;
-  std::map<Row, NetState, RowKeyLess> by_key_;
-  int64_t raw_entries_ = 0;
-};
-
 }  // namespace deferred
 }  // namespace ojv
 

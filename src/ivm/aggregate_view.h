@@ -25,11 +25,11 @@ struct AggregateSpec {
 /// An aggregated outer-join view: GROUP BY over an SPOJ view.
 ///
 /// Maintenance follows §3.3 and runs the ViewMaintainer pipeline of the
-/// base view — plan sets, cost-based planner, heavy-light diversion and
-/// ivm.* spans — unchanged; only the storage hooks differ. ΔV^D is
-/// merged into the groups with the update's sign; ΔV^I is computed from
-/// base tables (terms cannot be extracted from an aggregated view, §5.3)
-/// and merged with the opposite sign. Each group keeps a row count —
+/// base view — plan sets, cost-based planner and ivm.* spans —
+/// unchanged; only the storage hooks differ. ΔV^D is merged into the
+/// groups with the update's sign; ΔV^I is computed from base tables
+/// (terms cannot be extracted from an aggregated view, §5.3) and merged
+/// with the opposite sign. Each group keeps a row count —
 /// groups reaching zero are deleted — and a non-null contribution count
 /// per aggregate, so a SUM/COUNT over a table that is entirely
 /// null-extended within a group renders NULL and recovers when

@@ -196,42 +196,6 @@ void Database::Accumulate(const std::string& view,
   }
 }
 
-void Database::PrepareHeavyViews(const std::string& table, bool is_update) {
-  const PlanPolicy policy = CurrentPolicy();
-  // Pre-apply folds mutate view contents without reporting stats
-  // through Accumulate, so invalidate the snapshot generation here
-  // whenever a fold could have happened (pending heavy rows existed).
-  auto note = [&](const std::string& name) {
-    if (auto store = SnapshotStoreFor(name); store != nullptr) {
-      store->NoteContentChanged(obs::SteadyNowMicros());
-    }
-  };
-  for (auto& [name, view] : views_) {
-    if (view->view_def().tables().count(table) == 0) continue;
-    if (DeferredNow(name)) continue;
-    const bool had_pending = view->HeavyPendingRows() > 0;
-    view->PrepareHeavyForOp(table, policy, is_update);
-    if (had_pending) note(name);
-  }
-}
-
-MaintenanceStats Database::DrainHeavyView(const std::string& name) {
-  MaintenanceStats stats;
-  if (auto it = views_.find(name); it != views_.end()) {
-    stats = it->second->DrainHeavyState();
-  }
-  if (stats.delta_rows > 0 || stats.total_micros > 0) {
-    Accumulate(name, stats);
-  }
-  return stats;
-}
-
-void Database::DrainHeavyBacklog() {
-  for (auto& [name, view] : views_) {
-    if (view->HeavyPendingRows() > 0) DrainHeavyView(name);
-  }
-}
-
 std::string Database::StatsReport() const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   std::ostringstream out;
@@ -299,11 +263,6 @@ bool Database::SetRefreshPolicy(const std::string& view,
     RefreshLocked(view);
     delta_log_.UnregisterConsumer(view);
   }
-  if (!was_deferred && now_deferred) {
-    // The view must be fully up to date at registration — fold any
-    // heavy-key backlog its eager maintenance left behind.
-    DrainHeavyView(view);
-  }
   scheduler_.SetPolicy(view, policy, config);
   if (!was_deferred && now_deferred) delta_log_.RegisterConsumer(view);
   return true;
@@ -319,12 +278,6 @@ int64_t Database::PendingRows(const std::string& view) const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (!scheduler_.IsDeferred(view)) return 0;
   return delta_log_.PendingRows(view, TablesOf(view));
-}
-
-int64_t Database::HeavyPendingRows(const std::string& view) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  auto it = views_.find(view);
-  return it != views_.end() ? it->second->HeavyPendingRows() : 0;
 }
 
 int64_t Database::DeltaLogSize() const {
@@ -367,7 +320,9 @@ void Database::InstallSnapshotStore(const std::string& name) {
     std::lock_guard<std::mutex> slock(snapshot_mu_);
     snapshots_[name] = store;
   }
-  PublishSnapshotLocked(name, store);
+  // Inside a transaction the view was built from uncommitted rows; the
+  // first read after Commit or Rollback publishes instead.
+  if (!in_transaction_) PublishSnapshotLocked(name, store);
 }
 
 void Database::PublishSnapshotLocked(
@@ -394,7 +349,6 @@ ViewSnapshot Database::SnapshotReadLocked(
   if (allow_refresh && !in_transaction_ && scheduler_.IsDeferred(name)) {
     RefreshLocked(name);
   }
-  DrainHeavyView(name);
   if (in_transaction_) {
     // The stored view holds the transaction's uncommitted writes: this
     // read sees them, but publishing them would hand them to every
@@ -533,13 +487,6 @@ deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
       } else {
         maintain(view->OnInsert(d.table, d.inserts, PlanPolicy::kDefault));
       }
-      // Heavy-key rows the replay diverted must fold before the refresh
-      // ends: statements mutate base without preparing deferred views,
-      // so pending lazy state must never outlive the refresh.
-      const MaintenanceStats drained = view->DrainHeavyState();
-      if (drained.delta_rows > 0 || drained.total_micros > 0) {
-        maintain(drained);
-      }
     } else if (!active.empty()) {
       // General batch (several tables, or delete+reinsert pairs): revert
       // the raw pending entries newest-first, then replay the net deltas
@@ -586,9 +533,9 @@ deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
   delta_log_.TruncateConsumed();
   stats.refresh_micros = MicrosSince(start);
   scheduler_.RecordRefresh(name, stats);
-  // The stored view is caught up and its heavy state folded: publish
-  // the refreshed contents so snapshot readers see them without
-  // touching the statement mutex. (No-op when the batch was empty.)
+  // The stored view is caught up: publish the refreshed contents so
+  // snapshot readers see them without touching the statement mutex.
+  // (No-op when the batch was empty.)
   if (auto store = SnapshotStoreFor(name); store != nullptr) {
     PublishSnapshotLocked(name, store);
   }
@@ -617,8 +564,6 @@ void Database::DrainDueViews() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (in_transaction_) return;  // transactions drain at Begin and run eager
   RefreshDueViews(nullptr);
-  // Heavy-key backlogs drain on the worker tick too.
-  DrainHeavyBacklog();
 }
 
 std::vector<std::string> Database::CollectDueViews() const {
@@ -695,9 +640,6 @@ Database::StatementResult Database::Insert(const std::string& table,
     result.error = "unknown table " + table;
     return result;
   }
-  // Pre-apply contract: conflicting heavy-key lazy state must fold
-  // while base still matches the state its rows were diverted under.
-  PrepareHeavyViews(table, /*is_update=*/false);
   Table* base = catalog_.GetTable(table);
   std::vector<Row> accepted;
   accepted.reserve(rows.size());
@@ -786,9 +728,6 @@ Database::StatementResult Database::DeleteLocked(const std::string& table,
     }
   }
 
-  // Pre-apply contract (see Insert): fold conflicting heavy-key state
-  // before the base delete lands.
-  PrepareHeavyViews(table, /*is_update=*/false);
   std::vector<Row> deleted = ApplyBaseDelete(base, valid_keys);
   result.rows_rejected +=
       static_cast<int64_t>(keys.size() - deleted.size());
@@ -846,9 +785,6 @@ Database::StatementResult Database::Update(const std::string& table,
     }
   }
 
-  // Pre-apply contract (see Insert). Update pairs may divert even on
-  // constraint-free plans, so only cross-table pending forces a fold.
-  PrepareHeavyViews(table, /*is_update=*/true);
   std::vector<Row> old_rows;
   std::vector<Row> applied_new;
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -899,9 +835,6 @@ bool Database::BeginTransaction() {
   for (const std::string& view : scheduler_.DeferredViews()) {
     RefreshLocked(view);
   }
-  // Heavy-key backlogs fold too: the undo log's inverse statements
-  // assume the views' contents are complete when the transaction opens.
-  DrainHeavyBacklog();
   in_transaction_ = true;
   undo_log_.clear();
   return true;
@@ -933,10 +866,6 @@ bool Database::Rollback() {
   StatementResult scratch;
   for (auto it = undo_log_.rbegin(); it != undo_log_.rend(); ++it) {
     Table* base = catalog_.GetTable(it->table);
-    // Inverse statements mutate base like forward ones: fold conflicting
-    // heavy-key state first (reversed updates may have diverted rows).
-    PrepareHeavyViews(it->table,
-                      it->kind == UndoEntry::Kind::kReverseUpdate);
     switch (it->kind) {
       case UndoEntry::Kind::kDeleteInserted: {
         std::vector<Row> keys;

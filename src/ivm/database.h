@@ -156,8 +156,7 @@ class Database {
   /// ViewSnapshot pinned to one published generation (see
   /// ivm/view_snapshot.h and DESIGN.md §17). The defaults keep the
   /// historical contract — ReadOptions::Fresh() read-your-writes: a
-  /// deferred view catches up first and, under skew = kHeavyLight, any
-  /// pending heavy-key lazy state folds, so the read observes the full
+  /// deferred view catches up first, so the read observes the full
   /// view. Pass ReadOptions::Snapshot()/Bounded() for the non-blocking
   /// serving path. An invalid snapshot (== nullptr) means unknown view;
   /// ReadView answers row views only, ReadAggregateRelation aggregation
@@ -181,11 +180,6 @@ class Database {
   /// Invalid snapshot (== nullptr) for unknown views.
   ViewSnapshot AcquireSnapshot(const std::string& name,
                                const ReadOptions& options = ReadOptions());
-
-  /// Rows diverted into the view's heavy-key lazy state and not yet
-  /// folded into its contents (0 for kUniform views). Reads fold the
-  /// backlog first, so only out-of-band inspection ever observes > 0.
-  int64_t HeavyPendingRows(const std::string& view) const;
 
   /// Starts/stops the background worker that drains kThreshold views.
   /// While running, threshold trips ping the worker instead of
@@ -232,7 +226,8 @@ class Database {
 
  private:
   /// Materializes and registers a new view (row or aggregate) and
-  /// publishes its first generation. Caller holds `mu_`.
+  /// publishes its first generation (see InstallSnapshotStore). Caller
+  /// holds `mu_`.
   ViewMaintainer* AddView(std::unique_ptr<ViewMaintainer> view);
   // FK child check for inserted rows of `table`; true if row valid.
   bool RowSatisfiesForeignKeys(const std::string& table, const Row& row);
@@ -251,19 +246,6 @@ class Database {
     return !in_transaction_ && scheduler_.IsDeferred(view);
   }
 
-  // --- skew-adaptive (heavy-light) internals ---
-
-  /// Pre-apply heavy-state hook (see ViewMaintainer::PrepareHeavyForOp):
-  /// called BEFORE a statement mutates `table`, so every eager view that
-  /// references the table folds conflicting heavy-key lazy state while
-  /// the base still matches the state the rows were diverted under.
-  void PrepareHeavyViews(const std::string& table, bool is_update);
-  /// Folds one view's heavy-key backlog into its contents (no-op when
-  /// nothing pends or the view runs kUniform); stats are accumulated.
-  MaintenanceStats DrainHeavyView(const std::string& name);
-  /// Opportunistically folds every view's heavy-key backlog (background
-  /// refresher tick).
-  void DrainHeavyBacklog();
   /// Tables referenced by the (row or aggregate) view.
   const std::set<std::string>& TablesOf(const std::string& view) const;
   /// Stages a statement's rows for the deferred views that reference
@@ -273,8 +255,7 @@ class Database {
   /// Threshold check after a statement: refreshes due views inline, or
   /// pings the background worker when one is running.
   void MaybeAutoRefresh(StatementResult* result);
-  /// Background worker body: refreshes the due kThreshold views, then
-  /// folds heavy-key backlogs.
+  /// Background worker body: refreshes the due kThreshold views.
   void DrainDueViews();
   /// The one due-view scan: the kThreshold views past their Due()
   /// limits right now, in scan order. Publishes every threshold view's
@@ -291,7 +272,8 @@ class Database {
   std::shared_ptr<GenerationStore> SnapshotStoreFor(
       const std::string& name) const;
   /// Registers a fresh store for a just-created view and publishes its
-  /// initial generation. Caller holds `mu_`.
+  /// initial generation — outside a transaction only, since inside one
+  /// the contents hold uncommitted rows. Caller holds `mu_`.
   void InstallSnapshotStore(const std::string& name);
   /// Publishes the view's current stored contents as a new generation
   /// if the published one is out of date. Caller holds `mu_` (the
@@ -300,8 +282,8 @@ class Database {
   /// staleness origin.
   void PublishSnapshotLocked(const std::string& name,
                              const std::shared_ptr<GenerationStore>& store);
-  /// Shared blocking read path: refresh (unless !allow_refresh), fold
-  /// heavy state, publish, pin. Inside a transaction nothing refreshes
+  /// Shared blocking read path: refresh (unless !allow_refresh),
+  /// publish, pin. Inside a transaction nothing refreshes
   /// or publishes: the read pins an unpublished copy of the current
   /// contents. Caller holds `mu_`.
   ViewSnapshot SnapshotReadLocked(const std::string& name,

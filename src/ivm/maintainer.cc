@@ -76,11 +76,6 @@ ViewMaintainer::ViewMaintainer(const Catalog* catalog, ViewDef view,
     BuildPlanSet(/*use_fks=*/false, &update_);
   }
   view_store_ = std::make_unique<MaterializedView>(view_def_.output_schema());
-  if (options_.skew == SkewMode::kHeavyLight) {
-    heavy_ = std::make_unique<HeavyLightController>(catalog_, view_def_,
-                                                    options_.heavy);
-    heavy_->set_drain_hook([this] { DrainHeavyState(); });
-  }
 }
 
 void ViewMaintainer::BuildPlanSet(bool use_fks, PlanSet* out) {
@@ -323,134 +318,33 @@ MaintenanceStats& MaintenanceStats::Merge(const MaintenanceStats& other) {
   return *this;
 }
 
-void ViewMaintainer::CheckHeavyConflict(const std::string& table,
-                                        bool can_divert) const {
-  if (heavy_ == nullptr || draining_heavy_) return;
-  OJV_CHECK(!heavy_->NeedsDrainBefore(table, can_divert),
-            "pending heavy-key state conflicts with this operation; call "
-            "PrepareHeavyForOp before applying the base change");
-}
-
-void ViewMaintainer::PrepareHeavyForOp(const std::string& table,
-                                       PlanPolicy policy, bool is_update) {
-  if (heavy_ == nullptr || draining_heavy_) return;
-  if (heavy_->NeedsDrainBefore(table, CanDivert(table, policy, is_update))) {
-    DrainHeavyState();
-  }
-}
-
-MaintenanceStats ViewMaintainer::DrainHeavyState() {
-  MaintenanceStats stats;
-  if (heavy_ == nullptr || draining_heavy_ || !heavy_->HasPending()) {
-    return stats;
-  }
-  draining_heavy_ = true;
-  HeavyState::DrainBatch batch = heavy_->Take();
-  obs::Span span(options_.trace, "heavy_state.drain", "ivm");
-  span.AddArg("view", view_def_.name());
-  span.AddArg("table", batch.table);
-  span.AddArg("raw_entries", batch.raw_entries);
-  span.AddArg("net_deletes", static_cast<int64_t>(batch.deletes.size()));
-  span.AddArg("net_inserts", static_cast<int64_t>(batch.inserts.size()));
-  span.AddArg("update_pairs", batch.update_pairs);
-  auto start = std::chrono::steady_clock::now();
-  // Net delete + reinsert pairs existed mid-batch in states where a
-  // foreign key need not have held (§6 caveat 1 applies to the replay
-  // exactly as it does to an UPDATE statement); a pair-free batch is
-  // plain deletes/inserts and keeps the FK-optimized plans.
-  const PlanPolicy policy = batch.update_pairs > 0
-                                ? PlanPolicy::kConstraintFree
-                                : PlanPolicy::kDefault;
-  if (!batch.deletes.empty()) {
-    stats.Merge(OnDelete(batch.table, batch.deletes, policy));
-  }
-  if (!batch.inserts.empty()) {
-    stats.Merge(OnInsert(batch.table, batch.inserts, policy));
-  }
-  if constexpr (obs::kEnabled) {
-    obs::Registry::Global()
-        .GetCounter("ojv.ivm.heavy.drained_rows")
-        .Add(static_cast<int64_t>(batch.deletes.size() +
-                                  batch.inserts.size()));
-  }
-  span.FinishWithDuration(MicrosSince(start));
-  draining_heavy_ = false;
-  return stats;
-}
-
 MaintenanceStats ViewMaintainer::OnInsert(const std::string& table,
                                           const std::vector<Row>& rows,
                                           PlanPolicy policy) {
   stats_catalog_.OnInsert(table, rows);
-  if (heavy_ != nullptr) heavy_->OnInsert(table, rows);
-  const bool can_divert =
-      CanDivert(table, policy, /*is_update=*/false) && !draining_heavy_;
-  CheckHeavyConflict(table, can_divert);
-  if (can_divert) {
-    std::vector<Row> light =
-        heavy_->SplitBatch(table, rows, /*is_insert=*/true);
-    MaintenanceStats stats = Maintain(SetFor(policy).For(table), table, light,
-                                      /*is_insert=*/true, policy);
-    if (stats_hook_) stats_hook_(table, stats);
-    return stats;
-  }
-  MaintenanceStats stats = Maintain(SetFor(policy).For(table), table, rows,
-                                    /*is_insert=*/true, policy);
-  if (stats_hook_) stats_hook_(table, stats);
-  return stats;
+  return Maintain(SetFor(policy).For(table), table, rows, /*is_insert=*/true,
+                  policy);
 }
 
 MaintenanceStats ViewMaintainer::OnDelete(const std::string& table,
                                           const std::vector<Row>& rows,
                                           PlanPolicy policy) {
   stats_catalog_.OnDelete(table, rows);
-  if (heavy_ != nullptr) heavy_->OnDelete(table, rows);
-  const bool can_divert =
-      CanDivert(table, policy, /*is_update=*/false) && !draining_heavy_;
-  CheckHeavyConflict(table, can_divert);
-  if (can_divert) {
-    std::vector<Row> light =
-        heavy_->SplitBatch(table, rows, /*is_insert=*/false);
-    MaintenanceStats stats = Maintain(SetFor(policy).For(table), table, light,
-                                      /*is_insert=*/false, policy);
-    if (stats_hook_) stats_hook_(table, stats);
-    return stats;
-  }
-  MaintenanceStats stats = Maintain(SetFor(policy).For(table), table, rows,
-                                    /*is_insert=*/false, policy);
-  if (stats_hook_) stats_hook_(table, stats);
-  return stats;
+  return Maintain(SetFor(policy).For(table), table, rows, /*is_insert=*/false,
+                  policy);
 }
 
 MaintenanceStats ViewMaintainer::OnUpdate(const std::string& table,
                                           const std::vector<Row>& old_rows,
                                           const std::vector<Row>& new_rows) {
   stats_catalog_.OnUpdate(table, old_rows, new_rows);
-  if (heavy_ != nullptr) heavy_->OnUpdate(table, old_rows, new_rows);
   const PlanSet& set = SetFor(PlanPolicy::kConstraintFree);
-  const bool can_divert =
-      CanDivert(table, PlanPolicy::kConstraintFree, /*is_update=*/true) &&
-      !draining_heavy_;
-  CheckHeavyConflict(table, can_divert);
-  if (can_divert) {
-    std::vector<Row> light_old, light_new;
-    heavy_->SplitPairs(table, old_rows, new_rows, &light_old, &light_new);
-    MaintenanceStats stats =
-        Maintain(set.For(table), table, light_old, /*is_insert=*/false,
-                 PlanPolicy::kConstraintFree);
-    stats.fk_fast_path = false;
-    stats.Merge(Maintain(set.For(table), table, light_new, /*is_insert=*/true,
-                         PlanPolicy::kConstraintFree));
-    if (stats_hook_) stats_hook_(table, stats);
-    return stats;
-  }
   MaintenanceStats stats =
       Maintain(set.For(table), table, old_rows, /*is_insert=*/false,
                PlanPolicy::kConstraintFree);
   stats.fk_fast_path = false;
   stats.Merge(Maintain(set.For(table), table, new_rows, /*is_insert=*/true,
                        PlanPolicy::kConstraintFree));
-  if (stats_hook_) stats_hook_(table, stats);
   return stats;
 }
 
@@ -459,9 +353,6 @@ MaintenanceStats ViewMaintainer::OnConsolidatedBatch(
     const std::vector<Row>& net_inserts, PlanPolicy policy) {
   OJV_CHECK(base != nullptr && base->name() == table,
             "consolidated batch must target its own base table");
-  // This entry point applies the base changes itself, so it can honor
-  // the pre-apply drain contract internally.
-  PrepareHeavyForOp(table, policy);
   MaintenanceStats stats;
   if (!net_deletes.empty()) {
     std::vector<Row> keys;
@@ -520,15 +411,6 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
   RelExprPtr exec_expr = plan.delta_expr;
   opt::PlanCacheEntry* cache_entry = nullptr;
   if (ContainsJoin(plan.delta_expr)) {
-    if (heavy_ != nullptr) {
-      // Light batches never join the heavy partition — estimate the
-      // counterpart tables minus it. Drain replays (and tables without
-      // edges) plan against the full tables.
-      planner_.SetPartitionExclusions(
-          !draining_heavy_ && heavy_->HasEdges(table)
-              ? heavy_->Exclusions(table)
-              : std::unordered_map<std::string, opt::PartitionExclusion>());
-    }
     const std::string key = opt::PlanCache::Key(
         table, is_insert,
         policy == PlanPolicy::kConstraintFree && options_.exploit_foreign_keys);

@@ -1,14 +1,12 @@
 #ifndef OJV_IVM_MAINTAINER_H_
 #define OJV_IVM_MAINTAINER_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "exec/evaluator.h"
-#include "ivm/heavy_state.h"
 #include "ivm/materialized_view.h"
 #include "ivm/secondary_delta.h"
 #include "ivm/view_def.h"
@@ -21,14 +19,6 @@
 #include "opt/stats.h"
 
 namespace ojv {
-
-/// Skew handling (DESIGN.md §16). kUniform (the default) runs every
-/// delta row through the eager pipeline — byte-for-byte the pre-skew
-/// behavior. kHeavyLight partitions each batch by join-key frequency:
-/// light rows stay eager, heavy rows divert into per-key lazy state
-/// (ivm::HeavyState) folded in at drain points. View contents at every
-/// drain point are identical either way.
-enum class SkewMode { kUniform, kHeavyLight };
 
 /// Knobs for the maintenance procedure; defaults match the paper's
 /// algorithm. Turning knobs off is used by the ablation benchmarks.
@@ -44,11 +34,6 @@ struct MaintenanceOptions {
   /// runs the hot operators morsel-parallel on the process-wide shared
   /// thread pool; results are identical to serial execution.
   ExecConfig exec;
-  /// Skew-adaptive heavy-light partitioning; kUniform leaves the
-  /// pipeline untouched.
-  SkewMode skew = SkewMode::kUniform;
-  /// Heavy-hitter sketch and promotion thresholds (kHeavyLight only).
-  opt::HeavyHitterConfig heavy;
   /// Trace sink (not owned). When set, every maintenance operation
   /// records per-stage spans — plan build, primary delta with one span
   /// per exec operator, apply, secondary delta — into it. Null (the
@@ -82,12 +67,6 @@ struct MaintenanceStats {
   MaintenanceStats& Merge(const MaintenanceStats& other);
 };
 
-/// Observer invoked after every maintenance operation with the updated
-/// table and the operation's stats — lets callers (Database, monitoring)
-/// attribute maintenance cost without threading return values around.
-using MaintenanceStatsHook =
-    std::function<void(const std::string& table, const MaintenanceStats&)>;
-
 /// Incremental maintainer for one materialized SPOJ view.
 ///
 /// Contract: the caller applies the base-table update first (the paper's
@@ -100,8 +79,8 @@ using MaintenanceStatsHook =
 /// All per-table plans (normal form, graphs, delta expressions) are
 /// computed once, up front.
 ///
-/// The pipeline — plan sets, cost-based planner, heavy-light diversion,
-/// ivm.* spans — is the same for every view; only where the deltas land
+/// The pipeline — plan sets, cost-based planner, ivm.* spans — is the
+/// same for every view; only where the deltas land
 /// differs. A subclass stores its contents elsewhere by overriding the
 /// protected storage hooks (AggViewMaintainer merges them into groups).
 class ViewMaintainer {
@@ -109,7 +88,7 @@ class ViewMaintainer {
   ViewMaintainer(const Catalog* catalog, ViewDef view,
                  MaintenanceOptions options = MaintenanceOptions());
   virtual ~ViewMaintainer() = default;
-  // The heavy-light drain hook holds `this`.
+  // The secondary engines hold pointers into this maintainer.
   ViewMaintainer(const ViewMaintainer&) = delete;
   ViewMaintainer& operator=(const ViewMaintainer&) = delete;
 
@@ -170,40 +149,6 @@ class ViewMaintainer {
                                        const std::vector<Row>& net_deletes,
                                        const std::vector<Row>& net_inserts,
                                        PlanPolicy policy);
-
-  /// Installs a stats observer (empty to remove).
-  void set_stats_hook(MaintenanceStatsHook hook) {
-    stats_hook_ = std::move(hook);
-  }
-
-  // --- skew-adaptive maintenance (options.skew = kHeavyLight) ---
-
-  /// Must be called BEFORE applying a base change of `table` (under the
-  /// policy the maintenance call will use; is_update for UPDATE pairs):
-  /// folds pending lazy state in when the op conflicts with it — a
-  /// different table, or a policy that cannot divert. Draining after the
-  /// base change is applied would double-count the cross term
-  /// Δpending ⋈ Δop (both replays would see the other's rows in base),
-  /// so OnInsert/OnDelete/OnUpdate abort on an unresolved conflict
-  /// instead of draining late. No-op under kUniform.
-  void PrepareHeavyForOp(const std::string& table, PlanPolicy policy,
-                         bool is_update = false);
-
-  /// Folds all pending heavy-key lazy state into the view: the netted
-  /// batch replays as OnDelete(net deletes) then OnInsert(net inserts),
-  /// constraint-free when the batch contains update pairs. No-op when
-  /// nothing pends. Never touches base tables — diverted rows were
-  /// already applied to the base at divert time, and maintenance of a
-  /// table never reads that table's own base state.
-  MaintenanceStats DrainHeavyState();
-
-  /// Raw diverted rows currently pending (0 under kUniform).
-  int64_t HeavyPendingRows() const {
-    return heavy_ != nullptr ? heavy_->pending_rows() : 0;
-  }
-
-  /// The heavy-light controller; null under kUniform.
-  HeavyLightController* heavy_controller() { return heavy_.get(); }
 
   // --- plan access for tests and benchmarks ---
 
@@ -317,30 +262,10 @@ class ViewMaintainer {
   /// Shared worker pool for morsel-parallel evaluation; null when
   /// options_.exec.num_threads <= 1 (serial execution).
   std::shared_ptr<ThreadPool> pool_;
-  MaintenanceStatsHook stats_hook_;
   /// Cost-based planner state.
   opt::StatsCatalog stats_catalog_;
   opt::DeltaPlanner planner_;
   opt::PlanCache plan_cache_;
-  /// Heavy-light partitioning state; null under skew = kUniform, which
-  /// keeps every code path byte-identical to the pre-skew pipeline.
-  std::unique_ptr<HeavyLightController> heavy_;
-  /// Re-entrancy guard: a drain replays through OnInsert/OnDelete, which
-  /// must not split or re-divert the replayed rows.
-  bool draining_heavy_ = false;
-
-  /// True when an op of `table` may divert rows instead of draining:
-  /// default-policy statements (or UPDATE pairs, which divert whole) of
-  /// a table with join edges.
-  bool CanDivert(const std::string& table, PlanPolicy policy,
-                 bool is_update) const {
-    return heavy_ != nullptr &&
-           (is_update || policy == PlanPolicy::kDefault) &&
-           heavy_->HasEdges(table);
-  }
-  /// Aborts when pending lazy state conflicts with an op about to run —
-  /// the caller skipped PrepareHeavyForOp before the base change.
-  void CheckHeavyConflict(const std::string& table, bool can_divert) const;
 };
 
 /// Inserts rows into a base table; returns the rows actually inserted

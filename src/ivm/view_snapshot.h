@@ -14,7 +14,7 @@ namespace ojv {
 /// How current a Database read must be (DESIGN.md §17).
 enum class ReadFreshness {
   /// Bring the view fully up to date before reading: drain pending
-  /// deltas and heavy-key lazy state on the reader's thread, then pin
+  /// deltas on the reader's thread, then pin
   /// the freshly published generation. Read-your-writes — the seed
   /// ReadView semantics — at the cost of taking the statement mutex and
   /// possibly running a refresh inline.

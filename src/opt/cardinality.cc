@@ -26,30 +26,17 @@ void CardinalityEstimator::SetFanoutOverride(const std::string& right_table,
   fanout_overrides_[right_table] = fanout < 0 ? 0 : fanout;
 }
 
-void CardinalityEstimator::SetPartitionExclusion(const std::string& table,
-                                                 PartitionExclusion ex) {
-  ex.rows = std::max(ex.rows, 0.0);
-  ex.keys = std::max(ex.keys, 0.0);
-  exclusions_[table] = ex;
-}
-
 double CardinalityEstimator::TableRows(const std::string& table) const {
   const TableStats* stats = stats_ ? stats_->Get(table) : nullptr;
   if (stats == nullptr) return kUnknownTableRows;
-  double rows = static_cast<double>(stats->row_count);
-  auto it = exclusions_.find(table);
-  if (it != exclusions_.end()) rows = std::max(rows - it->second.rows, 0.0);
-  return rows;
+  return static_cast<double>(stats->row_count);
 }
 
 double CardinalityEstimator::Ndv(const ColumnRef& ref) const {
   const TableStats* stats = stats_ ? stats_->Get(ref.table) : nullptr;
   if (stats == nullptr) return std::sqrt(kUnknownTableRows);
   double fallback = std::sqrt(std::max(1.0, static_cast<double>(stats->row_count)));
-  double ndv = stats->DistinctOf(ref.column, fallback);
-  auto it = exclusions_.find(ref.table);
-  if (it != exclusions_.end()) ndv = std::max(ndv - it->second.keys, 1.0);
-  return ndv;
+  return stats->DistinctOf(ref.column, fallback);
 }
 
 double CardinalityEstimator::Estimate(const RelExprPtr& expr) {

@@ -10,16 +10,6 @@
 namespace ojv {
 namespace opt {
 
-/// Heavy-partition exclusion for skew-adaptive planning (DESIGN.md §16):
-/// when estimating the light batch of a delta, the promoted heavy keys'
-/// row mass (`rows`) and key count (`keys`) are carved out of the
-/// counterpart table — light rows never join the heavy partition, so its
-/// mass must not inflate their fanout.
-struct PartitionExclusion {
-  double rows = 0;
-  double keys = 0;
-};
-
 /// Textbook cardinality estimation over the delta algebra, driven by the
 /// statistics catalog.
 ///
@@ -53,10 +43,6 @@ class CardinalityEstimator {
   /// replaces the ndv-based fanout for that step.
   void SetFanoutOverride(const std::string& right_table, double fanout);
 
-  /// Excludes the heavy partition of `table` from its row count and ndv
-  /// for the rest of this estimation (light-batch planning).
-  void SetPartitionExclusion(const std::string& table, PartitionExclusion ex);
-
   /// Estimated output cardinality of `expr`. Never negative; unknown
   /// tables estimate as 1000 rows (arbitrary but stable).
   double Estimate(const RelExprPtr& expr);
@@ -86,7 +72,6 @@ class CardinalityEstimator {
   StatsCatalog* stats_;
   std::unordered_map<std::string, double> delta_rows_;
   std::unordered_map<std::string, double> fanout_overrides_;
-  std::unordered_map<std::string, PartitionExclusion> exclusions_;
 };
 
 }  // namespace opt

@@ -283,9 +283,6 @@ PlannedDelta DeltaPlanner::Plan(
 
   CardinalityEstimator est(stats_);
   est.SetDeltaRows(delta_table, delta_rows);
-  for (const auto& [table, ex] : exclusions_) {
-    est.SetPartitionExclusion(table, ex);
-  }
   if (fanout_ema != nullptr) {
     for (const auto& [table, f] : *fanout_ema) est.SetFanoutOverride(table, f);
   }

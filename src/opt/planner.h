@@ -56,16 +56,6 @@ class DeltaPlanner {
       double delta_rows,
       const std::unordered_map<std::string, double>* fanout_ema = nullptr);
 
-  /// Partitioned cardinalities for skew-adaptive maintenance: every
-  /// subsequent Plan estimates each listed table minus its heavy
-  /// partition (the light batch being planned never joins it). Stays in
-  /// effect until replaced; pass {} to clear (drain replays plan against
-  /// the full tables).
-  void SetPartitionExclusions(
-      std::unordered_map<std::string, PartitionExclusion> exclusions) {
-    exclusions_ = std::move(exclusions);
-  }
-
   /// Orders `tables` by ascending estimated row count (deterministic:
   /// ties break by name). The secondary delta's §5.3 fragments join
   /// their residual parent tables in this order where conjuncts allow.
@@ -74,7 +64,6 @@ class DeltaPlanner {
 
  private:
   StatsCatalog* stats_;
-  std::unordered_map<std::string, PartitionExclusion> exclusions_;
 };
 
 }  // namespace opt

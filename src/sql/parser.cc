@@ -523,12 +523,16 @@ bool ExecuteCreateView(const std::string& sql, Database* db,
   std::optional<ParsedView> parsed =
       ParseCreateView(sql, *db->catalog(), error);
   if (!parsed.has_value()) return false;
-  if (parsed->is_aggregate) {
-    db->CreateAggregateView(std::move(parsed->view),
-                            std::move(parsed->group_by),
-                            std::move(parsed->aggregates));
-  } else {
-    db->CreateMaterializedView(std::move(parsed->view));
+  const std::string name = parsed->view.name();
+  const bool created =
+      parsed->is_aggregate
+          ? db->CreateAggregateView(std::move(parsed->view),
+                                    std::move(parsed->group_by),
+                                    std::move(parsed->aggregates)) != nullptr
+          : db->CreateMaterializedView(std::move(parsed->view)) != nullptr;
+  if (!created) {
+    if (error != nullptr) *error = "view " + name + " already exists";
+    return false;
   }
   if (error != nullptr) error->clear();
   return true;

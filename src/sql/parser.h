@@ -55,7 +55,8 @@ std::optional<ParsedView> ParseCreateView(const std::string& sql,
 
 /// Parses `sql` against the database's catalog and registers the view
 /// (row-level or aggregated) for automatic maintenance. Returns false
-/// and fills *error on failure.
+/// and fills *error on failure, including when the view's name is
+/// already in use (the existing view is left as it was).
 bool ExecuteCreateView(const std::string& sql, Database* db,
                        std::string* error);
 

@@ -3,7 +3,9 @@
 // worker), multi-table revert-and-replay, transactions, and randomized
 // policy equivalence on the paper's running-example view V1.
 
+#include <algorithm>
 #include <chrono>
+#include <map>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -341,75 +343,160 @@ TEST_F(DeferredDatabaseTest, AggregateViewsRefreshOnDemandToo) {
   EXPECT_EQ(groups.rows().size(), 2u);
 }
 
+// Zipf-ranked RSTU rows: both join columns draw ranks from `zipf`, so a
+// few values carry most of every join's fanout, with occasional NULLs.
+std::vector<Row> HotKeyRows(Rng* rng, const ZipfDistribution& zipf, int n,
+                            int64_t* next_key) {
+  auto join_value = [&]() {
+    return rng->Chance(0.08) ? Value::Null() : Value::Int64(zipf.Sample(rng));
+  };
+  std::vector<Row> rows;
+  for (int i = 0; i < n; ++i) {
+    rows.push_back(Row{Value::Int64((*next_key)++), join_value(), join_value(),
+                       Value::Int64(rng->Uniform(0, 999))});
+  }
+  return rows;
+}
+
 // All three policies — and a from-scratch recompute — agree on the
-// paper's running-example view V1 under a randomized statement mix.
+// paper's running-example view V1 under a randomized statement mix, on
+// two inputs. The uniform input draws join keys uniformly and refreshes
+// the on-demand view explicitly mid-run. The hot-key input draws them
+// from a Zipf distribution, deletes and updates the most recently
+// inserted rows (the OLTP hot tail, so deferred batches net repeated
+// touches of one key) and moves updated rows to another join key; it
+// reads all three views fresh every fourth statement. Every read checks
+// every view against recompute.
 TEST(DeferredPolicyEquivalenceTest, RandomizedMixConvergesAcrossPolicies) {
-  Rng rng(20260806);
-  Database immediate, on_demand, threshold;
-  Database* dbs[] = {&immediate, &on_demand, &threshold};
-  for (Database* db : dbs) testing_util::CreateRstuSchema(db->catalog());
-
-  ViewMaintainer* views[3];
-  for (int i = 0; i < 3; ++i) {
-    views[i] = dbs[i]->CreateMaterializedView(
-        testing_util::MakeV1(*dbs[i]->catalog()));
-  }
-  on_demand.SetRefreshPolicy("v1", RefreshPolicy::kOnDemand);
-  deferred::ThresholdConfig config;
-  config.max_pending_rows = 16;
-  threshold.SetRefreshPolicy("v1", RefreshPolicy::kThreshold, config);
-
-  const char* tables[] = {"R", "S", "T", "U"};
-  int64_t next_key = 1;
-  bool deferred_work_seen = false;
-  for (int step = 0; step < 120; ++step) {
-    const std::string table = tables[rng.Uniform(0, 3)];
-    // Statements are generated once against the first database's state
-    // (all base states are identical) and applied to all three.
-    const Table& current = *immediate.catalog()->GetTable(table);
-    double dice = rng.NextDouble();
-    if (dice < 0.5 || current.size() == 0) {
-      std::vector<Row> rows = testing_util::RandomRstuRows(
-          table, &rng, static_cast<int>(rng.Uniform(1, 4)), 6, &next_key);
-      for (Database* db : dbs) db->Insert(table, rows);
-    } else if (dice < 0.75) {
-      std::vector<Row> keys = testing_util::SampleKeys(current, &rng, 2);
-      for (Database* db : dbs) db->Delete(table, keys);
-    } else {
-      std::vector<Row> keys = testing_util::SampleKeys(current, &rng, 2);
-      std::vector<Row> new_rows;
-      for (const Row& key : keys) {
-        Row row = *current.FindByKey(key);
-        row[3] = Value::Int64(rng.Uniform(0, 999));  // payload column
-        if (rng.Chance(0.3)) row[2] = Value::Null();  // join column
-        new_rows.push_back(std::move(row));
+  for (const bool hot_keys : {false, true}) {
+    SCOPED_TRACE(hot_keys ? "hot-key input" : "uniform input");
+    Rng rng(hot_keys ? 77 : 20260806);
+    const ZipfDistribution zipf(8, 1.2);
+    Database immediate, on_demand, threshold;
+    Database* dbs[] = {&immediate, &on_demand, &threshold};
+    const char* tables[] = {"R", "S", "T", "U"};
+    // Live keys per table in insertion order; the hot tail is its end.
+    std::map<std::string, std::vector<Row>> live;
+    int64_t next_key = 1;
+    for (Database* db : dbs) testing_util::CreateRstuSchema(db->catalog());
+    if (hot_keys) {
+      for (const char* table : tables) {
+        std::vector<Row> rows = HotKeyRows(&rng, zipf, 10, &next_key);
+        for (Database* db : dbs) db->Insert(table, rows);
+        for (const Row& row : rows) live[table].push_back({row[0]});
       }
-      for (Database* db : dbs) db->Update(table, keys, new_rows);
     }
-    if (on_demand.PendingRows("v1") > 20) {
-      deferred_work_seen = true;
-      on_demand.Refresh("v1");  // periodic explicit refresh mid-run
+
+    ViewMaintainer* views[3];
+    for (int i = 0; i < 3; ++i) {
+      views[i] = dbs[i]->CreateMaterializedView(
+          testing_util::MakeV1(*dbs[i]->catalog()));
     }
+    on_demand.SetRefreshPolicy("v1", RefreshPolicy::kOnDemand);
+    deferred::ThresholdConfig config;
+    config.max_pending_rows = 16;
+    threshold.SetRefreshPolicy("v1", RefreshPolicy::kThreshold, config);
+
+    auto read_all = [&](const std::string& where) {
+      for (Database* db : dbs) {
+        ViewSnapshot snap = db->ReadView("v1");
+        ASSERT_TRUE(snap.valid()) << where;
+        std::string diff;
+        EXPECT_TRUE(ViewMatchesRecompute(*db->catalog(), views[0]->view_def(),
+                                         snap.relation(), &diff))
+            << where << ", "
+            << deferred::RefreshPolicyName(db->GetRefreshPolicy("v1"))
+            << ": " << diff;
+      }
+    };
+    // Up to n distinct keys among the last 8 live rows of `table`.
+    auto hot_tail = [&](const std::string& table, int n) {
+      const std::vector<Row>& keys = live[table];
+      const int64_t span = std::min<int64_t>(8, keys.size());
+      std::vector<Row> picked;
+      for (int i = 0; i < n; ++i) {
+        const Row& key = keys[keys.size() - 1 -
+                              static_cast<size_t>(rng.Uniform(0, span - 1))];
+        if (std::find(picked.begin(), picked.end(), key) == picked.end()) {
+          picked.push_back(key);
+        }
+      }
+      return picked;
+    };
+
+    bool deferred_work_seen = false;
+    for (int step = 0; step < 120; ++step) {
+      const std::string table = tables[rng.Uniform(0, 3)];
+      // Statements are generated once against the first database's state
+      // (all base states are identical) and applied to all three.
+      const Table& current = *immediate.catalog()->GetTable(table);
+      double dice = rng.NextDouble();
+      if (dice < 0.5 || current.size() == 0) {
+        std::vector<Row> rows =
+            hot_keys ? HotKeyRows(&rng, zipf,
+                                  static_cast<int>(rng.Uniform(1, 4)),
+                                  &next_key)
+                     : testing_util::RandomRstuRows(
+                           table, &rng, static_cast<int>(rng.Uniform(1, 4)),
+                           6, &next_key);
+        for (Database* db : dbs) db->Insert(table, rows);
+        for (const Row& row : rows) live[table].push_back({row[0]});
+      } else if (dice < 0.75) {
+        std::vector<Row> keys = hot_keys
+                                    ? hot_tail(table, 2)
+                                    : testing_util::SampleKeys(current, &rng, 2);
+        for (Database* db : dbs) db->Delete(table, keys);
+        for (const Row& key : keys) {
+          std::vector<Row>& keys_live = live[table];
+          keys_live.erase(
+              std::find(keys_live.begin(), keys_live.end(), key));
+        }
+      } else {
+        std::vector<Row> keys = hot_keys
+                                    ? hot_tail(table, 2)
+                                    : testing_util::SampleKeys(current, &rng, 2);
+        std::vector<Row> new_rows;
+        for (const Row& key : keys) {
+          Row row = *current.FindByKey(key);
+          if (hot_keys) {
+            // Join-key update: the row moves to another (likely hot) key.
+            row[1] = rng.Chance(0.1) ? Value::Null()
+                                     : Value::Int64(zipf.Sample(&rng));
+          } else {
+            row[3] = Value::Int64(rng.Uniform(0, 999));  // payload column
+            if (rng.Chance(0.3)) row[2] = Value::Null();  // join column
+          }
+          new_rows.push_back(std::move(row));
+        }
+        for (Database* db : dbs) db->Update(table, keys, new_rows);
+      }
+      if (on_demand.PendingRows("v1") > 20) {
+        deferred_work_seen = true;
+        on_demand.Refresh("v1");  // periodic explicit refresh mid-run
+      }
+      if (hot_keys && step % 4 == 3) {
+        deferred_work_seen |= on_demand.PendingRows("v1") > 0;
+        read_all("step " + std::to_string(step));
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+    EXPECT_TRUE(deferred_work_seen);
+
+    on_demand.Refresh("v1");
+    threshold.Refresh("v1");
+    EXPECT_EQ(on_demand.PendingRows("v1"), 0);
+    EXPECT_EQ(threshold.PendingRows("v1"), 0);
+
+    // Byte-identical across policies, and correct against recompute.
+    std::string diff;
+    EXPECT_TRUE(SameBag(views[0]->view().AsRelation(),
+                        views[1]->view().AsRelation(), &diff))
+        << "on-demand diverged: " << diff;
+    EXPECT_TRUE(SameBag(views[0]->view().AsRelation(),
+                        views[2]->view().AsRelation(), &diff))
+        << "threshold diverged: " << diff;
+    read_all("final read");
   }
-  EXPECT_TRUE(deferred_work_seen);
-
-  on_demand.Refresh("v1");
-  threshold.Refresh("v1");
-  EXPECT_EQ(on_demand.PendingRows("v1"), 0);
-  EXPECT_EQ(threshold.PendingRows("v1"), 0);
-
-  // Byte-identical across policies, and correct against recompute.
-  std::string diff;
-  EXPECT_TRUE(SameBag(views[0]->view().AsRelation(),
-                      views[1]->view().AsRelation(), &diff))
-      << "on-demand diverged: " << diff;
-  EXPECT_TRUE(SameBag(views[0]->view().AsRelation(),
-                      views[2]->view().AsRelation(), &diff))
-      << "threshold diverged: " << diff;
-  EXPECT_TRUE(ViewMatchesRecompute(*immediate.catalog(),
-                                   views[0]->view_def(), views[0]->view(),
-                                   &diff))
-      << diff;
 }
 
 }  // namespace

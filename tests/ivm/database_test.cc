@@ -381,7 +381,6 @@ TEST_F(DatabaseTest, UnknownTableAndDropView) {
   EXPECT_FALSE(db_.Insert("nope", {Row{}}).ok());
   EXPECT_FALSE(db_.Delete("nope", {}).ok());
   EXPECT_EQ(db_.PendingRows("nope"), 0);
-  EXPECT_EQ(db_.HeavyPendingRows("nope"), 0);
   db_.CreateMaterializedView(MakeDeptView());
   EXPECT_NE(db_.GetView("dept_emp"), nullptr);
   EXPECT_TRUE(db_.DropView("dept_emp"));

@@ -115,8 +115,8 @@ TEST_F(SnapshotReadTest, SnapshotReadDoesNotRefreshOnDemandBacklog) {
   ASSERT_GT(db_.PendingRows("dept_emp"), 0);
 
   // kSnapshot returns the last published generation; the backlog stays
-  // (the opportunistic catch-up folds heavy state and republishes the
-  // stored contents but never runs the deferred refresh).
+  // (the opportunistic catch-up republishes the stored contents but
+  // never runs the deferred refresh).
   ViewSnapshot snap = db_.AcquireSnapshot("dept_emp");
   ASSERT_TRUE(snap.valid());
   EXPECT_EQ(snap.size(), 0);  // created empty, nothing applied yet
@@ -191,6 +191,41 @@ TEST_F(SnapshotReadTest, FreshReadInsideTransactionPublishesNothing) {
   ASSERT_TRUE(db_.Commit().ok());
   EXPECT_EQ(other_reader_rows(), 2);
   EXPECT_EQ(db_.ReadView("dept_emp").size(), 2);
+}
+
+// A view created inside a transaction is built from the transaction's
+// uncommitted rows, so it publishes nothing until the transaction ends;
+// the first read afterwards publishes the committed (or rolled-back)
+// contents.
+TEST_F(SnapshotReadTest, ViewCreatedInsideTransactionPublishesAfterItEnds) {
+  db_.Insert("dept", {Dept(1, "eng")});
+  auto other_reader = [&](const char* view) {
+    ViewSnapshot snap;
+    std::thread reader([&] { snap = db_.AcquireSnapshot(view); });
+    reader.join();
+    return snap;
+  };
+  auto holds_dept = [](const ViewSnapshot& snap, int64_t id) {
+    if (!snap.valid()) return false;
+    for (const Row& row : snap.relation().rows()) {
+      if (row[0] == Value::Int64(id)) return true;
+    }
+    return false;
+  };
+
+  ASSERT_TRUE(db_.BeginTransaction());
+  db_.Insert("dept", {Dept(2, "ops")});
+  ASSERT_NE(db_.CreateMaterializedView(MakeDeptView()), nullptr);
+  EXPECT_FALSE(holds_dept(other_reader("dept_emp"), 2));
+  ASSERT_TRUE(db_.Rollback());
+  EXPECT_EQ(other_reader("dept_emp").size(), 1);
+
+  ASSERT_TRUE(db_.BeginTransaction());
+  db_.Insert("dept", {Dept(2, "ops")});
+  ASSERT_NE(db_.CreateMaterializedView(MakeDeptView("dept_emp2")), nullptr);
+  EXPECT_FALSE(holds_dept(other_reader("dept_emp2"), 2));
+  ASSERT_TRUE(db_.Commit().ok());
+  EXPECT_EQ(other_reader("dept_emp2").size(), 2);
 }
 
 // --- the TSan regression --------------------------------------------------

@@ -9,6 +9,7 @@
 
 #include "baseline/recompute.h"
 #include "common/rng.h"
+#include "ivm/database.h"
 #include "ivm/maintainer.h"
 #include "sql/lexer.h"
 #include "tpch/dbgen.h"
@@ -275,6 +276,32 @@ TEST_F(ParserTest, MutatedInputNeverCrashes) {
   }
   // Sanity: mutations overwhelmingly fail to parse.
   EXPECT_LT(parsed_ok, 100);
+}
+
+// Database refuses a view name in use; the SQL entry point must report
+// that refusal instead of claiming the second view was created.
+TEST(ExecuteCreateViewTest, NameInUseFailsAndKeepsTheFirstView) {
+  Database db;
+  db.catalog()->CreateTable(
+      "t", Schema({ColumnDef{"a", ValueType::kInt64, false}}), {"a"});
+  db.catalog()->CreateTable(
+      "u", Schema({ColumnDef{"b", ValueType::kInt64, false}}), {"b"});
+  db.Insert("t", {Row{Value::Int64(1)}});
+  db.Insert("u", {Row{Value::Int64(1)}, Row{Value::Int64(2)}});
+
+  std::string error;
+  ASSERT_TRUE(ExecuteCreateView("CREATE VIEW v AS SELECT a FROM t", &db,
+                                &error))
+      << error;
+  EXPECT_FALSE(ExecuteCreateView("CREATE VIEW v AS SELECT b FROM u", &db,
+                                 &error));
+  EXPECT_EQ(error, "view v already exists");
+
+  ViewSnapshot snap = db.ReadView("v");
+  ASSERT_TRUE(snap.valid());
+  EXPECT_EQ(snap.size(), 1);
+  EXPECT_TRUE(snap.relation().schema().HasTable("t"));
+  EXPECT_FALSE(snap.relation().schema().HasTable("u"));
 }
 
 }  // namespace

@@ -17,8 +17,6 @@
 #   tools/check.sh obs        # observability: traced run + OBS=OFF no-op
 #   tools/check.sh obs-export # live telemetry: exporter/recorder under TSan,
 #                             # OBS=OFF inertness, OFF-tree overhead gate
-#   tools/check.sh skew       # heavy-light partitioning tests + the
-#                             # uniform==heavy-light equivalence suite (TSan)
 #   tools/check.sh serve      # snapshot serving path: the ReadView
 #                             # lock-escape regression + generation
 #                             # equivalence suite under TSan
@@ -89,15 +87,6 @@ case "$mode" in
         --candidate="$offdir/obs_overhead_off.json" \
         --section=obs_overhead_off --floor-ms=2
     ;;&
-  skew|all)
-    # Skew-adaptive maintenance: the space-saving sketch / lazy-state
-    # unit tests plus the Zipf-stream equivalence property suite that
-    # pins kHeavyLight == kUniform view contents at every drain point.
-    # TSan because the Database drain paths interleave with the
-    # background refresher.
-    run_config skew --tests 'heavy_hitters|heavy_state|skew_equivalence' \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOJV_TSAN=ON
-    ;;&
   serve|all)
     # Snapshot serving path: the ReadView lock-escape regression (reader
     # threads scanning pinned generations while the background refresher
@@ -153,7 +142,7 @@ case "$mode" in
     # bare maintenance loop (the "no measurable overhead" claim, gated).
     "$dir/bench/bench_obs_overhead" --batches=60,600 \
         --json="$dir/obs_overhead.json" >/dev/null
-    # Heavy-light vs uniform under Zipf join keys (self-checks view
+    # Immediate vs on-demand under Zipf join keys (self-checks view
     # equality before reporting).
     "$dir/bench/bench_skew" --json="$dir/skew.json" >/dev/null
     # Serving under a refresh storm: snapshot-read p50/p99 while the
@@ -170,9 +159,10 @@ case "$mode" in
     "$dir/tools/bench_gate" --baseline="$root/BENCH_pipeline.json" \
         --candidate="$dir/obs_overhead.json" --section=obs_overhead \
         --floor-ms=2
-    # Floor 5ms on the skew rows: the control row's ours_ms runs ~100ms
-    # and the skewed rows hundreds of ms, so 5ms only filters noise; a
-    # lost diversion path costs seconds and trips the ratio regardless.
+    # Floor 5ms on the skew rows: the control row's ours_ms runs a few
+    # ms and the skewed rows tens to hundreds of ms, so 5ms only filters
+    # noise; losing consolidation costs seconds and trips the ratio
+    # regardless.
     "$dir/tools/bench_gate" --baseline="$root/BENCH_pipeline.json" \
         --candidate="$dir/skew.json" --section=skew \
         --floor-ms=5
@@ -185,11 +175,11 @@ case "$mode" in
         --candidate="$dir/serve.json" --section=serve \
         --floor-ms=2
     ;;&
-  release|sanitize|tsan|obs|obs-export|skew|serve|bench-gate|all)
+  release|sanitize|tsan|obs|obs-export|serve|bench-gate|all)
     echo "==> all requested configurations passed"
     ;;
   *)
-    echo "usage: tools/check.sh [release|sanitize|tsan|obs|obs-export|skew|serve|bench-gate|all]" >&2
+    echo "usage: tools/check.sh [release|sanitize|tsan|obs|obs-export|serve|bench-gate|all]" >&2
     exit 2
     ;;
 esac

@@ -155,27 +155,6 @@ void Render(const io::JsonValue& snapshot, bool clear) {
   std::printf("delta log: %lld rows pending\n",
               static_cast<long long>(
                   IntAt(gauges, "ojv.deferred.log_depth_rows")));
-  // Skew-adaptive maintenance: promoted heavy keys are per-table gauges
-  // (summed here), the divert/drain counters are process-wide.
-  int64_t heavy_keys = 0;
-  if (gauges != nullptr && gauges->is_object()) {
-    for (const auto& [name, value] : gauges->AsObject()) {
-      auto [metric, label] = SplitLabel(name);
-      if (metric == "ojv.opt.heavy_keys" && value.is_number()) {
-        heavy_keys += value.AsInt();
-      }
-    }
-  }
-  const int64_t diverted = IntAt(counters, "ojv.ivm.heavy.diverted_rows");
-  const int64_t drained = IntAt(counters, "ojv.ivm.heavy.drained_rows");
-  const int64_t demotions = IntAt(counters, "ojv.ivm.heavy.demotions");
-  if (heavy_keys > 0 || diverted > 0 || drained > 0 || demotions > 0) {
-    std::printf(
-        "heavy-light: %lld heavy keys  diverted=%lld  drained=%lld"
-        "  demotions=%lld\n",
-        static_cast<long long>(heavy_keys), static_cast<long long>(diverted),
-        static_cast<long long>(drained), static_cast<long long>(demotions));
-  }
   const io::JsonValue* refresh_hist =
       histograms != nullptr
           ? histograms->Find("ojv.deferred.refresh_micros")
