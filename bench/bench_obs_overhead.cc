@@ -6,9 +6,9 @@
 //
 //   baseline    flight recorder off, no TraceContext — the bare
 //               maintenance pipeline
-//   recorder    flight recorder on at sample_every=1 (the always-on
-//               default): every span pays the sampling check plus four
-//               relaxed stores into the per-thread ring
+//   recorder    flight recorder on (the always-on default): every span
+//               pays the enabled check plus four relaxed stores into
+//               the per-thread ring
 //   ours        recorder on + a TraceContext attached + one full
 //               exporter scrape (Prometheus text + JSON snapshot
 //               serialized to memory) per batch — everything the live
@@ -99,7 +99,6 @@ int Run(int argc, char** argv) {
     recorder.SetEnabled(false);
     double baseline_ms = measure(/*trace=*/false, /*scrape=*/false);
     recorder.SetEnabled(true);
-    recorder.SetSampleEvery(1);
     double recorder_ms = measure(/*trace=*/false, /*scrape=*/false);
     double ours_ms = measure(/*trace=*/true, /*scrape=*/true);
 

@@ -36,13 +36,22 @@ void CivilFromDays(int64_t days, int* year, int* month, int* day) {
   *year = static_cast<int>(y + (*month <= 2));
 }
 
-int64_t ParseDate(const std::string& text) {
+bool TryParseDate(const std::string& text, int64_t* days) {
   int y = 0;
   int m = 0;
   int d = 0;
-  OJV_CHECK(std::sscanf(text.c_str(), "%d-%d-%d", &y, &m, &d) == 3,
-            "malformed date");
-  return DaysFromCivil(y, m, d);
+  if (std::sscanf(text.c_str(), "%d-%d-%d", &y, &m, &d) != 3) return false;
+  if (m < 1 || m > 12 || d < 1 || d > 31) return false;
+  // DaysFromCivil's int arithmetic overflows for years near INT_MIN.
+  if (y < -1000000 || y > 1000000) return false;
+  *days = DaysFromCivil(y, m, d);
+  return true;
+}
+
+int64_t ParseDate(const std::string& text) {
+  int64_t days = 0;
+  OJV_CHECK(TryParseDate(text, &days), "malformed date");
+  return days;
 }
 
 std::string FormatDate(int64_t days) {

@@ -17,7 +17,14 @@ int64_t DaysFromCivil(int year, int month, int day);
 /// Inverse of DaysFromCivil.
 void CivilFromDays(int64_t days, int* year, int* month, int* day);
 
-/// Parses "YYYY-MM-DD". Aborts on malformed input.
+/// Parses "YYYY-MM-DD" into days since epoch. Returns false, leaving
+/// *days unchanged, on unparsable text, a month outside 1-12, a day
+/// outside 1-31 or a year beyond +-1,000,000. Client input (SQL
+/// literals, .tbl files, statement logs) goes through this.
+bool TryParseDate(const std::string& text, int64_t* days);
+
+/// TryParseDate for the program's own literals. Aborts on malformed
+/// input.
 int64_t ParseDate(const std::string& text);
 
 /// Formats days-since-epoch as "YYYY-MM-DD".

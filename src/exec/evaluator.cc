@@ -163,22 +163,19 @@ void Evaluator::AppendChunked(
 
 std::shared_ptr<const Relation> Evaluator::Eval(const RelExprPtr& expr) const {
   OJV_CHECK(expr != nullptr, "null relational expression");
-  std::shared_ptr<const Relation> result;
   if constexpr (obs::kEnabled) {
-    if (trace_ != nullptr) {
-      result = EvalTraced(expr);
-    } else if (obs::flight_hook::Sample()) {
-      // Untraced runs still feed the flight recorder so a post-hoc dump
-      // shows per-operator timings, not just the enclosing Span.
+    if (trace_ != nullptr) return EvalTraced(expr);
+    // Untraced runs still feed the flight recorder so a post-hoc dump
+    // shows per-operator timings, not just the enclosing Span.
+    if (obs::flight_hook::Sample()) {
       const int64_t start = obs::flight_hook::NowMicros();
-      result = EvalNode(expr);
+      std::shared_ptr<const Relation> result = EvalNode(expr);
       obs::flight_hook::Record(ExecSpanNameFor(expr->kind()), "exec", start,
                                obs::flight_hook::NowMicros() - start);
+      return result;
     }
   }
-  if (result == nullptr) result = EvalNode(expr);
-  if (row_counts_ != nullptr) (*row_counts_)[expr.get()] = result->size();
-  return result;
+  return EvalNode(expr);
 }
 
 const char* ExecSpanNameFor(RelKind kind) {

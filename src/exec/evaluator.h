@@ -101,14 +101,6 @@ class Evaluator {
   /// covers the node's whole subtree, like EXPLAIN ANALYZE totals.
   void set_trace(obs::TraceContext* trace) { trace_ = trace; }
 
-  /// Output rows per evaluated node, keyed by the node.
-  using RowCounts = std::unordered_map<const RelExpr*, int64_t>;
-
-  /// Row-count sink (optional; not owned). With a sink attached, every
-  /// evaluated node stores its output row count in it, in every build
-  /// and with or without a trace (the planner's feedback reads it).
-  void set_row_counts(RowCounts* counts) { row_counts_ = counts; }
-
   /// Evaluates the tree; the result may alias a cached or bound
   /// relation and must be treated as immutable.
   std::shared_ptr<const Relation> Eval(const RelExprPtr& expr) const;
@@ -198,7 +190,6 @@ class Evaluator {
   ExecConfig exec_;
   ThreadPool* pool_ = nullptr;
   obs::TraceContext* trace_ = nullptr;
-  RowCounts* row_counts_ = nullptr;
   /// Args staged by the node currently evaluating (see NoteArg).
   mutable std::vector<std::pair<std::string, int64_t>> pending_args_;
   mutable std::vector<std::pair<std::string, std::string>> pending_str_args_;

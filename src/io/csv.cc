@@ -118,9 +118,12 @@ bool ParseValue(const std::string& field, bool was_quoted, ValueType type,
       case ValueType::kString:
         *out = Value::String(field);
         return true;
-      case ValueType::kDate:
-        *out = Value::Date(ParseDate(field));
+      case ValueType::kDate: {
+        int64_t days = 0;
+        if (!TryParseDate(field, &days)) break;
+        *out = Value::Date(days);
         return true;
+      }
     }
   } catch (const std::exception&) {
     // fall through to error

@@ -38,9 +38,12 @@ bool ParseTyped(const std::string& field, ValueType type, Value* out) {
       case ValueType::kString:
         *out = Value::String(field);
         return true;
-      case ValueType::kDate:
-        *out = Value::Date(ParseDate(field));
+      case ValueType::kDate: {
+        int64_t days = 0;
+        if (!TryParseDate(field, &days)) break;
+        *out = Value::Date(days);
         return true;
+      }
     }
   } catch (const std::exception&) {
   }

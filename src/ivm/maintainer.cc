@@ -212,13 +212,11 @@ const RelExprPtr& ViewMaintainer::delta_expr(const std::string& table) const {
 }
 
 Relation ViewMaintainer::EvalPrimaryDelta(const RelExprPtr& expr,
-                                          const Relation& delta_t,
-                                          Evaluator::RowCounts* row_counts) {
+                                          const Relation& delta_t) {
   Evaluator evaluator(catalog_);
   evaluator.set_table_cache(&table_cache_);
   evaluator.set_exec(options_.exec, pool_.get());
   evaluator.set_trace(options_.trace);
-  evaluator.set_row_counts(row_counts);
   // The delta leaf is named after the updated table.
   for (const std::string& table : view_def_.tables()) {
     if (delta_t.schema().HasTable(table)) {
@@ -266,18 +264,6 @@ SecondaryDeltaEngine* ViewMaintainer::secondary_engine(
   auto it = main_.plans.find(table);
   OJV_CHECK(it != main_.plans.end(), "table not referenced by view");
   return it->second.secondary.get();
-}
-
-void ViewMaintainer::set_exec(const ExecConfig& exec) {
-  options_.exec = exec;
-  pool_ = exec.num_threads > 1 ? ThreadPool::Shared(exec.num_threads) : nullptr;
-  for (PlanSet* set : {&main_, &update_}) {
-    for (auto& [table, plan] : set->plans) {
-      if (plan.secondary != nullptr) {
-        plan.secondary->set_exec(options_.exec, pool_.get());
-      }
-    }
-  }
 }
 
 void ViewMaintainer::set_trace(obs::TraceContext* trace) {
@@ -406,8 +392,8 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
     return stats;
   }
 
-  // Cost-based plan selection: reuse the cached order unless feedback
-  // marked it dirty or |Δ| moved far from what it was costed for.
+  // Cost-based plan selection: reuse the cached order unless |Δ| moved
+  // far from what it was costed for.
   RelExprPtr exec_expr = plan.delta_expr;
   opt::PlanCacheEntry* cache_entry = nullptr;
   if (ContainsJoin(plan.delta_expr)) {
@@ -421,12 +407,10 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
         std::abs(std::log2(std::max(drows, 1.0)) -
                  std::log2(cache_entry->planned_delta_rows)) >=
             opt::kReplanDeltaLog2;
-    if (cache_entry == nullptr || cache_entry->dirty || replan_size) {
+    if (cache_entry == nullptr || replan_size) {
       const bool had = cache_entry != nullptr;
-      opt::PlannedDelta planned =
-          planner_.Plan(plan.delta_expr, table, drows,
-                        had ? &cache_entry->fanout_ema : nullptr);
-      cache_entry = plan_cache_.Put(key, std::move(planned), drows);
+      cache_entry = plan_cache_.Put(
+          key, planner_.Plan(plan.delta_expr, table, drows), drows);
       cache_entry->source = had ? "replan" : "planned";
       if (had) ++cache_entry->replans;
     } else {
@@ -444,27 +428,16 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
   Relation delta_t(Evaluator::SchemaFor(*catalog_->GetTable(table)));
   for (const Row& row : rows) delta_t.Add(row);
 
-  // Step 1: compute the primary delta, counting every planned node's
-  // output rows for feedback.
-  Evaluator::RowCounts row_counts;
+  // Step 1: compute the primary delta.
   obs::Span primary_span(options_.trace, "ivm.primary_delta", "ivm");
   auto primary_start = std::chrono::steady_clock::now();
-  Relation primary = EvalPrimaryDelta(
-      exec_expr, delta_t, cache_entry != nullptr ? &row_counts : nullptr);
+  Relation primary = EvalPrimaryDelta(exec_expr, delta_t);
   stats.primary_rows = primary.size();
   stats.fk_fast_path =
       plan.delta_expr->kind() == RelKind::kDeltaScan ||
       (plan.delta_expr->kind() == RelKind::kSelect &&
        plan.delta_expr->input()->kind() == RelKind::kDeltaScan);
   stats.primary_micros = MicrosSince(primary_start);
-  if (cache_entry != nullptr) {
-    // LEO-style feedback: fold observed fanouts into the EMA, and mark
-    // the plan dirty when estimates drifted past the threshold.
-    opt::FeedbackResult fb =
-        opt::HarvestFeedback(cache_entry->plan, row_counts);
-    opt::UpdateFanoutEma(fb, opt::kFanoutEmaAlpha, &cache_entry->fanout_ema);
-    if (fb.max_drift > opt::kReplanDrift) cache_entry->dirty = true;
-  }
   primary_span.AddArg("rows_in", stats.delta_rows);
   primary_span.AddArg("rows_out", stats.primary_rows);
   primary_span.AddArg("fk_fast_path", static_cast<int64_t>(stats.fk_fast_path));

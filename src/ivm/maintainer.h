@@ -14,7 +14,6 @@
 #include "normalform/maintenance_graph.h"
 #include "normalform/subsumption_graph.h"
 #include "obs/trace.h"
-#include "opt/feedback.h"
 #include "opt/planner.h"
 #include "opt/stats.h"
 
@@ -166,11 +165,6 @@ class ViewMaintainer {
 
   const ExecConfig& exec_config() const { return options_.exec; }
 
-  /// Swaps the executor configuration at runtime (the deferred refresh
-  /// path uses this to run background batch replays with more threads
-  /// than foreground statements). Propagates to the secondary engines.
-  void set_exec(const ExecConfig& exec);
-
   /// Attaches/detaches a trace sink at runtime (propagates to the
   /// secondary engines). Equivalent to constructing with options.trace.
   void set_trace(obs::TraceContext* trace);
@@ -244,10 +238,8 @@ class ViewMaintainer {
                             const std::vector<Row>& rows, bool is_insert,
                             PlanPolicy policy);
   // Evaluates one primary-delta expression (static or planner-chosen)
-  // and aligns it to the output schema. `row_counts`, when set, receives
-  // every node's output row count (planner feedback).
-  Relation EvalPrimaryDelta(const RelExprPtr& expr, const Relation& delta_t,
-                            Evaluator::RowCounts* row_counts = nullptr);
+  // and aligns it to the output schema.
+  Relation EvalPrimaryDelta(const RelExprPtr& expr, const Relation& delta_t);
 
   const Catalog* catalog_;
   ViewDef view_def_;

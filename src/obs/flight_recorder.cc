@@ -37,22 +37,7 @@ bool FlightRecorder::enabled() const {
   return enabled_.load(std::memory_order_relaxed);
 }
 
-void FlightRecorder::SetSampleEvery(int n) {
-  sample_every_.store(n < 1 ? 1 : n, std::memory_order_relaxed);
-}
-
-int FlightRecorder::sample_every() const {
-  return sample_every_.load(std::memory_order_relaxed);
-}
-
-bool FlightRecorder::Sample() {
-  if constexpr (!kEnabled) return false;
-  if (!enabled_.load(std::memory_order_relaxed)) return false;
-  int every = sample_every_.load(std::memory_order_relaxed);
-  if (every <= 1) return true;
-  thread_local uint64_t counter = 0;
-  return (counter++ % static_cast<uint64_t>(every)) == 0;
-}
+bool FlightRecorder::Sample() { return enabled(); }
 
 int64_t FlightRecorder::NowMicros() const {
   return std::chrono::duration_cast<std::chrono::microseconds>(

@@ -51,13 +51,7 @@ class FlightRecorder {
   void SetEnabled(bool enabled);
   bool enabled() const;
 
-  /// Record every n-th span per thread (default 1 = everything). The
-  /// knob for workloads where even ring writes are too hot.
-  void SetSampleEvery(int n);
-  int sample_every() const;
-
-  /// Sampling gate for Span: true when the recorder is on and the
-  /// calling thread's sample counter fires. Advances the counter.
+  /// Recording gate for Span: true when the recorder is on.
   bool Sample();
 
   /// Micros since the recorder's epoch (steady clock, process-wide —
@@ -120,7 +114,6 @@ class FlightRecorder {
   Ring* RingForThisThread();
 
   std::atomic<bool> enabled_{true};
-  std::atomic<int> sample_every_{1};
   std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex rings_mu_;

@@ -21,11 +21,6 @@ void CardinalityEstimator::SetDeltaRows(const std::string& table,
   delta_rows_[table] = rows < 0 ? 0 : rows;
 }
 
-void CardinalityEstimator::SetFanoutOverride(const std::string& right_table,
-                                             double fanout) {
-  fanout_overrides_[right_table] = fanout < 0 ? 0 : fanout;
-}
-
 double CardinalityEstimator::TableRows(const std::string& table) const {
   const TableStats* stats = stats_ ? stats_->Get(table) : nullptr;
   if (stats == nullptr) return kUnknownTableRows;
@@ -59,12 +54,7 @@ double CardinalityEstimator::Estimate(const RelExprPtr& expr) {
       return Estimate(expr->input());
     case RelKind::kJoin: {
       double left = Estimate(expr->left());
-      std::set<std::string> rtabs = expr->right()->ReferencedTables();
-      std::string right_table =
-          rtabs.size() == 1 ? *rtabs.begin() : std::string();
-      double fanout =
-          JoinFanout(expr->right(), expr->predicate(), right_table);
-      double inner = left * fanout;
+      double inner = left * JoinFanout(expr->right(), expr->predicate());
       switch (expr->join_kind()) {
         case JoinKind::kInner:
           return inner;
@@ -90,12 +80,7 @@ double CardinalityEstimator::Estimate(const RelExprPtr& expr) {
 }
 
 double CardinalityEstimator::JoinFanout(const RelExprPtr& right,
-                                        const ScalarExprPtr& pred,
-                                        const std::string& right_table) {
-  if (!right_table.empty()) {
-    auto it = fanout_overrides_.find(right_table);
-    if (it != fanout_overrides_.end()) return it->second;
-  }
+                                        const ScalarExprPtr& pred) {
   double fanout = Estimate(right);
   for (const ScalarExprPtr& c : SplitConjuncts(pred)) {
     if (c->kind() == ScalarKind::kCompare &&

@@ -28,8 +28,7 @@ namespace opt {
 ///                           only shrink, pessimistic is fine for
 ///                           ordering)
 ///
-/// Per-table delta cardinalities and externally observed per-join fanout
-/// overrides (the feedback EMA) can be injected before estimation.
+/// Per-table delta cardinalities are injected before estimation.
 class CardinalityEstimator {
  public:
   explicit CardinalityEstimator(StatsCatalog* stats) : stats_(stats) {}
@@ -37,11 +36,6 @@ class CardinalityEstimator {
   /// Exact cardinality of the pending delta of `table` (rows of the
   /// statement being maintained).
   void SetDeltaRows(const std::string& table, double rows);
-
-  /// Feedback override: observed output-rows-per-left-row fanout for the
-  /// join step whose right side is `right_table`. When present it
-  /// replaces the ndv-based fanout for that step.
-  void SetFanoutOverride(const std::string& right_table, double fanout);
 
   /// Estimated output cardinality of `expr`. Never negative; unknown
   /// tables estimate as 1000 rows (arbitrary but stable).
@@ -54,8 +48,7 @@ class CardinalityEstimator {
   /// Estimated fanout of joining `left_card` rows (the current prefix)
   /// against `right` with `pred`: output rows per prefix row, before the
   /// outer-join floor. Exposed for the planner's greedy step.
-  double JoinFanout(const RelExprPtr& right, const ScalarExprPtr& pred,
-                    const std::string& right_table);
+  double JoinFanout(const RelExprPtr& right, const ScalarExprPtr& pred);
 
   StatsCatalog* stats() { return stats_; }
 
@@ -71,7 +64,6 @@ class CardinalityEstimator {
 
   StatsCatalog* stats_;
   std::unordered_map<std::string, double> delta_rows_;
-  std::unordered_map<std::string, double> fanout_overrides_;
 };
 
 }  // namespace opt

@@ -26,7 +26,6 @@ PlanCacheEntry* PlanCache::Put(const std::string& key, PlannedDelta plan,
   PlanCacheEntry& entry = entries_[key];
   entry.plan = std::move(plan);
   entry.planned_delta_rows = delta_rows < 1 ? 1 : delta_rows;
-  entry.dirty = false;
   return &entry;
 }
 

@@ -267,10 +267,9 @@ void Annotate(const RelExprPtr& e, CardinalityEstimator* est,
 
 }  // namespace
 
-PlannedDelta DeltaPlanner::Plan(
-    const RelExprPtr& static_expr, const std::string& delta_table,
-    double delta_rows,
-    const std::unordered_map<std::string, double>* fanout_ema) {
+PlannedDelta DeltaPlanner::Plan(const RelExprPtr& static_expr,
+                                const std::string& delta_table,
+                                double delta_rows) {
   PlannedDelta result;
   result.expr = static_expr;
   result.reordered = false;
@@ -283,17 +282,13 @@ PlannedDelta DeltaPlanner::Plan(
 
   CardinalityEstimator est(stats_);
   est.SetDeltaRows(delta_table, delta_rows);
-  if (fanout_ema != nullptr) {
-    for (const auto& [table, f] : *fanout_ema) est.SetFanoutOverride(table, f);
-  }
 
   // Per-join-step estimates, order-independent (containment assumption).
   std::vector<double> step_fanout(steps.size(), 0);
   std::vector<double> step_right_rows(steps.size(), 0);
   for (size_t i = 0; i < steps.size(); ++i) {
     if (steps[i].kind != RelKind::kJoin) continue;
-    step_fanout[i] =
-        est.JoinFanout(steps[i].right, steps[i].pred, steps[i].right_table);
+    step_fanout[i] = est.JoinFanout(steps[i].right, steps[i].pred);
     step_right_rows[i] = est.Estimate(steps[i].right);
   }
 
@@ -328,12 +323,6 @@ PlannedDelta DeltaPlanner::Plan(
                              step_right_rows[static_cast<size_t>(idx)]);
         avail.insert(cs.right_tables.begin(), cs.right_tables.end());
         order.push_back(idx);
-        PlanStep ps;
-        ps.right_table = cs.right_table;
-        ps.join_kind = cs.join_kind;
-        ps.fanout = step_fanout[static_cast<size_t>(idx)];
-        ps.est_rows = card;
-        result.steps.push_back(std::move(ps));
       }
       i = j;
       continue;
@@ -344,14 +333,6 @@ PlannedDelta DeltaPlanner::Plan(
         card = ApplyJoinCard(s.join_kind, card, step_fanout[i],
                              step_right_rows[i]);
         avail.insert(s.right_tables.begin(), s.right_tables.end());
-        {
-          PlanStep ps;
-          ps.right_table = s.right_table;
-          ps.join_kind = s.join_kind;
-          ps.fanout = step_fanout[i];
-          ps.est_rows = card;
-          result.steps.push_back(std::move(ps));
-        }
         break;
       case RelKind::kSelect:
         card *= est.Selectivity(s.pred);
@@ -365,15 +346,11 @@ PlannedDelta DeltaPlanner::Plan(
 
   bool identical = true;
   for (size_t k = 0; k < order.size(); ++k) {
-    if (order[k] != static_cast<int>(k)) {
-      identical = false;
-      break;
-    }
-  }
-
-  for (const PlanStep& ps : result.steps) {
+    if (order[k] != static_cast<int>(k)) identical = false;
+    const Step& s = steps[static_cast<size_t>(order[k])];
+    if (s.kind != RelKind::kJoin) continue;
     if (!result.order.empty()) result.order += ",";
-    result.order += ps.right_table.empty() ? "(multi)" : ps.right_table;
+    result.order += s.right_table.empty() ? "(multi)" : s.right_table;
   }
 
   if (!identical) {
@@ -384,7 +361,6 @@ PlannedDelta DeltaPlanner::Plan(
       result.expr = rebuilt;
       result.reordered = true;
     } else {
-      result.steps.clear();
       result.order.clear();
       result.expr = static_expr;
       result.reordered = false;

@@ -3,7 +3,6 @@
 
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "opt/cardinality.h"
@@ -17,14 +16,9 @@ namespace opt {
 /// min-output-cardinality.
 inline constexpr int kExhaustiveMaxJoins = 6;
 
-/// A cached plan is re-planned when the max per-step estimate/actual row
-/// drift of its last run exceeds kReplanDrift, or when |Δ| moved more
-/// than 2^kReplanDeltaLog2 from the |Δ| it was costed for.
-inline constexpr double kReplanDrift = 4.0;
+/// A cached plan is re-planned when |Δ| moved more than
+/// 2^kReplanDeltaLog2 from the |Δ| it was costed for.
 inline constexpr double kReplanDeltaLog2 = 3.0;
-
-/// Weight of the newest observed fanout in the plan cache's EMA.
-inline constexpr double kFanoutEmaAlpha = 0.5;
 
 /// Picks the left-deep join order of a delta tree by estimated cost.
 ///
@@ -49,12 +43,8 @@ class DeltaPlanner {
 
   /// Plans `static_expr` (the ToLeftDeep output for updates of
   /// `delta_table`) for a pending delta of `delta_rows` rows.
-  /// `fanout_ema` optionally injects observed per-right-table fanouts
-  /// that override the ndv-based estimates.
-  PlannedDelta Plan(
-      const RelExprPtr& static_expr, const std::string& delta_table,
-      double delta_rows,
-      const std::unordered_map<std::string, double>* fanout_ema = nullptr);
+  PlannedDelta Plan(const RelExprPtr& static_expr,
+                    const std::string& delta_table, double delta_rows);
 
   /// Orders `tables` by ascending estimated row count (deterministic:
   /// ties break by name). The secondary delta's §5.3 fragments join

@@ -439,7 +439,12 @@ class Parser {
           if (Peek().kind != TokenKind::kString) {
             return Fail("DATE requires a 'YYYY-MM-DD' literal");
           }
-          *out = ScalarExpr::Literal(Value::Date(ParseDate(Next().text)));
+          int64_t days = 0;
+          if (!TryParseDate(Peek().text, &days)) {
+            return Fail("malformed DATE literal '" + Peek().text + "'");
+          }
+          ++pos_;
+          *out = ScalarExpr::Literal(Value::Date(days));
           return true;
         }
         return Fail("unexpected keyword '" + token.text + "' in expression");

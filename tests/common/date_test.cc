@@ -34,6 +34,22 @@ TEST(DateTest, ParseAndFormat) {
   EXPECT_EQ(FormatDate(0), "1970-01-01");
 }
 
+TEST(DateTest, TryParseDateRejectsMalformedInput) {
+  int64_t days = -7;
+  EXPECT_TRUE(TryParseDate("1994-06-01", &days));
+  EXPECT_EQ(days, DaysFromCivil(1994, 6, 1));
+  EXPECT_TRUE(TryParseDate("1994-12-31", &days));
+  EXPECT_EQ(days, ParseDate("1994-12-31"));
+
+  days = -7;
+  for (const char* bad : {"soon", "", "1995-13-01", "1995-00-10",
+                          "1995-01-32", "1995-01-00", "1995-01", "1995/01/01",
+                          "-2147483648-01-01"}) {
+    EXPECT_FALSE(TryParseDate(bad, &days)) << bad;
+    EXPECT_EQ(days, -7) << bad;  // left unchanged
+  }
+}
+
 TEST(DateTest, OrderingMatchesCalendar) {
   EXPECT_LT(ParseDate("1994-06-01"), ParseDate("1994-12-31"));
   EXPECT_LT(ParseDate("1993-12-31"), ParseDate("1994-01-01"));

@@ -189,6 +189,24 @@ TEST_F(CsvTest, LoadErrors) {
   EXPECT_FALSE(LoadTable(&t, Path("missing.tbl"), format, &error));
 }
 
+TEST_F(CsvTest, MalformedDateFailsTheLoad) {
+  TextFormat format;
+  std::string error;
+  for (const char* bad : {"1996-14-01", "1996-01-32", "someday"}) {
+    Table t("d",
+            Schema({ColumnDef{"id", ValueType::kInt64, false},
+                    ColumnDef{"day", ValueType::kDate, true}}),
+            {"id"});
+    {
+      std::ofstream out(Path("bad_date.tbl"));
+      out << "1|1996-01-01|\n2|" << bad << "|\n";
+    }
+    EXPECT_FALSE(LoadTable(&t, Path("bad_date.tbl"), format, &error)) << bad;
+    EXPECT_NE(error.find("cannot parse"), std::string::npos) << error;
+    EXPECT_NE(error.find(bad), std::string::npos) << error;
+  }
+}
+
 TEST_F(CsvTest, CatalogDumpAndReload) {
   Catalog catalog;
   tpch::CreateSchema(&catalog);

@@ -138,6 +138,25 @@ TEST_F(StatementLogTest, ReplayErrors) {
   EXPECT_NE(error.find("payload"), std::string::npos);
 }
 
+TEST_F(StatementLogTest, MalformedDateFailsTheReplay) {
+  Database db;
+  db.catalog()->CreateTable(
+      "d",
+      Schema({ColumnDef{"id", ValueType::kInt64, false},
+              ColumnDef{"day", ValueType::kDate, true}}),
+      {"id"});
+  for (const char* bad : {"1995-13-01", "1995-01-32", "never"}) {
+    {
+      std::ofstream out(Path("bad_date.log"));
+      out << "#stmt INSERT d 1\n1|" << bad << "\n";
+    }
+    std::string error;
+    EXPECT_FALSE(ReplayStatementLog(Path("bad_date.log"), &db, &error)) << bad;
+    EXPECT_NE(error.find("bad INSERT payload"), std::string::npos) << error;
+    EXPECT_EQ(db.catalog()->GetTable("d")->size(), 0);
+  }
+}
+
 }  // namespace
 }  // namespace io
 }  // namespace ojv

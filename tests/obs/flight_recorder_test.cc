@@ -1,5 +1,5 @@
-// Tests for the always-on flight recorder: ring wraparound, sampling,
-// the Span/evaluator hook path, SIGUSR2-triggered dumps (made
+// Tests for the always-on flight recorder: ring wraparound, the
+// Span/evaluator hook path, SIGUSR2-triggered dumps (made
 // deterministic by draining the flag directly instead of racing the
 // poller), and the OJV_OBS=OFF build where every entry point is a
 // no-op. The record-vs-snapshot hammer runs under OJV_SANITIZE=thread
@@ -7,7 +7,7 @@
 // design.
 //
 // The recorder is a process-wide singleton, so every test starts with
-// ClearForTest() and restores enabled/sample_every on the way out.
+// ClearForTest() and restores enabled on the way out.
 
 #include "obs/flight_recorder.h"
 
@@ -29,12 +29,10 @@ class FlightRecorderTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FlightRecorder::Global().SetEnabled(true);
-    FlightRecorder::Global().SetSampleEvery(1);
     FlightRecorder::Global().ClearForTest();
   }
   void TearDown() override {
     FlightRecorder::Global().SetEnabled(true);
-    FlightRecorder::Global().SetSampleEvery(1);
     FlightRecorder::Global().ClearForTest();
   }
 };
@@ -100,22 +98,6 @@ TEST_F(FlightRecorderTest, RingWrapsKeepingTheNewestEvents) {
   ASSERT_EQ(events.size(), FlightRecorder::kRingCapacity);
   EXPECT_EQ(events.front().start_micros, kExtra);
   EXPECT_EQ(events.back().start_micros, total - 1);
-}
-
-TEST_F(FlightRecorderTest, SampleEveryThinsDeterministically) {
-  if (!kEnabled) return;
-  FlightRecorder& recorder = FlightRecorder::Global();
-  recorder.SetSampleEvery(4);
-  int sampled = 0;
-  // The per-thread counter's phase is unknown (earlier tests advanced
-  // it), but over any 4000 calls at 1-in-4 exactly 1000 fire.
-  for (int i = 0; i < 4000; ++i) {
-    if (recorder.Sample()) ++sampled;
-  }
-  EXPECT_EQ(sampled, 1000);
-  recorder.SetSampleEvery(0);  // clamps to 1 = sample everything
-  EXPECT_EQ(recorder.sample_every(), 1);
-  EXPECT_TRUE(recorder.Sample());
 }
 
 std::string MakeTempDir() {

@@ -124,18 +124,6 @@ TEST_F(CardinalityTest, RangePredicateInterpolates) {
   EXPECT_LT(card, 200.0);
 }
 
-TEST_F(CardinalityTest, FanoutOverrideWinsOverNdv) {
-  // Feedback injection: an observed fanout of 7 for the O step replaces
-  // the ndv-based unit fanout.
-  CardinalityEstimator est(stats_.get());
-  est.SetDeltaRows("L", 10);
-  est.SetFanoutOverride("O", 7.0);
-  RelExprPtr join =
-      RelExpr::Join(JoinKind::kInner, RelExpr::DeltaScan("L"),
-                    RelExpr::Scan("O"), Eq("L", "l_o", "O", "o_id"));
-  EXPECT_DOUBLE_EQ(est.Estimate(join), 70.0);
-}
-
 TEST_F(CardinalityTest, UnknownTableUsesDefault) {
   CardinalityEstimator est(stats_.get());
   EXPECT_DOUBLE_EQ(est.Estimate(RelExpr::Scan("nope")), 1000.0);

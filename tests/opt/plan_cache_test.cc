@@ -1,5 +1,6 @@
-// Plan cache: key construction, feedback state preserved across Put,
-// and the maintainer-level cache/replan/invalidate lifecycle.
+// Plan cache: key construction, counters preserved across Put, the
+// maintainer-level cache/replan/invalidate lifecycle, and plan stability
+// across batches whose |Δ| stays within kReplanDeltaLog2.
 
 #include "opt/plan_cache.h"
 
@@ -21,25 +22,21 @@ TEST(PlanCacheTest, KeySeparatesTableOpAndPolicy) {
   EXPECT_NE(PlanCache::Key("T", true, false), PlanCache::Key("U", true, false));
 }
 
-TEST(PlanCacheTest, PutPreservesFeedbackState) {
+TEST(PlanCacheTest, PutPreservesCounters) {
   PlanCache cache;
   PlannedDelta plan;
   plan.order = "A,B";
   PlanCacheEntry* entry = cache.Put("k", std::move(plan), 100);
-  entry->fanout_ema["A"] = 3.5;
   entry->hits = 7;
   entry->replans = 2;
-  entry->dirty = true;
 
   PlannedDelta replanned;
   replanned.order = "B,A";
   PlanCacheEntry* again = cache.Put("k", std::move(replanned), 800);
   EXPECT_EQ(again, entry);
   EXPECT_EQ(again->plan.order, "B,A");
-  EXPECT_DOUBLE_EQ(again->fanout_ema.at("A"), 3.5);  // EMA survives
   EXPECT_EQ(again->hits, 7);
   EXPECT_EQ(again->replans, 2);
-  EXPECT_FALSE(again->dirty);  // a fresh plan starts clean
   EXPECT_DOUBLE_EQ(again->planned_delta_rows, 800.0);
   EXPECT_EQ(cache.size(), 1u);
 
@@ -158,19 +155,6 @@ TEST_F(MaintainerPlanCacheTest, InvalidatePlansDropsCacheAndStats) {
   EXPECT_GT(maintainer.stats_catalog()->rebuild_count(), rebuilds_before);
 }
 
-TEST_F(MaintainerPlanCacheTest, FeedbackRunsWithoutTrace) {
-  ViewMaintainer maintainer(&catalog_, *view_, MaintenanceOptions());
-  maintainer.InitializeView();
-  maintainer.OnInsert("D", ApplyBaseInsert(catalog_.GetTable("D"), Fresh(8)));
-
-  const PlanCacheEntry* entry =
-      maintainer.plan_entry("D", true, PlanPolicy::kDefault);
-  ASSERT_NE(entry, nullptr);
-  // Every D row matches exactly one B row.
-  ASSERT_EQ(entry->fanout_ema.count("B"), 1u);
-  EXPECT_DOUBLE_EQ(entry->fanout_ema.at("B"), 1.0);
-}
-
 TEST_F(MaintainerPlanCacheTest, TraceDoesNotChangePlanning) {
   obs::TraceContext trace;
   MaintenanceOptions traced_options;
@@ -200,14 +184,12 @@ TEST_F(MaintainerPlanCacheTest, TraceDoesNotChangePlanning) {
       untraced.plan_entry("D", true, PlanPolicy::kDefault);
   ASSERT_NE(insert_entry, nullptr);
   EXPECT_GT(insert_entry->replans, 0);
-  EXPECT_FALSE(insert_entry->fanout_ema.empty());
   ASSERT_EQ(traced.plan_cache().size(), untraced.plan_cache().size());
   for (const auto& [key, entry] : traced.plan_cache().entries()) {
     const PlanCacheEntry* other = untraced.plan_cache().Find(key);
     ASSERT_NE(other, nullptr) << key;
     EXPECT_EQ(entry.plan.order, other->plan.order) << key;
     EXPECT_EQ(entry.replans, other->replans) << key;
-    EXPECT_EQ(entry.fanout_ema, other->fanout_ema) << key;
   }
 }
 
@@ -227,6 +209,85 @@ TEST_F(MaintainerPlanCacheTest, UpdatePolicyUsesConstraintFreeSlot) {
   EXPECT_NE(maintainer.plan_entry("D", false, PlanPolicy::kConstraintFree),
             nullptr);
   EXPECT_EQ(maintainer.plan_entry("D", true, PlanPolicy::kDefault), nullptr);
+}
+
+// bench_planner's shape, shrunk: D joins an expansive B (50 rows per
+// d_b) and a selective S (one s_id per 100 d_s values), B listed first.
+// A batch whose rows all miss S must not change the plan of the next
+// batch: the cached order depends only on the statistics and |Δ|.
+TEST(PlanStabilityTest, EmptyJoinResultKeepsCachedOrder) {
+  Catalog catalog;
+  catalog.CreateTable(
+      "D",
+      Schema({ColumnDef{"d_id", ValueType::kInt64, false},
+              ColumnDef{"d_b", ValueType::kInt64, true},
+              ColumnDef{"d_s", ValueType::kInt64, true}}),
+      {"d_id"});
+  catalog.CreateTable(
+      "B",
+      Schema({ColumnDef{"b_id", ValueType::kInt64, false},
+              ColumnDef{"b_seq", ValueType::kInt64, false}}),
+      {"b_id", "b_seq"});
+  catalog.CreateTable(
+      "S", Schema({ColumnDef{"s_id", ValueType::kInt64, false}}), {"s_id"});
+  constexpr int64_t kGroups = 20;
+  constexpr int64_t kDomain = 10000;
+  Table* d = catalog.GetTable("D");
+  for (int64_t i = 0; i < 2000; ++i) {
+    d->Insert(Row{Value::Int64(i), Value::Int64(i % kGroups),
+                  Value::Int64(i * 7 % kDomain)});
+  }
+  Table* b = catalog.GetTable("B");
+  for (int64_t g = 0; g < kGroups; ++g) {
+    for (int64_t seq = 0; seq < 50; ++seq) {
+      b->Insert(Row{Value::Int64(g), Value::Int64(seq)});
+    }
+  }
+  Table* s = catalog.GetTable("S");
+  for (int64_t i = 0; i < kDomain / 100; ++i) {
+    s->Insert(Row{Value::Int64(i * 100)});
+  }
+  RelExprPtr db =
+      RelExpr::Join(JoinKind::kInner, RelExpr::Scan("D"), RelExpr::Scan("B"),
+                    Eq("D", "d_b", "B", "b_id"));
+  ViewDef view("planner_skew",
+               RelExpr::Join(JoinKind::kInner, db, RelExpr::Scan("S"),
+                             Eq("D", "d_s", "S", "s_id")),
+               {{"D", "d_id"},
+                {"D", "d_b"},
+                {"D", "d_s"},
+                {"B", "b_id"},
+                {"B", "b_seq"},
+                {"S", "s_id"}},
+               catalog);
+  ViewMaintainer maintainer(&catalog, view, MaintenanceOptions());
+  maintainer.InitializeView();
+
+  int64_t next_key = 100000;
+  auto batch = [&](int64_t n, bool hits_s) {
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < n; ++i) {
+      // Multiples of 100 are exactly the d_s values S holds.
+      int64_t d_s = hits_s ? i * 100 % kDomain : i * 100 % kDomain + 1;
+      rows.push_back(Row{Value::Int64(next_key++), Value::Int64(i % kGroups),
+                         Value::Int64(d_s)});
+    }
+    return ApplyBaseInsert(d, rows);
+  };
+
+  maintainer.OnInsert("D", batch(16, /*hits_s=*/false));
+  const PlanCacheEntry* entry =
+      maintainer.plan_entry("D", true, PlanPolicy::kDefault);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->source, "planned");
+  EXPECT_EQ(entry->plan.order, "S,B");
+
+  // 16 -> 60 rows is under kReplanDeltaLog2 doublings: reuse the plan.
+  maintainer.OnInsert("D", batch(60, /*hits_s=*/true));
+  entry = maintainer.plan_entry("D", true, PlanPolicy::kDefault);
+  EXPECT_EQ(entry->source, "cache");
+  EXPECT_EQ(entry->replans, 0);
+  EXPECT_EQ(entry->plan.order, "S,B");
 }
 
 }  // namespace

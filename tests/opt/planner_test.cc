@@ -77,9 +77,6 @@ TEST_F(PlannerTest, ReordersSelectiveJoinFirst) {
   EXPECT_TRUE(plan.reordered);
   EXPECT_EQ(plan.order, "S,B");
   EXPECT_TRUE(IsLeftDeep(plan.expr));
-  ASSERT_EQ(plan.steps.size(), 2u);
-  EXPECT_EQ(plan.steps[0].right_table, "S");
-  EXPECT_EQ(plan.steps[1].right_table, "B");
   // Per-node estimates annotate every node of the rebuilt tree.
   EXPECT_FALSE(plan.node_est.empty());
   EXPECT_GT(plan.node_est.at(plan.expr.get()), 0.0);
@@ -106,16 +103,6 @@ TEST_F(PlannerTest, KeepsStaticOrderWhenAlreadyOptimal) {
   EXPECT_FALSE(plan.reordered);
   EXPECT_EQ(plan.expr.get(), expr.get());
   EXPECT_EQ(plan.order, "S,B");
-}
-
-TEST_F(PlannerTest, FanoutEmaOverridesStatistics) {
-  // Feedback says B is actually selective (fanout 0.01) and S expands
-  // (fanout 30): the planner must flip its order.
-  DeltaPlanner planner(stats_.get());
-  std::unordered_map<std::string, double> ema = {{"B", 0.01}, {"S", 30.0}};
-  PlannedDelta plan = planner.Plan(StaticDelta(), "D", 100, &ema);
-  EXPECT_EQ(plan.order, "B,S");
-  EXPECT_FALSE(plan.reordered);  // that is the static order already
 }
 
 TEST_F(PlannerTest, PredicateDependencyConstrainsOrder) {

@@ -234,6 +234,24 @@ TEST_F(ParserTest, ErrorMessages) {
             std::string::npos);
 }
 
+TEST_F(ParserTest, MalformedDateLiteralFailsWithoutAborting) {
+  for (const char* literal : {"1995-13-01", "soon", "1995-02-40"}) {
+    const std::string sql =
+        std::string("CREATE VIEW v AS SELECT o_orderkey FROM orders "
+                    "WHERE o_orderdate < DATE '") +
+        literal + "'";
+    std::string error;
+    EXPECT_FALSE(ParseCreateView(sql, catalog_, &error).has_value()) << sql;
+    EXPECT_NE(error.find(literal), std::string::npos) << error;
+
+    Database db;
+    tpch::CreateSchema(db.catalog());
+    EXPECT_FALSE(ExecuteCreateView(sql, &db, &error));
+    EXPECT_NE(error.find(literal), std::string::npos) << error;
+    EXPECT_EQ(db.GetView("v"), nullptr);
+  }
+}
+
 TEST_F(ParserTest, MutatedInputNeverCrashes) {
   // Fuzz-lite: random mutations of a valid statement must either parse
   // or fail with an error — never crash or loop.
