@@ -63,14 +63,11 @@ int Run(int argc, char** argv) {
       // Arm SIGUSR2 flight dumps too: a served bench is the process the
       // README tells people to poke, and without a handler the default
       // SIGUSR2 disposition kills it.
-      if (obs::FlightRecorder::Global().StartSignalDumps("/tmp/ojv")) {
-        std::printf("flight dumps: kill -USR2 %d -> /tmp/ojv/flight-<n>.json\n",
-                    static_cast<int>(getpid()));
-      }
+      obs::FlightRecorder::Global().StartSignalDumps("/tmp/ojv");
+      std::printf("flight dumps: kill -USR2 %d -> /tmp/ojv/flight-<n>.json\n",
+                  static_cast<int>(getpid()));
     } else {
-      std::fprintf(stderr,
-                   "cannot serve telemetry on port %d (OJV_OBS=OFF build, "
-                   "or port in use)\n",
+      std::fprintf(stderr, "cannot serve telemetry on port %d (port in use)\n",
                    options.metrics_port);
     }
   }

@@ -17,11 +17,8 @@
 // Each mode runs kReps times per batch size and reports the minimum,
 // which is the right statistic for an overhead question on a noisy
 // 1-core container. `ours_ms` is the gated column (check.sh bench-gate,
-// sections obs_overhead / obs_overhead_off in BENCH_pipeline.json); the
-// overhead percentages are what DESIGN.md §15 quotes. Under
-// -DOJV_OBS=OFF all three modes compile to the same uninstrumented
-// loop, and the table pins that: the OFF build's three columns must
-// agree to within timer noise.
+// section obs_overhead in BENCH_pipeline.json); the overhead
+// percentages are what DESIGN.md §15 quotes.
 
 #include <algorithm>
 #include <sstream>
@@ -51,8 +48,8 @@ std::vector<Row> LineitemKeys(const std::vector<Row>& rows) {
 
 int Run(int argc, char** argv) {
   BenchOptions options = BenchOptions::Parse(argc, argv);
-  std::printf("TPC-H SF=%.3f, obs_enabled=%s, %d reps/mode (min reported)\n",
-              options.scale_factor, obs::kEnabled ? "true" : "false", kReps);
+  std::printf("TPC-H SF=%.3f, %d reps/mode (min reported)\n",
+              options.scale_factor, kReps);
 
   Database db;
   tpch::CreateSchema(db.catalog());

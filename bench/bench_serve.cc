@@ -6,26 +6,30 @@
 // threshold and a 1ms background worker, so consolidated replays fire
 // continuously. The difference is the reader thread running alongside:
 //
-//   snapshot  AcquireSnapshot (kSnapshot): pin the last published
+//   snapshot  AcquireSnapshot: pin the last published
 //             generation, never touch the maintenance mutex except for
 //             the opportunistic try_lock catch-up. This is the gated
 //             column — its p99 is what the generation design buys, and a
 //             read path that starts blocking on maintenance again shows
 //             up here as a ~10ms p99 jump.
-//   fresh     ReadView (kFresh): block, drain the backlog, publish. The
+//   fresh     ReadView: block, drain the backlog, publish. The
 //             contrast column — read-your-writes pays the refresh it
 //             forces, so its p99 tracks refresh cost, not snapshot cost.
 //
 // Rows are keyed (workload, batch_rows); only the snapshot rows carry
 // ours_ms, so tools/bench_gate gates the snapshot path and skips the
-// fresh contrast rows.
+// fresh contrast rows. After every storm, outside its timed region, the
+// worker stops, V3 catches up, and the bench exits 1 unless V3 equals
+// its recomputation.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
+#include "baseline/recompute.h"
 #include "bench_util.h"
 #include "ivm/database.h"
 #include "tpch/views.h"
@@ -124,6 +128,25 @@ int Run(int argc, char** argv) {
     return stats;
   };
 
+  // Self-check after a storm: with the worker stopped and the backlog
+  // drained, V3 must equal its recomputation.
+  auto check = [&](int64_t batch, const char* mode) {
+    db.StopBackgroundRefresh();
+    db.Refresh("v3");
+    const ViewMaintainer* v3 = db.GetView("v3");
+    std::string diff;
+    if (!ViewMatchesRecompute(*db.catalog(), v3->view_def(), v3->view(),
+                              &diff)) {
+      std::fprintf(stderr,
+                   "bench_serve: SELF-CHECK FAILED after the %s storm at %lld "
+                   "rows: %s\n",
+                   mode, static_cast<long long>(batch),
+                   diff.substr(0, 2000).c_str());
+      std::exit(1);
+    }
+    db.StartBackgroundRefresh(std::chrono::milliseconds(1));
+  };
+
   JsonReport report("serve", options);
   PrintHeader(
       "V3 serving under a refresh storm: snapshot reads vs fresh reads",
@@ -135,6 +158,7 @@ int Run(int argc, char** argv) {
         rows, [&] { return db.AcquireSnapshot("v3"); });
     const int64_t snapshot_refreshes =
         db.RefreshState("v3").refreshes - refreshes_before;
+    check(batch, "snapshot");
     const double snap_p50 = Percentile(snapshot_stats.latencies_ms, 50);
     const double snap_p99 = Percentile(snapshot_stats.latencies_ms, 99);
     PrintRow({FormatCount(batch), "snapshot",
@@ -153,6 +177,7 @@ int Run(int argc, char** argv) {
         rows, [&] { return db.ReadView("v3"); });
     const int64_t fresh_refreshes =
         db.RefreshState("v3").refreshes - fresh_before;
+    check(batch, "fresh");
     const double fresh_p50 = Percentile(fresh_stats.latencies_ms, 50);
     const double fresh_p99 = Percentile(fresh_stats.latencies_ms, 99);
     PrintRow({FormatCount(batch), "fresh", FormatCount(fresh_stats.reads),

@@ -5,11 +5,9 @@
 #include <cstring>
 #include <thread>
 
-#include "obs/obs_config.h"
-
-// Build identity for the JSON header: a Debug, sanitized, or
-// tracing-enabled binary does not produce numbers comparable to a plain
-// Release build, so every report says which one it was.
+// Build identity for the JSON header: a Debug or sanitized binary does
+// not produce numbers comparable to a plain Release build, so every
+// report says which one it was.
 #ifndef OJV_BUILD_TYPE
 #define OJV_BUILD_TYPE "unknown"
 #endif
@@ -160,8 +158,6 @@ bool JsonReport::Write() const {
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"build_type\": \"%s\",\n", OJV_BUILD_TYPE);
   std::fprintf(f, "  \"sanitize\": \"%s\",\n", OJV_SANITIZE_MODE);
-  std::fprintf(f, "  \"obs_enabled\": %s,\n",
-               obs::kEnabled ? "true" : "false");
   std::fprintf(f, "  \"parallel_valid\": %s,\n",
                options_.ParallelValid() ? "true" : "false");
   std::fprintf(f, "  \"results\": [\n");

@@ -32,8 +32,7 @@ namespace bench {
 ///   --metrics-port=N   serve live telemetry on 127.0.0.1:N for the
 ///                      duration of the run (GET /metrics,
 ///                      /snapshot.json, /flight.json — see
-///                      obs/http_server.h); 0 (default) = off, no-op
-///                      under OJV_OBS=OFF
+///                      obs/http_server.h); 0 (default) = off
 struct BenchOptions {
   double scale_factor = 0.05;
   uint64_t seed = 19940601;
@@ -78,14 +77,13 @@ std::string FormatCount(int64_t n);
 ///
 ///   { "benchmark": ..., "scale_factor": ..., "seed": ..., "threads": ...,
 ///     "host_cores": ..., "build_type": ..., "sanitize": ...,
-///     "obs_enabled": ..., "parallel_valid": ...,
-///     "results": [ {row fields...}, ... ] }
+///     "parallel_valid": ..., "results": [ {row fields...}, ... ] }
 ///
 /// which the trajectory file BENCH_pipeline.json aggregates across runs.
-/// The build_type/sanitize/obs_enabled header fields identify the binary
-/// that produced the numbers (a sanitizer or Debug run is not comparable
-/// to a Release one); parallel_valid is false when --threads
-/// oversubscribes the host.
+/// The build_type/sanitize header fields identify the binary that
+/// produced the numbers (a sanitizer or Debug run is not comparable to a
+/// Release one); parallel_valid is false when --threads oversubscribes
+/// the host.
 class JsonReport {
  public:
   JsonReport(std::string benchmark, const BenchOptions& options);

@@ -27,18 +27,16 @@ uint64_t DeltaLog::Append(const std::string& table, DeltaOp op,
   for (const Row& row : rows) {
     dest.push_back(DeltaEntry{next_seq_++, op, row, update_pair, now});
   }
-  if constexpr (obs::kEnabled) {
-    // The histogram keeps the depth *distribution* over appends; the
-    // gauge is the live level (it also drops on TruncateConsumed, which
-    // the append-only histogram cannot show).
-    int64_t depth_now = size();
-    static obs::Histogram& depth =
-        obs::Registry::Global().GetHistogram("ojv.deferred.log_depth");
-    depth.Record(depth_now);
-    static obs::Gauge& depth_gauge =
-        obs::Registry::Global().GetGauge("ojv.deferred.log_depth_rows");
-    depth_gauge.Set(depth_now);
-  }
+  // The histogram keeps the depth *distribution* over appends; the
+  // gauge is the live level (it also drops on TruncateConsumed, which
+  // the append-only histogram cannot show).
+  int64_t depth_now = size();
+  static obs::Histogram& depth =
+      obs::Registry::Global().GetHistogram("ojv.deferred.log_depth");
+  depth.Record(depth_now);
+  static obs::Gauge& depth_gauge =
+      obs::Registry::Global().GetGauge("ojv.deferred.log_depth_rows");
+  depth_gauge.Set(depth_now);
   return tail();
 }
 
@@ -121,11 +119,9 @@ void DeltaLog::TruncateConsumed() {
     }
     it = entries.empty() ? tables_.erase(it) : std::next(it);
   }
-  if constexpr (obs::kEnabled) {
-    static obs::Gauge& depth_gauge =
-        obs::Registry::Global().GetGauge("ojv.deferred.log_depth_rows");
-    depth_gauge.Set(size());
-  }
+  static obs::Gauge& depth_gauge =
+      obs::Registry::Global().GetGauge("ojv.deferred.log_depth_rows");
+  depth_gauge.Set(size());
 }
 
 int64_t DeltaLog::size() const {

@@ -79,41 +79,36 @@ void RefreshScheduler::RecordRefresh(const std::string& view,
   state.cancelled_rows += stats.cancelled_rows;
   state.refresh_micros += stats.refresh_micros;
   state.last = stats;
-  if constexpr (obs::kEnabled) {
-    obs::Registry& reg = obs::Registry::Global();
-    static obs::Counter& refreshes =
-        reg.GetCounter("ojv.deferred.refreshes");
-    static obs::Counter& raw = reg.GetCounter("ojv.deferred.raw_entries");
-    static obs::Counter& net =
-        reg.GetCounter("ojv.deferred.consolidated_rows");
-    static obs::Counter& cancelled =
-        reg.GetCounter("ojv.deferred.cancelled_rows");
-    static obs::Counter& pairs =
-        reg.GetCounter("ojv.deferred.update_pairs");
-    static obs::Histogram& latency =
-        reg.GetHistogram("ojv.deferred.refresh_micros");
-    static obs::Histogram& staleness =
-        reg.GetHistogram("ojv.deferred.staleness_micros");
-    refreshes.Add(1);
-    raw.Add(stats.raw_entries);
-    net.Add(stats.consolidated_rows);
-    cancelled.Add(stats.cancelled_rows);
-    pairs.Add(stats.update_pairs);
-    latency.Record(static_cast<int64_t>(stats.refresh_micros));
-    staleness.Record(static_cast<int64_t>(stats.staleness_micros));
-    // Per-view freshness series. Labeled names vary by view, so the
-    // static-reference cache idiom does not apply; a registry lookup per
-    // refresh is fine — refreshes are batch-scale events, not per-row.
-    reg.GetCounter(obs::LabeledMetric("ojv.deferred.view.refreshes", "view",
-                                      view))
-        .Add(1);
-    reg.GetGauge(obs::LabeledMetric("ojv.deferred.view.staleness_micros",
-                                    "view", view))
-        .Set(static_cast<int64_t>(stats.staleness_micros));
-    reg.GetGauge(obs::LabeledMetric("ojv.deferred.view.refresh_micros", "view",
+  obs::Registry& reg = obs::Registry::Global();
+  static obs::Counter& refreshes = reg.GetCounter("ojv.deferred.refreshes");
+  static obs::Counter& raw = reg.GetCounter("ojv.deferred.raw_entries");
+  static obs::Counter& net = reg.GetCounter("ojv.deferred.consolidated_rows");
+  static obs::Counter& cancelled =
+      reg.GetCounter("ojv.deferred.cancelled_rows");
+  static obs::Counter& pairs = reg.GetCounter("ojv.deferred.update_pairs");
+  static obs::Histogram& latency =
+      reg.GetHistogram("ojv.deferred.refresh_micros");
+  static obs::Histogram& staleness =
+      reg.GetHistogram("ojv.deferred.staleness_micros");
+  refreshes.Add(1);
+  raw.Add(stats.raw_entries);
+  net.Add(stats.consolidated_rows);
+  cancelled.Add(stats.cancelled_rows);
+  pairs.Add(stats.update_pairs);
+  latency.Record(static_cast<int64_t>(stats.refresh_micros));
+  staleness.Record(static_cast<int64_t>(stats.staleness_micros));
+  // Per-view freshness series. Labeled names vary by view, so the
+  // static-reference cache idiom does not apply; a registry lookup per
+  // refresh is fine — refreshes are batch-scale events, not per-row.
+  reg.GetCounter(obs::LabeledMetric("ojv.deferred.view.refreshes", "view",
                                     view))
-        .Set(static_cast<int64_t>(stats.refresh_micros));
-  }
+      .Add(1);
+  reg.GetGauge(obs::LabeledMetric("ojv.deferred.view.staleness_micros",
+                                  "view", view))
+      .Set(static_cast<int64_t>(stats.staleness_micros));
+  reg.GetGauge(obs::LabeledMetric("ojv.deferred.view.refresh_micros", "view",
+                                  view))
+      .Set(static_cast<int64_t>(stats.refresh_micros));
 }
 
 const ViewRefreshState* RefreshScheduler::state(const std::string& view) const {

@@ -163,17 +163,15 @@ void Evaluator::AppendChunked(
 
 std::shared_ptr<const Relation> Evaluator::Eval(const RelExprPtr& expr) const {
   OJV_CHECK(expr != nullptr, "null relational expression");
-  if constexpr (obs::kEnabled) {
-    if (trace_ != nullptr) return EvalTraced(expr);
-    // Untraced runs still feed the flight recorder so a post-hoc dump
-    // shows per-operator timings, not just the enclosing Span.
-    if (obs::flight_hook::Sample()) {
-      const int64_t start = obs::flight_hook::NowMicros();
-      std::shared_ptr<const Relation> result = EvalNode(expr);
-      obs::flight_hook::Record(ExecSpanNameFor(expr->kind()), "exec", start,
-                               obs::flight_hook::NowMicros() - start);
-      return result;
-    }
+  if (trace_ != nullptr) return EvalTraced(expr);
+  // Untraced runs still feed the flight recorder so a post-hoc dump
+  // shows per-operator timings, not just the enclosing Span.
+  if (obs::flight_hook::Sample()) {
+    const int64_t start = obs::flight_hook::NowMicros();
+    std::shared_ptr<const Relation> result = EvalNode(expr);
+    obs::flight_hook::Record(ExecSpanNameFor(expr->kind()), "exec", start,
+                             obs::flight_hook::NowMicros() - start);
+    return result;
   }
   return EvalNode(expr);
 }
@@ -380,17 +378,15 @@ Relation Evaluator::EvalJoin(const RelExpr& expr) const {
   const bool semi_or_anti =
       kind == JoinKind::kLeftSemi || kind == JoinKind::kLeftAnti;
   NoteArg("kind", std::string(JoinKindName(kind)));
-  if constexpr (obs::kEnabled) {
-    // Global join work counter (rows fed into join operators). It is
-    // the one join counter that counts regardless of tracing, so
-    // /metrics shows join volume without a trace attached.
-    static obs::Counter& rows_in =
-        obs::Registry::Global().GetCounter("ojv.exec.join.rows_in");
-    rows_in.Add(l.size() + r.size());
-  }
+  // Global join work counter (rows fed into join operators). It is
+  // the one join counter that counts regardless of tracing, so
+  // /metrics shows join volume without a trace attached.
+  static obs::Counter& rows_in =
+      obs::Registry::Global().GetCounter("ojv.exec.join.rows_in");
+  rows_in.Add(l.size() + r.size());
   // Probe-side key matches that passed the residual, counted per morsel
   // and flushed once per chunk — only when tracing is on.
-  const bool count_hits = obs::kEnabled && trace_ != nullptr;
+  const bool count_hits = trace_ != nullptr;
   std::atomic<int64_t> probe_hits{0};
 
   // Combined schema (left columns then right columns).

@@ -143,15 +143,11 @@ class Evaluator {
   /// their child Evals returned — children harvest and clear the pending
   /// buffers for their own spans first.
   void NoteArg(const char* key, int64_t value) const {
-    if constexpr (obs::kEnabled) {
-      if (trace_ != nullptr) pending_args_.emplace_back(key, value);
-    }
+    if (trace_ != nullptr) pending_args_.emplace_back(key, value);
   }
   void NoteArg(const char* key, std::string value) const {
-    if constexpr (obs::kEnabled) {
-      if (trace_ != nullptr) {
-        pending_str_args_.emplace_back(key, std::move(value));
-      }
+    if (trace_ != nullptr) {
+      pending_str_args_.emplace_back(key, std::move(value));
     }
   }
   /// The parallel-vs-serial decision for an input of `rows` rows, as a

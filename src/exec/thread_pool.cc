@@ -17,19 +17,14 @@ thread_local bool t_in_parallel_region = false;
 // (chunks_executed) since registry counters are process-global and
 // pools come and go.
 void CountLoop(int64_t chunks, bool serial) {
-  if constexpr (obs::kEnabled) {
-    static obs::Counter& morsels =
-        obs::Registry::Global().GetCounter("ojv.exec.pool.morsels");
-    static obs::Counter& loops =
-        obs::Registry::Global().GetCounter("ojv.exec.pool.parallel_loops");
-    static obs::Counter& serial_loops =
-        obs::Registry::Global().GetCounter("ojv.exec.pool.serial_loops");
-    morsels.Add(chunks);
-    (serial ? serial_loops : loops).Add(1);
-  } else {
-    (void)chunks;
-    (void)serial;
-  }
+  static obs::Counter& morsels =
+      obs::Registry::Global().GetCounter("ojv.exec.pool.morsels");
+  static obs::Counter& loops =
+      obs::Registry::Global().GetCounter("ojv.exec.pool.parallel_loops");
+  static obs::Counter& serial_loops =
+      obs::Registry::Global().GetCounter("ojv.exec.pool.serial_loops");
+  morsels.Add(chunks);
+  (serial ? serial_loops : loops).Add(1);
 }
 
 }  // namespace

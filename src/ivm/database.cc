@@ -35,18 +35,25 @@ struct KeyHash {
 /// identical quantity at the refresh instant.
 void PublishViewPressure(const std::string& view, int64_t pending_rows,
                          double staleness_micros) {
-  if constexpr (obs::kEnabled) {
-    obs::Registry& reg = obs::Registry::Global();
-    reg.GetGauge(obs::LabeledMetric("ojv.deferred.view.pending_rows", "view",
-                                    view))
-        .Set(pending_rows);
-    reg.GetGauge(obs::LabeledMetric("ojv.deferred.view.staleness_micros",
-                                    "view", view))
-        .Set(static_cast<int64_t>(staleness_micros));
-  } else {
-    (void)view;
-    (void)pending_rows;
-    (void)staleness_micros;
+  obs::Registry& reg = obs::Registry::Global();
+  reg.GetGauge(obs::LabeledMetric("ojv.deferred.view.pending_rows", "view",
+                                  view))
+      .Set(pending_rows);
+  reg.GetGauge(obs::LabeledMetric("ojv.deferred.view.staleness_micros",
+                                  "view", view))
+      .Set(static_cast<int64_t>(staleness_micros));
+}
+
+/// Read latency and stale-read count of one snapshot read.
+void RecordServeRead(std::chrono::steady_clock::time_point start,
+                     const ViewSnapshot& snap) {
+  obs::Registry::Global()
+      .GetHistogram("ojv.serve.read_micros")
+      .Record(static_cast<int64_t>(MicrosSince(start)));
+  if (snap.valid() && snap.staleness_micros(obs::SteadyNowMicros()) > 0) {
+    static obs::Counter& stale =
+        obs::Registry::Global().GetCounter("ojv.serve.stale_reads");
+    stale.Add(1);
   }
 }
 
@@ -344,11 +351,7 @@ void Database::PublishSnapshotLocked(
 }
 
 ViewSnapshot Database::SnapshotReadLocked(
-    const std::string& name, const std::shared_ptr<GenerationStore>& store,
-    bool allow_refresh) {
-  if (allow_refresh && !in_transaction_ && scheduler_.IsDeferred(name)) {
-    RefreshLocked(name);
-  }
+    const std::string& name, const std::shared_ptr<GenerationStore>& store) {
   if (in_transaction_) {
     // The stored view holds the transaction's uncommitted writes: this
     // read sees them, but publishing them would hand them to every
@@ -365,76 +368,49 @@ ViewSnapshot Database::SnapshotReadLocked(
   return store->Acquire();
 }
 
-ViewSnapshot Database::AcquireSnapshotImpl(
-    const std::string& name, const std::shared_ptr<GenerationStore>& store,
-    const ReadOptions& options) {
+ViewSnapshot Database::FreshRead(
+    const std::string& name, const std::shared_ptr<GenerationStore>& store) {
   const auto read_start = std::chrono::steady_clock::now();
   ViewSnapshot snap;
-  switch (options.freshness) {
-    case ReadFreshness::kSnapshot: {
-      snap = store->Acquire();
-      // Opportunistic catch-up: if no statement or refresh holds the
-      // mutex, fold pending work and publish a fresher generation —
-      // the same work the old ReadView always did, minus the waiting.
-      // Never inside a transaction (its contents are uncommitted).
-      if (!snap.valid() || !store->UpToDate()) {
-        std::unique_lock<std::recursive_mutex> lock(mu_, std::try_to_lock);
-        if (lock.owns_lock() && !in_transaction_) {
-          snap = SnapshotReadLocked(name, store, /*allow_refresh=*/false);
-        }
-      }
-      break;
-    }
-    case ReadFreshness::kBounded: {
-      snap = store->Acquire();
-      if (snap.valid() &&
-          snap.staleness_micros(obs::SteadyNowMicros()) <=
-              options.max_staleness_micros) {
-        break;
-      }
-      [[fallthrough]];
-    }
-    case ReadFreshness::kFresh: {
-      std::lock_guard<std::recursive_mutex> lock(mu_);
-      snap = SnapshotReadLocked(name, store, /*allow_refresh=*/true);
-      break;
-    }
+  {
+    std::lock_guard<std::recursive_mutex> lock(mu_);
+    if (!in_transaction_ && scheduler_.IsDeferred(name)) RefreshLocked(name);
+    snap = SnapshotReadLocked(name, store);
   }
-  if constexpr (obs::kEnabled) {
-    obs::Registry::Global()
-        .GetHistogram("ojv.serve.read_micros")
-        .Record(static_cast<int64_t>(MicrosSince(read_start)));
-    if (snap.valid() &&
-        snap.staleness_micros(obs::SteadyNowMicros()) > 0) {
-      static obs::Counter& stale = obs::Registry::Global().GetCounter(
-          "ojv.serve.stale_reads");
-      stale.Add(1);
-    }
-  }
+  RecordServeRead(read_start, snap);
   return snap;
 }
 
-ViewSnapshot Database::AcquireSnapshot(const std::string& name,
-                                       const ReadOptions& options) {
+ViewSnapshot Database::AcquireSnapshot(const std::string& name) {
   auto store = SnapshotStoreFor(name);
   if (store == nullptr) return ViewSnapshot();
-  return AcquireSnapshotImpl(name, store, options);
+  const auto read_start = std::chrono::steady_clock::now();
+  ViewSnapshot snap = store->Acquire();
+  // Opportunistic catch-up: if no statement or refresh holds the mutex,
+  // publish the stored contents first. Never inside a transaction (its
+  // contents are uncommitted).
+  if (!snap.valid() || !store->UpToDate()) {
+    std::unique_lock<std::recursive_mutex> lock(mu_, std::try_to_lock);
+    if (lock.owns_lock() && !in_transaction_) {
+      snap = SnapshotReadLocked(name, store);
+    }
+  }
+  RecordServeRead(read_start, snap);
+  return snap;
 }
 
-ViewSnapshot Database::ReadView(const std::string& name,
-                                const ReadOptions& options) {
+ViewSnapshot Database::ReadView(const std::string& name) {
   // Historical contract: ReadView answers for row views only
   // (aggregate views read through ReadAggregateRelation).
   auto store = SnapshotStoreFor(name);
   if (store == nullptr || store->is_aggregate()) return ViewSnapshot();
-  return AcquireSnapshotImpl(name, store, options);
+  return FreshRead(name, store);
 }
 
-ViewSnapshot Database::ReadAggregateRelation(const std::string& name,
-                                             const ReadOptions& options) {
+ViewSnapshot Database::ReadAggregateRelation(const std::string& name) {
   auto store = SnapshotStoreFor(name);
   if (store == nullptr || !store->is_aggregate()) return ViewSnapshot();
-  return AcquireSnapshotImpl(name, store, options);
+  return FreshRead(name, store);
 }
 
 deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
@@ -535,8 +511,11 @@ deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
   scheduler_.RecordRefresh(name, stats);
   // The stored view is caught up: publish the refreshed contents so
   // snapshot readers see them without touching the statement mutex.
-  // (No-op when the batch was empty.)
-  if (auto store = SnapshotStoreFor(name); store != nullptr) {
+  // (No-op when the batch was empty.) Inside a transaction the contents
+  // hold uncommitted rows; the first read after Commit or Rollback
+  // publishes instead.
+  if (auto store = SnapshotStoreFor(name);
+      store != nullptr && !in_transaction_) {
     PublishSnapshotLocked(name, store);
   }
   refresh_span.AddArg("raw_entries", stats.raw_entries);
@@ -696,52 +675,61 @@ Database::StatementResult Database::DeleteLocked(const std::string& table,
   for (const Row& key : keys) {
     if (base->AcceptsKey(key)) valid_keys.push_back(key);
   }
-  // Referential integrity first: blocking children reject the whole
-  // statement; cascading children are deleted (and their views
-  // maintained) before the parents. Inside a transaction the checks are
-  // deferred to Commit and cascades are suppressed (SQL defers the
-  // constraint action too).
-  std::vector<std::pair<const ForeignKey*, std::vector<Row>>> referencing;
-  if (!in_transaction_) referencing = ReferencingRows(table, valid_keys);
-  for (const auto& [fk, child_rows] : referencing) {
-    if (!fk->cascading_delete) {
-      result.error = "delete from " + table + " violates FK from " +
-                     fk->child_table;
-      return result;
-    }
+  // Referential integrity first: the whole cascade tree is collected
+  // before anything changes, so a blocking child anywhere in it rejects
+  // the statement with every table untouched. Cascaded children are
+  // deleted (and their views maintained) before their parents. Inside a
+  // transaction the checks are deferred to Commit and cascades are
+  // suppressed (SQL defers the constraint action too).
+  DeleteSteps steps;
+  if (in_transaction_) {
+    steps.emplace_back(table, std::move(valid_keys));
+  } else if (!CollectCascade(table, std::move(valid_keys), &steps,
+                             &result.error)) {
+    return result;
   }
-  for (const auto& [fk, child_rows] : referencing) {
-    Table* child = catalog_.GetTable(fk->child_table);
-    std::vector<Row> child_keys;
-    child_keys.reserve(child_rows.size());
-    for (const Row& row : child_rows) child_keys.push_back(child->KeyOf(row));
-    // Recursive delete handles chains of cascading constraints.
-    StatementResult cascaded = DeleteLocked(fk->child_table, child_keys);
-    if (!cascaded.ok()) {
-      result.error = cascaded.error;
-      return result;
-    }
-    result.rows_affected += cascaded.rows_affected;
-    result.maintenance_micros += cascaded.maintenance_micros;
-    for (const auto& [view, micros] : cascaded.view_micros) {
-      result.view_micros[view] += micros;
-    }
-  }
-
-  std::vector<Row> deleted = ApplyBaseDelete(base, valid_keys);
-  result.rows_rejected +=
-      static_cast<int64_t>(keys.size() - deleted.size());
-  result.rows_affected += static_cast<int64_t>(deleted.size());
-  if (!deleted.empty()) {
-    MaintainDelete(table, deleted, &result);
-    StageDeferred(table, deferred::DeltaOp::kDelete, deleted,
+  size_t deleted_here = 0;  // rows of `table` itself: the last step
+  for (const auto& [step_table, step_keys] : steps) {
+    std::vector<Row> deleted =
+        ApplyBaseDelete(catalog_.GetTable(step_table), step_keys);
+    deleted_here = deleted.size();
+    result.rows_affected += static_cast<int64_t>(deleted.size());
+    if (deleted.empty()) continue;
+    MaintainDelete(step_table, deleted, &result);
+    StageDeferred(step_table, deferred::DeltaOp::kDelete, deleted,
                   /*update_pair=*/false);
     if (in_transaction_) {
       undo_log_.push_back(
-          {UndoEntry::Kind::kReinsertDeleted, table, deleted, {}});
+          {UndoEntry::Kind::kReinsertDeleted, step_table, deleted, {}});
     }
   }
+  result.rows_rejected += static_cast<int64_t>(keys.size() - deleted_here);
   return result;
+}
+
+bool Database::CollectCascade(const std::string& table, std::vector<Row> keys,
+                              DeleteSteps* steps, std::string* error) {
+  std::vector<std::pair<const ForeignKey*, std::vector<Row>>> referencing =
+      ReferencingRows(table, keys);
+  for (const auto& [fk, child_rows] : referencing) {
+    if (!fk->cascading_delete) {
+      *error = "delete from " + table + " violates FK from " +
+               fk->child_table;
+      return false;
+    }
+  }
+  for (const auto& [fk, child_rows] : referencing) {
+    const Table* child = catalog_.GetTable(fk->child_table);
+    std::vector<Row> child_keys;
+    child_keys.reserve(child_rows.size());
+    for (const Row& row : child_rows) child_keys.push_back(child->KeyOf(row));
+    if (!CollectCascade(fk->child_table, std::move(child_keys), steps,
+                        error)) {
+      return false;
+    }
+  }
+  steps->emplace_back(table, std::move(keys));
+  return true;
 }
 
 Database::StatementResult Database::Update(const std::string& table,

@@ -152,34 +152,27 @@ class Database {
   /// ReadView had.
   deferred::ViewRefreshState RefreshState(const std::string& view) const;
 
-  /// Read access to a view's contents, returned as a refcounted
-  /// ViewSnapshot pinned to one published generation (see
-  /// ivm/view_snapshot.h and DESIGN.md §17). The defaults keep the
-  /// historical contract — ReadOptions::Fresh() read-your-writes: a
-  /// deferred view catches up first, so the read observes the full
-  /// view. Pass ReadOptions::Snapshot()/Bounded() for the non-blocking
-  /// serving path. An invalid snapshot (== nullptr) means unknown view;
-  /// ReadView answers row views only, ReadAggregateRelation aggregation
-  /// views only. Inside a transaction a fresh read sees the
-  /// transaction's own writes through an unpublished generation
-  /// (number 0): other readers keep the last committed generation.
-  ViewSnapshot ReadView(const std::string& name,
-                        const ReadOptions& options = ReadOptions::Fresh());
-  ViewSnapshot ReadAggregateRelation(
-      const std::string& name,
-      const ReadOptions& options = ReadOptions::Fresh());
+  /// Fresh (read-your-writes) access to a view's contents, returned as
+  /// a refcounted ViewSnapshot pinned to one published generation (see
+  /// ivm/view_snapshot.h and DESIGN.md §17): the read takes the
+  /// statement mutex and a deferred view catches up first, so it
+  /// observes the full view. An invalid snapshot (== nullptr) means
+  /// unknown view; ReadView answers row views only,
+  /// ReadAggregateRelation aggregation views only. Inside a transaction
+  /// the read sees the transaction's own writes through an unpublished
+  /// generation (number 0): other readers keep the last committed
+  /// generation.
+  ViewSnapshot ReadView(const std::string& name);
+  ViewSnapshot ReadAggregateRelation(const std::string& name);
 
-  /// The serving-path read: pins a generation of any registered view
-  /// (row or aggregate) under `options`, defaulting to kSnapshot —
-  /// return the last published generation without waiting on statements
-  /// or refreshes. kSnapshot never blocks: if the statement mutex is
-  /// free it opportunistically folds pending work and publishes a
-  /// fresher generation first; if maintenance holds the lock it pins
-  /// what is already published. kBounded blocks only when the published
-  /// generation's staleness exceeds options.max_staleness_micros.
-  /// Invalid snapshot (== nullptr) for unknown views.
-  ViewSnapshot AcquireSnapshot(const std::string& name,
-                               const ReadOptions& options = ReadOptions());
+  /// The serving-path read: pins the last published generation of any
+  /// registered view (row or aggregate) without waiting on statements
+  /// or refreshes. If the statement mutex is free it first publishes a
+  /// fresher generation of the stored contents (pending deferred deltas
+  /// stay pending); if maintenance holds the lock it pins what is
+  /// already published. Invalid snapshot (== nullptr) for unknown
+  /// views.
+  ViewSnapshot AcquireSnapshot(const std::string& name);
 
   /// Starts/stops the background worker that drains kThreshold views.
   /// While running, threshold trips ping the worker instead of
@@ -234,6 +227,15 @@ class Database {
   // Referencing child rows that block / cascade a parent delete.
   std::vector<std::pair<const ForeignKey*, std::vector<Row>>>
   ReferencingRows(const std::string& table, const std::vector<Row>& keys);
+  /// (table, keys) deletes in apply order.
+  using DeleteSteps = std::vector<std::pair<std::string, std::vector<Row>>>;
+  /// The deletes a delete of `keys` from `table` implies, children
+  /// first: appends one step per cascading reference, depth first, then
+  /// `table`'s own step. Scans each step's children once. Returns false,
+  /// with *error set, when a restricting foreign key references any row
+  /// of the tree.
+  bool CollectCascade(const std::string& table, std::vector<Row> keys,
+                      DeleteSteps* steps, std::string* error);
 
   void MaintainInsert(const std::string& table, const std::vector<Row>& rows,
                       StatementResult* result);
@@ -282,23 +284,22 @@ class Database {
   /// staleness origin.
   void PublishSnapshotLocked(const std::string& name,
                              const std::shared_ptr<GenerationStore>& store);
-  /// Shared blocking read path: refresh (unless !allow_refresh),
-  /// publish, pin. Inside a transaction nothing refreshes
-  /// or publishes: the read pins an unpublished copy of the current
-  /// contents. Caller holds `mu_`.
+  /// Publishes and pins. Inside a transaction nothing publishes: the
+  /// read pins an unpublished copy of the current contents. Caller
+  /// holds `mu_`.
   ViewSnapshot SnapshotReadLocked(const std::string& name,
-                                  const std::shared_ptr<GenerationStore>& store,
-                                  bool allow_refresh);
-  /// AcquireSnapshot body once the store is known; `is_aggregate` only
-  /// gates the unknown-view CHECK semantics of the callers.
-  ViewSnapshot AcquireSnapshotImpl(const std::string& name,
-                                   const std::shared_ptr<GenerationStore>& store,
-                                   const ReadOptions& options);
+                                  const std::shared_ptr<GenerationStore>& store);
+  /// ReadView/ReadAggregateRelation body once the store is known: takes
+  /// `mu_`, refreshes a deferred view (outside a transaction), then
+  /// SnapshotReadLocked.
+  ViewSnapshot FreshRead(const std::string& name,
+                         const std::shared_ptr<GenerationStore>& store);
 
   /// The one refresh path for a deferred view: consolidates its pending
   /// batch, reverts and replays it (or, for a single-table single-op
   /// batch, maintains the post-batch state directly), advances its
-  /// delta-log mark and publishes a generation. Caller holds `mu_`.
+  /// delta-log mark and, outside a transaction, publishes a generation.
+  /// Caller holds `mu_`.
   deferred::RefreshStats RefreshLocked(const std::string& view);
   StatementResult DeleteLocked(const std::string& table,
                                const std::vector<Row>& keys);

@@ -115,11 +115,9 @@ void ViewMaintainer::BuildPlanSet(bool use_fks, PlanSet* out) {
             expr, FkChildrenJoinedOnKey(view_def_, table, *catalog_));
         table_span.AddArg("joins_eliminated",
                           static_cast<int64_t>(simplified.joins_eliminated));
-        if constexpr (obs::kEnabled) {
-          static obs::Counter& pruned = obs::Registry::Global().GetCounter(
-              "ojv.ivm.simplify_joins_eliminated");
-          pruned.Add(simplified.joins_eliminated);
-        }
+        static obs::Counter& pruned = obs::Registry::Global().GetCounter(
+            "ojv.ivm.simplify_joins_eliminated");
+        pruned.Add(simplified.joins_eliminated);
         if (simplified.empty) {
           plan.delta_empty = true;
           expr = nullptr;
@@ -460,16 +458,14 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
     stats.secondary_micros = MicrosSince(secondary_start);
     secondary_span.AddArg("rows", stats.secondary_rows);
     secondary_span.FinishWithDuration(stats.secondary_micros);
-  } else if constexpr (obs::kEnabled) {
+  } else if (options_.trace != nullptr) {
     // Record the skip and why — "secondary delta not needed" is exactly
     // the FK effect the paper's §6 argues for, so make it visible.
-    if (options_.trace != nullptr) {
-      options_.trace->RecordComplete(
-          "ivm.secondary_delta.skipped", "ivm", options_.trace->NowMicros(), 0,
-          {{"indirect_terms", stats.indirect_terms}},
-          {{"reason", stats.indirect_terms == 0 ? "no_indirect_terms"
-                                                : "no_engine"}});
-    }
+    options_.trace->RecordComplete(
+        "ivm.secondary_delta.skipped", "ivm", options_.trace->NowMicros(), 0,
+        {{"indirect_terms", stats.indirect_terms}},
+        {{"reason", stats.indirect_terms == 0 ? "no_indirect_terms"
+                                              : "no_engine"}});
   }
   stats.total_micros = MicrosSince(total_start);
   root_span.AddArg("rows_out", stats.primary_rows + stats.secondary_rows);

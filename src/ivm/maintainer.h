@@ -36,8 +36,7 @@ struct MaintenanceOptions {
   /// Trace sink (not owned). When set, every maintenance operation
   /// records per-stage spans — plan build, primary delta with one span
   /// per exec operator, apply, secondary delta — into it. Null (the
-  /// default) disables tracing; under OJV_OBS=OFF recording also
-  /// compiles out entirely.
+  /// default) disables tracing.
   obs::TraceContext* trace = nullptr;
 };
 

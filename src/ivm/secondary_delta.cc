@@ -192,19 +192,17 @@ namespace {
 // global counters.
 void RecordStrategy(obs::TraceContext* trace, SecondaryStrategy strategy,
                     int64_t primary_rows, size_t num_terms) {
-  if constexpr (obs::kEnabled) {
-    static obs::Counter& from_view =
-        obs::Registry::Global().GetCounter("ojv.secondary.from_view");
-    static obs::Counter& from_base =
-        obs::Registry::Global().GetCounter("ojv.secondary.from_base");
-    (strategy == SecondaryStrategy::kFromView ? from_view : from_base).Add(1);
-    if (trace != nullptr) {
-      trace->RecordComplete(
-          "ivm.secondary.strategy", "ivm", trace->NowMicros(), 0,
-          {{"primary_rows", primary_rows},
-           {"indirect_terms", static_cast<int64_t>(num_terms)}},
-          {{"strategy", SecondaryStrategyName(strategy)}});
-    }
+  static obs::Counter& from_view =
+      obs::Registry::Global().GetCounter("ojv.secondary.from_view");
+  static obs::Counter& from_base =
+      obs::Registry::Global().GetCounter("ojv.secondary.from_base");
+  (strategy == SecondaryStrategy::kFromView ? from_view : from_base).Add(1);
+  if (trace != nullptr) {
+    trace->RecordComplete(
+        "ivm.secondary.strategy", "ivm", trace->NowMicros(), 0,
+        {{"primary_rows", primary_rows},
+         {"indirect_terms", static_cast<int64_t>(num_terms)}},
+        {{"strategy", SecondaryStrategyName(strategy)}});
   }
 }
 

@@ -11,15 +11,9 @@ namespace ojv {
 
 namespace {
 
-obs::Gauge* ServeGauge(const char* base, const std::string& view) {
-  if constexpr (obs::kEnabled) {
-    return &obs::Registry::Global().GetGauge(
-        obs::LabeledMetric(base, "view", view));
-  } else {
-    (void)base;
-    (void)view;
-    return nullptr;
-  }
+obs::Gauge& ServeGauge(const char* base, const std::string& view) {
+  return obs::Registry::Global().GetGauge(
+      obs::LabeledMetric(base, "view", view));
 }
 
 }  // namespace
@@ -104,11 +98,9 @@ ViewSnapshot GenerationStore::Acquire() {
     gen = gen_;
   }
   if (gen == nullptr) return ViewSnapshot();
-  if constexpr (obs::kEnabled) {
-    ServeGauge("ojv.serve.generation_age_micros", view_name_)
-        ->Set(std::max<int64_t>(
-            0, obs::SteadyNowMicros() - gen->published_micros()));
-  }
+  ServeGauge("ojv.serve.generation_age_micros", view_name_)
+      .Set(std::max<int64_t>(
+          0, obs::SteadyNowMicros() - gen->published_micros()));
   return ViewSnapshot(std::move(gen), shared_from_this());
 }
 
@@ -126,11 +118,9 @@ void GenerationStore::Publish(Relation contents, int64_t now_micros,
     gen_ = std::move(gen);
   }
   // `retired` drops here (or when its last pinned reader releases).
-  if constexpr (obs::kEnabled) {
-    ServeGauge("ojv.serve.generation", view_name_)
-        ->Set(static_cast<int64_t>(number));
-    ServeGauge("ojv.serve.generation_age_micros", view_name_)->Set(0);
-  }
+  ServeGauge("ojv.serve.generation", view_name_)
+      .Set(static_cast<int64_t>(number));
+  ServeGauge("ojv.serve.generation_age_micros", view_name_).Set(0);
 }
 
 void GenerationStore::NoteContentChanged(int64_t now_micros) {
@@ -156,20 +146,12 @@ bool GenerationStore::UpToDate() const {
 
 void GenerationStore::Pin() {
   const int64_t pinned = pinned_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if constexpr (obs::kEnabled) {
-    ServeGauge("ojv.serve.pinned_readers", view_name_)->Set(pinned);
-  } else {
-    (void)pinned;
-  }
+  ServeGauge("ojv.serve.pinned_readers", view_name_).Set(pinned);
 }
 
 void GenerationStore::Unpin() {
   const int64_t pinned = pinned_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  if constexpr (obs::kEnabled) {
-    ServeGauge("ojv.serve.pinned_readers", view_name_)->Set(pinned);
-  } else {
-    (void)pinned;
-  }
+  ServeGauge("ojv.serve.pinned_readers", view_name_).Set(pinned);
 }
 
 }  // namespace ojv

@@ -11,40 +11,6 @@
 
 namespace ojv {
 
-/// How current a Database read must be (DESIGN.md §17).
-enum class ReadFreshness {
-  /// Bring the view fully up to date before reading: drain pending
-  /// deltas on the reader's thread, then pin
-  /// the freshly published generation. Read-your-writes — the seed
-  /// ReadView semantics — at the cost of taking the statement mutex and
-  /// possibly running a refresh inline.
-  kFresh,
-  /// Pin the last published generation without touching the statement
-  /// mutex' wait queue: never blocks behind an in-flight refresh or
-  /// statement. The generation may be stale; its staleness is readable
-  /// off the handle.
-  kSnapshot,
-  /// Like kSnapshot while the published generation's staleness is
-  /// within ReadOptions::max_staleness_micros; beyond the bound the
-  /// read upgrades to kFresh and blocks until current.
-  kBounded,
-};
-
-/// Per-read knobs. The default is the serving-path choice (kSnapshot);
-/// Database::ReadView/ReadAggregateRelation default to Fresh() to keep
-/// the historical read-your-writes contract.
-struct ReadOptions {
-  ReadFreshness freshness = ReadFreshness::kSnapshot;
-  /// kBounded only: tolerated staleness before the read blocks.
-  double max_staleness_micros = 0;
-
-  static ReadOptions Fresh() { return {ReadFreshness::kFresh, 0}; }
-  static ReadOptions Snapshot() { return {ReadFreshness::kSnapshot, 0}; }
-  static ReadOptions Bounded(double max_staleness_micros) {
-    return {ReadFreshness::kBounded, max_staleness_micros};
-  }
-};
-
 class GenerationStore;
 class ViewSnapshot;
 

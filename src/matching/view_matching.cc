@@ -268,16 +268,14 @@ MatchResult MatchViewImpl(const ViewDef& query, const ViewDef& view,
 MatchResult MatchView(const ViewDef& query, const ViewDef& view,
                       const Catalog& catalog) {
   MatchResult result = MatchViewImpl(query, view, catalog);
-  if constexpr (obs::kEnabled) {
-    static obs::Counter& attempts =
-        obs::Registry::Global().GetCounter("ojv.matching.attempts");
-    static obs::Counter& matched =
-        obs::Registry::Global().GetCounter("ojv.matching.matched");
-    static obs::Counter& rejected =
-        obs::Registry::Global().GetCounter("ojv.matching.rejected");
-    attempts.Add(1);
-    (result.matched ? matched : rejected).Add(1);
-  }
+  static obs::Counter& attempts =
+      obs::Registry::Global().GetCounter("ojv.matching.attempts");
+  static obs::Counter& matched =
+      obs::Registry::Global().GetCounter("ojv.matching.matched");
+  static obs::Counter& rejected =
+      obs::Registry::Global().GetCounter("ojv.matching.rejected");
+  attempts.Add(1);
+  (result.matched ? matched : rejected).Add(1);
   return result;
 }
 

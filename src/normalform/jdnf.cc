@@ -222,11 +222,9 @@ std::vector<Term> ComputeJdnf(const RelExprPtr& tree, const Catalog& catalog,
     for (const Term& t : terms) {
       if (!TermPrunable(t, terms, catalog)) kept.push_back(t);
     }
-    if constexpr (obs::kEnabled) {
-      static obs::Counter& pruned = obs::Registry::Global().GetCounter(
-          "ojv.normalform.fk_pruned_terms");
-      pruned.Add(static_cast<int64_t>(terms.size() - kept.size()));
-    }
+    static obs::Counter& pruned = obs::Registry::Global().GetCounter(
+        "ojv.normalform.fk_pruned_terms");
+    pruned.Add(static_cast<int64_t>(terms.size() - kept.size()));
     terms = std::move(kept);
   }
 

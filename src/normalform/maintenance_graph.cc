@@ -86,11 +86,9 @@ MaintenanceGraph::MaintenanceGraph(const std::vector<Term>& terms,
     if (options.exploit_foreign_keys &&
         TermImmuneByForeignKey(term, updated_table, catalog)) {
       ++fk_eliminated_;
-      if constexpr (obs::kEnabled) {
-        static obs::Counter& eliminated = obs::Registry::Global().GetCounter(
-            "ojv.normalform.theorem3_eliminations");
-        eliminated.Add(1);
-      }
+      static obs::Counter& eliminated = obs::Registry::Global().GetCounter(
+          "ojv.normalform.theorem3_eliminations");
+      eliminated.Add(1);
       continue;  // eliminated from the maintenance graph
     }
     kinds_[static_cast<size_t>(i)] = AffectKind::kDirect;

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/obs_config.h"
 
 namespace ojv {
 namespace obs {
@@ -13,9 +12,6 @@ namespace obs {
 /// Serializes Registry snapshots for external consumption: Prometheus
 /// text exposition format for scrapers, JSON for tools (ojv_top), and
 /// atomically-renamed snapshot files for scrape-less environments.
-/// These are snapshot readers — they take the registry as it is, so
-/// they work (and simply emit an empty metric set) under -DOJV_OBS=OFF
-/// where no call site ever records anything.
 
 /// Prometheus metric name for a registry key: the label block (from the
 /// first '{', if any — see LabeledMetric) is preserved verbatim and the

@@ -33,7 +33,6 @@ void FlightRecorder::SetEnabled(bool enabled) {
 }
 
 bool FlightRecorder::enabled() const {
-  if constexpr (!kEnabled) return false;
   return enabled_.load(std::memory_order_relaxed);
 }
 
@@ -61,13 +60,6 @@ FlightRecorder::Ring* FlightRecorder::RingForThisThread() {
 
 void FlightRecorder::Record(const char* name, const char* category,
                             int64_t start_micros, int64_t dur_micros) {
-  if constexpr (!kEnabled) {
-    (void)name;
-    (void)category;
-    (void)start_micros;
-    (void)dur_micros;
-    return;
-  }
   if (!enabled_.load(std::memory_order_relaxed)) return;
   Ring* ring = RingForThisThread();
   uint64_t i = ring->next.fetch_add(1, std::memory_order_relaxed) %
@@ -85,7 +77,6 @@ void FlightRecorder::Record(const char* name, const char* category,
 
 std::vector<TraceEvent> FlightRecorder::Snapshot() const {
   std::vector<TraceEvent> out;
-  if constexpr (!kEnabled) return out;
   std::lock_guard<std::mutex> lock(rings_mu_);
   for (const Ring* ring : rings_) {
     for (const Slot& slot : ring->slots) {
@@ -118,11 +109,7 @@ bool FlightRecorder::DumpToFile(const std::string& path,
   return WriteFileAtomic(path, body.str(), error);
 }
 
-bool FlightRecorder::StartSignalDumps(const std::string& dir) {
-  if constexpr (!kEnabled) {
-    (void)dir;
-    return false;
-  }
+void FlightRecorder::StartSignalDumps(const std::string& dir) {
   std::lock_guard<std::mutex> lock(dump_mu_);
   dump_dir_ = dir;
   // Best effort: dumps into a directory nobody created would silently
@@ -142,11 +129,9 @@ bool FlightRecorder::StartSignalDumps(const std::string& dir) {
       }
     });
   }
-  return true;
 }
 
 void FlightRecorder::StopSignalDumps() {
-  if constexpr (!kEnabled) return;
   std::thread poller;
   {
     std::lock_guard<std::mutex> lock(dump_mu_);
@@ -160,12 +145,10 @@ void FlightRecorder::StopSignalDumps() {
 }
 
 void FlightRecorder::RequestDump() {
-  if constexpr (!kEnabled) return;
   g_dump_pending.store(true, std::memory_order_relaxed);
 }
 
 std::string FlightRecorder::DrainPendingDump() {
-  if constexpr (!kEnabled) return "";
   if (!g_dump_pending.exchange(false, std::memory_order_relaxed)) return "";
   std::string path;
   {
@@ -178,7 +161,6 @@ std::string FlightRecorder::DrainPendingDump() {
 }
 
 void FlightRecorder::ClearForTest() {
-  if constexpr (!kEnabled) return;
   std::lock_guard<std::mutex> lock(rings_mu_);
   for (Ring* ring : rings_) {
     for (Slot& slot : ring->slots) {

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/obs_config.h"
 #include "obs/trace.h"
 
 namespace ojv {
@@ -37,9 +36,6 @@ namespace obs {
 /// Span names/categories are stored as `const char*` and must be
 /// string literals (every Span call site passes literals; the evaluator
 /// uses ExecSpanNameFor's literal table).
-///
-/// Under -DOJV_OBS=OFF every method is an if-constexpr no-op: no rings
-/// are allocated, no poller thread starts, Sample() is constant false.
 class FlightRecorder {
  public:
   static constexpr size_t kRingCapacity = 4096;  // spans per thread
@@ -79,10 +75,9 @@ class FlightRecorder {
   // background poller thread notices and performs the dump with regular
   // file I/O. Dumps land in `dir` as flight-<n>.json, n increasing.
 
-  /// Installs the SIGUSR2 handler and starts the poller. Returns false
-  /// when observability is compiled out. Idempotent; a second call just
-  /// updates the directory.
-  bool StartSignalDumps(const std::string& dir);
+  /// Installs the SIGUSR2 handler and starts the poller. Idempotent; a
+  /// second call just updates the directory.
+  void StartSignalDumps(const std::string& dir);
   void StopSignalDumps();
 
   /// Requests a dump exactly as SIGUSR2 would (shared flag).

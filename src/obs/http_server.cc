@@ -33,10 +33,6 @@ void SendResponse(int fd, const char* status, const char* content_type,
 }  // namespace
 
 bool HttpExportServer::Start(int port) {
-  if constexpr (!kEnabled) {
-    (void)port;
-    return false;
-  }
   if (running()) return false;
   int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return false;
@@ -61,7 +57,6 @@ bool HttpExportServer::Start(int port) {
 }
 
 void HttpExportServer::Stop() {
-  if constexpr (!kEnabled) return;
   int fd = listen_fd_.exchange(-1);
   if (fd >= 0) {
     // shutdown() wakes the blocked accept() so the serve thread exits.

@@ -5,8 +5,6 @@
 #include <string>
 #include <thread>
 
-#include "obs/obs_config.h"
-
 namespace ojv {
 namespace obs {
 
@@ -21,9 +19,6 @@ namespace obs {
 /// localhost, not the internet. Start it from tools and benches that
 /// want live observation (`bench_deferred --metrics-port=9464`); the
 /// library never starts it on its own.
-///
-/// Under -DOJV_OBS=OFF, Start() is a constant-false no-op: no socket,
-/// no thread.
 class HttpExportServer {
  public:
   HttpExportServer() = default;
@@ -34,7 +29,7 @@ class HttpExportServer {
 
   /// Binds 127.0.0.1:<port> (0 = kernel-assigned ephemeral port, read
   /// it back from port()) and starts the accept thread. Returns false
-  /// if the bind fails or observability is compiled out.
+  /// if the bind fails.
   bool Start(int port);
 
   /// Closes the listening socket (unblocking accept) and joins the

@@ -11,8 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/obs_config.h"
-
 namespace ojv {
 namespace obs {
 
@@ -25,11 +23,9 @@ std::string JsonEscape(const std::string& s);
 /// loop. Counters are owned by the Registry and live for the process;
 /// call sites cache the reference in a function-local static:
 ///
-///   if constexpr (obs::kEnabled) {
-///     static obs::Counter& c =
-///         obs::Registry::Global().GetCounter("ojv.exec.pool.morsels");
-///     c.Add(n);
-///   }
+///   static obs::Counter& c =
+///       obs::Registry::Global().GetCounter("ojv.exec.pool.morsels");
+///   c.Add(n);
 class Counter {
  public:
   void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
@@ -46,11 +42,9 @@ class Counter {
 /// Both are single relaxed atomics, safe from any thread. Same caching
 /// idiom as Counter:
 ///
-///   if constexpr (obs::kEnabled) {
-///     static obs::Gauge& g =
-///         obs::Registry::Global().GetGauge("ojv.deferred.log_depth_rows");
-///     g.Set(static_cast<int64_t>(entries_.size()));
-///   }
+///   static obs::Gauge& g =
+///       obs::Registry::Global().GetGauge("ojv.deferred.log_depth_rows");
+///   g.Set(static_cast<int64_t>(entries_.size()));
 class Gauge {
  public:
   void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }

@@ -58,9 +58,6 @@ int TraceContext::TidFor(std::thread::id id) {
 }
 
 int TraceContext::BeginSpan(std::string name, std::string category) {
-  // Recording is compiled out entirely under OJV_OBS=OFF: even a caller
-  // that drives the context directly (not through Span) gets a no-op.
-  if constexpr (!kEnabled) return -1;
   int64_t now = NowMicros();
   int index;
   {
@@ -81,7 +78,6 @@ void TraceContext::EndSpan(
     int index, int64_t dur_micros,
     std::vector<std::pair<std::string, int64_t>> args,
     std::vector<std::pair<std::string, std::string>> str_args) {
-  if constexpr (!kEnabled) return;
   if (index < 0) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -104,7 +100,6 @@ void TraceContext::RecordComplete(
     std::string name, std::string category, int64_t start_micros,
     int64_t dur_micros, std::vector<std::pair<std::string, int64_t>> args,
     std::vector<std::pair<std::string, std::string>> str_args) {
-  if constexpr (!kEnabled) return;
   std::lock_guard<std::mutex> lock(mu_);
   TraceEvent& ev = events_.emplace_back();
   ev.name = std::move(name);

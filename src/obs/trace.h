@@ -11,8 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/obs_config.h"
-
 namespace ojv {
 namespace obs {
 
@@ -58,8 +56,7 @@ void Record(const char* name, const char* category, int64_t start_micros,
 /// Per-maintenance trace buffer. Thread it through MaintenanceOptions
 /// (`options.trace = &ctx`) and every stage of the pipeline — plan
 /// build, primary/secondary delta, exec operators, deferred refresh —
-/// records spans into it. Null context (the default) means tracing off;
-/// every recording call also compiles out entirely under OJV_OBS=OFF.
+/// records spans into it. Null context (the default) means tracing off.
 ///
 /// Thread-safety: all mutation goes through one mutex; spans are cheap
 /// (operators record one event per *node*, not per row or per morsel),
@@ -130,7 +127,7 @@ class TraceContext {
 };
 
 /// RAII span guard. Inert when constructed with a null context (or with
-/// the default constructor, or under OJV_OBS=OFF), so call sites write
+/// the default constructor), so call sites write
 ///
 ///   obs::Span span(options.trace, "ivm.maintain", "ivm");
 ///   ...
@@ -153,21 +150,15 @@ class Span {
  public:
   Span() = default;
   Span(TraceContext* ctx, const char* name, const char* category) {
-    if constexpr (kEnabled) {
-      if (ctx != nullptr) {
-        ctx_ = ctx;
-        index_ = ctx->BeginSpan(name, category);
-        start_ = ctx->NowMicros();
-      }
-      if (flight_hook::Sample()) {
-        flight_name_ = name;
-        flight_cat_ = category;
-        flight_start_ = flight_hook::NowMicros();
-      }
-    } else {
-      (void)ctx;
-      (void)name;
-      (void)category;
+    if (ctx != nullptr) {
+      ctx_ = ctx;
+      index_ = ctx->BeginSpan(name, category);
+      start_ = ctx->NowMicros();
+    }
+    if (flight_hook::Sample()) {
+      flight_name_ = name;
+      flight_cat_ = category;
+      flight_start_ = flight_hook::NowMicros();
     }
   }
   ~Span() { Finish(); }
@@ -195,53 +186,37 @@ class Span {
   bool active() const { return ctx_ != nullptr; }
 
   void AddArg(const char* key, int64_t value) {
-    if constexpr (kEnabled) {
-      if (ctx_ != nullptr) args_.emplace_back(key, value);
-    } else {
-      (void)key;
-      (void)value;
-    }
+    if (ctx_ != nullptr) args_.emplace_back(key, value);
   }
   void AddArg(const char* key, std::string value) {
-    if constexpr (kEnabled) {
-      if (ctx_ != nullptr) str_args_.emplace_back(key, std::move(value));
-    } else {
-      (void)key;
-      (void)value;
-    }
+    if (ctx_ != nullptr) str_args_.emplace_back(key, std::move(value));
   }
 
   /// Closes with measured wall time. Idempotent.
   void Finish() {
-    if constexpr (kEnabled) {
-      if (ctx_ != nullptr) {
-        FinishWithDuration(static_cast<double>(ctx_->NowMicros() - start_));
-        return;
-      }
-      if (flight_name_ != nullptr) {
-        flight_hook::Record(flight_name_, flight_cat_, flight_start_,
-                            flight_hook::NowMicros() - flight_start_);
-        flight_name_ = nullptr;
-      }
+    if (ctx_ != nullptr) {
+      FinishWithDuration(static_cast<double>(ctx_->NowMicros() - start_));
+      return;
+    }
+    if (flight_name_ != nullptr) {
+      flight_hook::Record(flight_name_, flight_cat_, flight_start_,
+                          flight_hook::NowMicros() - flight_start_);
+      flight_name_ = nullptr;
     }
   }
 
   /// Closes with the caller's duration (micros) — use when the stage
   /// already times itself and the trace must agree exactly.
   void FinishWithDuration(double micros) {
-    if constexpr (kEnabled) {
-      if (ctx_ != nullptr) {
-        ctx_->EndSpan(index_, static_cast<int64_t>(micros), std::move(args_),
-                      std::move(str_args_));
-        ctx_ = nullptr;
-      }
-      if (flight_name_ != nullptr) {
-        flight_hook::Record(flight_name_, flight_cat_, flight_start_,
-                            static_cast<int64_t>(micros));
-        flight_name_ = nullptr;
-      }
-    } else {
-      (void)micros;
+    if (ctx_ != nullptr) {
+      ctx_->EndSpan(index_, static_cast<int64_t>(micros), std::move(args_),
+                    std::move(str_args_));
+      ctx_ = nullptr;
+    }
+    if (flight_name_ != nullptr) {
+      flight_hook::Record(flight_name_, flight_cat_, flight_start_,
+                          static_cast<int64_t>(micros));
+      flight_name_ = nullptr;
     }
   }
 

@@ -237,9 +237,7 @@ TEST(DeferredFromBaseTablesTest, RefreshJoinsStayWithinLineitemRows) {
     ++joins;
     EXPECT_LE(ev.ArgOr("rows_out", 0), lineitem.size());
   }
-  if (obs::kEnabled) {
-    EXPECT_GT(joins, 0);
-  }
+  EXPECT_GT(joins, 0);
 
   std::string diff;
   EXPECT_TRUE(db.GetAggregateView("v3_by_segment_date")

@@ -4,6 +4,8 @@
 
 #include "ivm/database.h"
 
+#include <map>
+
 #include <gtest/gtest.h>
 
 #include "baseline/recompute.h"
@@ -137,6 +139,58 @@ TEST_F(DatabaseTest, CascadingDeleteMaintainsViews) {
   EXPECT_TRUE(ViewMatchesRecompute(*db_.catalog(), view->view_def(),
                                    view->view(), &diff))
       << diff;
+}
+
+// A blocked cascade rejects the whole statement: p cascades to c1 and
+// c2, but a restricting g references c2's row, so deleting p's row must
+// leave every table (c1 included) and every view as it was.
+TEST_F(DatabaseTest, BlockedCascadeChangesNothing) {
+  Catalog* catalog = db_.catalog();
+  catalog->CreateTable("p", Schema({ColumnDef{"p_id", ValueType::kInt64,
+                                              false}}),
+                       {"p_id"});
+  for (const char* child : {"c1", "c2", "g"}) {
+    catalog->CreateTable(
+        child,
+        Schema({ColumnDef{"id", ValueType::kInt64, false},
+                ColumnDef{"ref", ValueType::kInt64, false}}),
+        {"id"});
+  }
+  for (const char* child : {"c1", "c2"}) {
+    ForeignKey fk{child, {"ref"}, "p", {"p_id"}};
+    fk.cascading_delete = true;
+    catalog->AddForeignKey(fk);
+  }
+  catalog->AddForeignKey({"g", {"ref"}, "c2", {"id"}});
+  std::vector<ViewMaintainer*> views;
+  for (const char* child : {"c1", "c2"}) {
+    RelExprPtr tree = RelExpr::Join(JoinKind::kLeftOuter, RelExpr::Scan("p"),
+                                    RelExpr::Scan(child),
+                                    Eq("p", "p_id", child, "ref"));
+    views.push_back(db_.CreateMaterializedView(ViewDef(
+        std::string("p_") + child, tree,
+        {{"p", "p_id"}, {child, "id"}, {child, "ref"}}, *catalog)));
+  }
+  const Row one{Value::Int64(1)};
+  const Row child_row{Value::Int64(1), Value::Int64(1)};
+  db_.Insert("p", {one});
+  for (const char* child : {"c1", "c2", "g"}) db_.Insert(child, {child_row});
+  std::map<std::string, std::vector<Row>> before;
+  for (const char* table : {"p", "c1", "c2", "g"}) before[table] = Rows(table);
+
+  Database::StatementResult result = db_.Delete("p", {one});
+  EXPECT_EQ(result.error, "delete from c2 violates FK from g");
+  EXPECT_EQ(result.rows_affected, 0);
+  for (const auto& [table, rows] : before) {
+    EXPECT_EQ(Rows(table), rows) << table;
+  }
+  for (ViewMaintainer* view : views) {
+    EXPECT_EQ(view->view().size(), 1);
+    std::string diff;
+    EXPECT_TRUE(ViewMatchesRecompute(*catalog, view->view_def(), view->view(),
+                                     &diff))
+        << diff;
+  }
 }
 
 TEST_F(DatabaseTest, ViewsAreMaintainedAcrossStatements) {

@@ -1,8 +1,8 @@
 // Snapshot view reads under concurrent maintenance (DESIGN.md §17).
 //
 // The first half pins the ViewSnapshot semantics single-threaded:
-// generation pinning, read-freshness modes, staleness accounting, and
-// the lifetime rules (a pinned generation survives later publishes and
+// generation pinning, fresh versus snapshot reads, staleness accounting,
+// transactions, and the lifetime rules (a pinned generation survives later publishes and
 // even DropView).
 //
 // The second half is the TSan regression for the ReadView lock-escape:
@@ -15,7 +15,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -114,40 +116,20 @@ TEST_F(SnapshotReadTest, SnapshotReadDoesNotRefreshOnDemandBacklog) {
   db_.Insert("emp", {Emp(10, 1, 100.0)});
   ASSERT_GT(db_.PendingRows("dept_emp"), 0);
 
-  // kSnapshot returns the last published generation; the backlog stays
-  // (the opportunistic catch-up republishes the stored contents but
-  // never runs the deferred refresh).
+  // AcquireSnapshot returns the last published generation; the backlog
+  // stays (the opportunistic catch-up republishes the stored contents
+  // but never runs the deferred refresh).
   ViewSnapshot snap = db_.AcquireSnapshot("dept_emp");
   ASSERT_TRUE(snap.valid());
   EXPECT_EQ(snap.size(), 0);  // created empty, nothing applied yet
   EXPECT_GT(db_.PendingRows("dept_emp"), 0);
   EXPECT_GT(snap.staleness_micros(obs::SteadyNowMicros()), 0);
 
-  // The default ReadView keeps read-your-writes: it drains the backlog.
+  // ReadView keeps read-your-writes: it drains the backlog.
   ViewSnapshot fresh = db_.ReadView("dept_emp");
   EXPECT_EQ(db_.PendingRows("dept_emp"), 0);
   EXPECT_EQ(fresh.size(), 1);  // dept 1 joined with emp 10
   EXPECT_EQ(fresh.staleness_micros(obs::SteadyNowMicros()), 0);
-}
-
-TEST_F(SnapshotReadTest, BoundedReadUpgradesPastItsBound) {
-  db_.CreateMaterializedView(MakeDeptView());
-  db_.SetRefreshPolicy("dept_emp", RefreshPolicy::kOnDemand);
-  db_.Insert("dept", {Dept(1, "eng")});
-  ASSERT_GT(db_.PendingRows("dept_emp"), 0);
-
-  // Within a generous bound: serve the stale generation, keep backlog.
-  ViewSnapshot lax =
-      db_.AcquireSnapshot("dept_emp", ReadOptions::Bounded(60e6));
-  EXPECT_EQ(lax.size(), 0);
-  EXPECT_GT(db_.PendingRows("dept_emp"), 0);
-
-  // Past the bound: the read blocks and catches up like kFresh.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  ViewSnapshot tight =
-      db_.AcquireSnapshot("dept_emp", ReadOptions::Bounded(1.0));
-  EXPECT_EQ(tight.size(), 1);
-  EXPECT_EQ(db_.PendingRows("dept_emp"), 0);
 }
 
 TEST_F(SnapshotReadTest, PinnedSnapshotSurvivesDropView) {
@@ -191,6 +173,39 @@ TEST_F(SnapshotReadTest, FreshReadInsideTransactionPublishesNothing) {
   ASSERT_TRUE(db_.Commit().ok());
   EXPECT_EQ(other_reader_rows(), 2);
   EXPECT_EQ(db_.ReadView("dept_emp").size(), 2);
+}
+
+// A refresh inside a transaction runs on contents that hold the
+// transaction's uncommitted rows, so it must not publish them either:
+// not through Refresh, RefreshAll, or the drain that switching a view
+// back to kImmediate performs. The first read after the transaction
+// ends publishes instead.
+TEST_F(SnapshotReadTest, RefreshInsideTransactionPublishesNothing) {
+  db_.CreateMaterializedView(MakeDeptView());
+  db_.Insert("dept", {Dept(1, "eng")});
+  const std::vector<std::pair<const char*, std::function<void()>>> calls = {
+      {"Refresh", [&] { db_.Refresh("dept_emp"); }},
+      {"RefreshAll", [&] { db_.RefreshAll(); }},
+      {"SetRefreshPolicy",
+       [&] { db_.SetRefreshPolicy("dept_emp", RefreshPolicy::kImmediate); }},
+  };
+  for (const auto& [label, call] : calls) {
+    ASSERT_TRUE(db_.SetRefreshPolicy("dept_emp", RefreshPolicy::kOnDemand));
+    ASSERT_EQ(db_.ReadView("dept_emp").size(), 1);
+    ASSERT_TRUE(db_.BeginTransaction());
+    db_.Insert("dept", {Dept(2, "ops")});
+    call();
+    EXPECT_EQ(db_.AcquireSnapshot("dept_emp").size(), 1) << label;
+    ASSERT_TRUE(db_.Rollback());
+    EXPECT_EQ(db_.AcquireSnapshot("dept_emp").size(), 1) << label;
+  }
+
+  ASSERT_TRUE(db_.SetRefreshPolicy("dept_emp", RefreshPolicy::kOnDemand));
+  ASSERT_TRUE(db_.BeginTransaction());
+  db_.Insert("dept", {Dept(2, "ops")});
+  db_.Refresh("dept_emp");
+  ASSERT_TRUE(db_.Commit().ok());
+  EXPECT_EQ(db_.AcquireSnapshot("dept_emp").size(), 2);
 }
 
 // A view created inside a transaction is built from the transaction's
@@ -272,14 +287,10 @@ TEST_F(SnapshotReadTest, ConcurrentReadersNeverObserveMidRefreshState) {
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
+    readers.emplace_back([&] {
       uint64_t last_generation = 0;
       while (!done.load(std::memory_order_acquire)) {
-        // Alternate the non-blocking modes; both must hold the invariant.
-        ViewSnapshot snap =
-            (r % 2 == 0)
-                ? db_.AcquireSnapshot("dept_emp")
-                : db_.AcquireSnapshot("dept_emp", ReadOptions::Bounded(60e6));
+        ViewSnapshot snap = db_.AcquireSnapshot("dept_emp");
         if (!snap.valid()) continue;
         ++reads;
         if (snap.size() != kEmps) ++bad_sizes;

@@ -213,13 +213,6 @@ bool HttpGet(int port, const char* path, std::string* status,
 
 TEST(HttpExportServerTest, ServesAllRoutesOnEphemeralPort) {
   HttpExportServer server;
-  if (!kEnabled) {
-    // OJV_OBS=OFF: no socket, no thread, constant false.
-    EXPECT_FALSE(server.Start(0));
-    EXPECT_FALSE(server.running());
-    EXPECT_EQ(server.port(), 0);
-    return;
-  }
   Registry::Global().GetCounter("ojv.test.http").Add(5);
   ASSERT_TRUE(server.Start(0));  // 0 = kernel-assigned port
   EXPECT_TRUE(server.running());
@@ -251,7 +244,6 @@ TEST(HttpExportServerTest, ServesAllRoutesOnEphemeralPort) {
 }
 
 TEST(HttpExportServerTest, PortInUseFailsCleanly) {
-  if (!kEnabled) return;
   HttpExportServer first;
   ASSERT_TRUE(first.Start(0));
   HttpExportServer second;

@@ -25,7 +25,6 @@ namespace {
 class TraceIntegrationFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!obs::kEnabled) GTEST_SKIP() << "OJV_OBS=OFF build";
     tpch::CreateSchema(&catalog_);
     tpch::DbgenOptions options;
     options.scale_factor = 0.002;
@@ -146,7 +145,6 @@ TEST_F(TraceIntegrationFixture, OrdersUpdateIsTheorem3NoOp) {
 }
 
 TEST(TraceDatabaseTest, StatementSpansWrapMaintenance) {
-  if (!obs::kEnabled) GTEST_SKIP() << "OJV_OBS=OFF build";
   Database db;
   tpch::CreateSchema(db.catalog());
   tpch::DbgenOptions options;

@@ -168,8 +168,7 @@ void Render(const io::JsonValue& snapshot, bool clear) {
   std::printf("\n%-24s %12s %10s %10s %12s\n", "view", "stale(ms)",
               "pending", "refreshes", "refresh(ms)");
   if (views.empty()) {
-    std::printf("  (no per-view telemetry — no deferred views, or an"
-                " OJV_OBS=OFF build)\n");
+    std::printf("  (no per-view telemetry — no deferred views)\n");
   }
   for (const auto& [name, row] : views) {
     std::printf("%-24s %12.1f %10lld %10lld %12.1f\n", name.c_str(),
