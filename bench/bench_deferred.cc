@@ -29,11 +29,11 @@ namespace {
 struct Instance {
   Database db;
 
-  Instance(tpch::Dbgen* dbgen, const MaintenanceOptions& options) {
+  explicit Instance(tpch::Dbgen* dbgen) {
     tpch::CreateSchema(db.catalog());
     // Populate is deterministic: both instances get identical tables.
     dbgen->Populate(db.catalog());
-    db.CreateMaterializedView(tpch::MakeV3(*db.catalog()), &options);
+    db.CreateMaterializedView(tpch::MakeV3(*db.catalog()));
   }
 };
 
@@ -76,14 +76,8 @@ int Run(int argc, char** argv) {
   gen_options.scale_factor = options.scale_factor;
   gen_options.seed = options.seed;
   tpch::Dbgen dbgen(gen_options);
-  Instance immediate(&dbgen, MaintenanceOptions());
-  // A deferred view is maintained only by its refreshes, so its executor
-  // config is its refresh executor: consolidated batch replays may use
-  // the morsel-parallel executor (--threads=N), while the immediate
-  // instance's per-statement maintenance stays serial.
-  MaintenanceOptions refresh_options;
-  refresh_options.exec.num_threads = options.threads;
-  Instance deferred(&dbgen, refresh_options);
+  Instance immediate(&dbgen);
+  Instance deferred(&dbgen);
   deferred.db.SetRefreshPolicy("v3", deferred::RefreshPolicy::kOnDemand);
 
   // One stream drives both databases so their base states stay equal.

@@ -8,7 +8,8 @@
 // the same as the core view, while GK deteriorates with batch size.
 // All three maintainers observe the same base-table updates; after each
 // measurement the batch is deleted again so every batch size starts from
-// the same database state.
+// the same database state. The bench exits 1 if, after a batch, our V3
+// differs from Griffin–Kumar's.
 
 #include "baseline/griffin_kumar.h"
 #include "bench_util.h"
@@ -32,49 +33,49 @@ int Run(int argc, char** argv) {
   ViewMaintainer core_maintainer(&instance.catalog, core,
                                  MaintenanceOptions());
   ViewMaintainer oj_maintainer(&instance.catalog, v3, MaintenanceOptions());
-  MaintenanceOptions par_options;
-  par_options.exec.num_threads = options.threads;
-  ViewMaintainer par_maintainer(&instance.catalog, v3, par_options);
   GriffinKumarMaintainer gk_maintainer(&instance.catalog, v3);
   core_maintainer.InitializeView();
   oj_maintainer.InitializeView();
-  par_maintainer.InitializeView();
   gk_maintainer.InitializeView();
 
   JsonReport report("fig5_insert", options);
-  char par_col[32];
-  std::snprintf(par_col, sizeof(par_col), "OJ(par%d)", options.threads);
   PrintHeader("Figure 5(a): V3 maintenance cost, lineitem insertions",
-              {"Rows", "CoreView", "OuterJoin", par_col, "OJ(GK)", "GK/ours"});
+              {"Rows", "CoreView", "OuterJoin", "OJ(GK)", "GK/ours"});
   for (int64_t batch : options.batches) {
     std::vector<Row> rows = instance.refresh->NewLineitems(batch);
     std::vector<Row> inserted = ApplyBaseInsert(lineitem, rows);
 
     MaintenanceStats oj_stats;
-    MaintenanceStats par_stats;
     double core_ms =
         TimeMs([&] { core_maintainer.OnInsert("lineitem", inserted); });
     double oj_ms =
         TimeMs([&] { oj_stats = oj_maintainer.OnInsert("lineitem", inserted); });
-    double par_ms = TimeMs(
-        [&] { par_stats = par_maintainer.OnInsert("lineitem", inserted); });
     double gk_ms =
         TimeMs([&] { gk_maintainer.OnInsert("lineitem", inserted); });
+
+    // Self-check, outside the timed region: the row is void if our
+    // outer-join maintenance and Griffin-Kumar disagree on V3.
+    if (!oj_maintainer.view().AsRelation().Equals(
+            gk_maintainer.view().AsRelation())) {
+      std::fprintf(stderr,
+                   "bench_fig5_insert: SELF-CHECK FAILED at %lld rows: the "
+                   "outer-join and Griffin-Kumar V3 differ\n",
+                   static_cast<long long>(batch));
+      return 1;
+    }
 
     char ratio[32];
     std::snprintf(ratio, sizeof(ratio), "%.1fx", gk_ms / std::max(oj_ms, 1e-3));
     PrintRow({FormatCount(batch), FormatMs(core_ms), FormatMs(oj_ms),
-              FormatMs(par_ms), FormatMs(gk_ms), ratio});
+              FormatMs(gk_ms), ratio});
     report.BeginRow();
     report.Count("batch_rows", batch);
     report.Num("core_ms", core_ms);
     report.Num("ours_ms", oj_ms);
-    report.Num("ours_parallel_ms", par_ms);
     report.Num("gk_ms", gk_ms);
     report.Obj("stages", StagesJson(oj_stats));
-    report.Obj("stages_parallel", StagesJson(par_stats));
 
-    // Restore the database and all four views.
+    // Restore the database and all three views.
     std::vector<Row> keys;
     keys.reserve(inserted.size());
     for (const Row& row : inserted) {
@@ -83,7 +84,6 @@ int Run(int argc, char** argv) {
     std::vector<Row> deleted = ApplyBaseDelete(lineitem, keys);
     core_maintainer.OnDelete("lineitem", deleted);
     oj_maintainer.OnDelete("lineitem", deleted);
-    par_maintainer.OnDelete("lineitem", deleted);
     gk_maintainer.OnDelete("lineitem", deleted);
   }
   report.Write();

@@ -48,14 +48,6 @@ class OperatorFixture {
     return evaluator.EvalToRelation(e);
   }
 
-  Relation EvalParallel(const RelExprPtr& e, int threads) {
-    Evaluator evaluator(&catalog_);
-    ExecConfig config;
-    config.num_threads = threads;
-    evaluator.set_exec(config, ThreadPool::Shared(threads).get());
-    return evaluator.EvalToRelation(e);
-  }
-
   RelExprPtr Join(JoinKind kind) {
     return RelExpr::Join(kind, RelExpr::Scan("L"), RelExpr::Scan("R"),
                          ScalarExpr::ColumnsEqual({"L", "lk"}, {"R", "rk"}));
@@ -74,22 +66,6 @@ void BM_HashJoinInner(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_HashJoinInner)->Arg(1000)->Arg(10000)->Arg(100000);
-
-// Morsel-parallel hash join; Args are {rows, threads}. On a single-core
-// host the interesting read is the overhead vs BM_HashJoinInner.
-void BM_HashJoinInnerParallel(benchmark::State& state) {
-  OperatorFixture fixture(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fixture.EvalParallel(fixture.Join(JoinKind::kInner), threads));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_HashJoinInnerParallel)
-    ->Args({100000, 2})
-    ->Args({100000, 4})
-    ->Args({100000, 8});
 
 void BM_SortMergeInner(benchmark::State& state) {
   OperatorFixture fixture(state.range(0));
@@ -144,22 +120,6 @@ void BM_RemoveSubsumed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * joined.size());
 }
 BENCHMARK(BM_RemoveSubsumed)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_RemoveSubsumedParallel(benchmark::State& state) {
-  OperatorFixture fixture(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  ExecConfig config;
-  config.num_threads = threads;
-  ThreadPool* pool = ThreadPool::Shared(threads).get();
-  Relation joined = fixture.Eval(fixture.Join(JoinKind::kLeftOuter));
-  for (auto _ : state) {
-    Relation copy = joined;
-    benchmark::DoNotOptimize(
-        Evaluator::RemoveSubsumed(std::move(copy), config, pool));
-  }
-  state.SetItemsProcessed(state.iterations() * joined.size());
-}
-BENCHMARK(BM_RemoveSubsumedParallel)->Args({100000, 2})->Args({100000, 4});
 
 void BM_Dedup(benchmark::State& state) {
   OperatorFixture fixture(state.range(0));

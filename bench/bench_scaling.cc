@@ -20,10 +20,8 @@ int Run(int argc, char** argv) {
               static_cast<long long>(batch));
 
   JsonReport report("scaling", options);
-  char par_col[32];
-  std::snprintf(par_col, sizeof(par_col), "OJ(par%d)", options.threads);
   PrintHeader("Scaling with database size (E10)",
-              {"SF", "Lineitems", "OuterJoin", par_col, "OJ(GK)"});
+              {"SF", "Lineitems", "OuterJoin", "OJ(GK)"});
   for (double sf : {0.01, 0.02, 0.05, 0.1}) {
     BenchOptions scaled = options;
     scaled.scale_factor = sf;
@@ -32,29 +30,23 @@ int Run(int argc, char** argv) {
 
     ViewDef v3 = tpch::MakeV3(instance.catalog);
     ViewMaintainer ours(&instance.catalog, v3, MaintenanceOptions());
-    MaintenanceOptions par_options;
-    par_options.exec.num_threads = options.threads;
-    ViewMaintainer par(&instance.catalog, v3, par_options);
     GriffinKumarMaintainer gk(&instance.catalog, v3);
     ours.InitializeView();
-    par.InitializeView();
     gk.InitializeView();
 
     std::vector<Row> inserted =
         ApplyBaseInsert(lineitem, instance.refresh->NewLineitems(batch));
     double ours_ms = TimeMs([&] { ours.OnInsert("lineitem", inserted); });
-    double par_ms = TimeMs([&] { par.OnInsert("lineitem", inserted); });
     double gk_ms = TimeMs([&] { gk.OnInsert("lineitem", inserted); });
 
     char sf_text[16];
     std::snprintf(sf_text, sizeof(sf_text), "%.2f", sf);
     PrintRow({sf_text, FormatCount(lineitem->size()), FormatMs(ours_ms),
-              FormatMs(par_ms), FormatMs(gk_ms)});
+              FormatMs(gk_ms)});
     report.BeginRow();
     report.Num("scale_factor", sf);
     report.Count("lineitem_rows", lineitem->size());
     report.Num("ours_ms", ours_ms);
-    report.Num("ours_parallel_ms", par_ms);
     report.Num("gk_ms", gk_ms);
   }
   report.Write();

@@ -35,8 +35,6 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
         if (comma == nullptr) break;
         p = comma + 1;
       }
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      options.threads = std::atoi(arg + 10);
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       options.json_path = arg + 7;
     } else if (std::strcmp(arg, "--json") == 0 && i + 1 < argc) {
@@ -45,23 +43,7 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
       options.metrics_port = std::atoi(arg + 15);
     }
   }
-  if (!options.ParallelValid()) {
-    std::fprintf(
-        stderr,
-        "\n"
-        "*** WARNING ***********************************************\n"
-        "*** --threads=%d exceeds this host's %u hardware threads.\n"
-        "*** The parallel columns below measure OVERSUBSCRIPTION,\n"
-        "*** not speedup; any JSON output is stamped\n"
-        "*** \"parallel_valid\": false.\n"
-        "***********************************************************\n\n",
-        options.threads, std::thread::hardware_concurrency());
-  }
   return options;
-}
-
-bool BenchOptions::ParallelValid() const {
-  return threads <= static_cast<int>(std::thread::hardware_concurrency());
 }
 
 TpchInstance::TpchInstance(const BenchOptions& options) {
@@ -153,13 +135,10 @@ bool JsonReport::Write() const {
   std::fprintf(f, "  \"scale_factor\": %.6g,\n", options_.scale_factor);
   std::fprintf(f, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(options_.seed));
-  std::fprintf(f, "  \"threads\": %d,\n", options_.threads);
   std::fprintf(f, "  \"host_cores\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"build_type\": \"%s\",\n", OJV_BUILD_TYPE);
   std::fprintf(f, "  \"sanitize\": \"%s\",\n", OJV_SANITIZE_MODE);
-  std::fprintf(f, "  \"parallel_valid\": %s,\n",
-               options_.ParallelValid() ? "true" : "false");
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < rows_.size(); ++i) {
     std::fprintf(f, "    {%s}%s\n", rows_[i].c_str(),

@@ -23,8 +23,6 @@ namespace bench {
 ///                      pass --batches=60,600,6000,60000 for the full
 ///                      sweep of the paper — the GK baseline takes
 ///                      minutes at 60000)
-///   --threads=<int>    executor threads for the parallel maintainer
-///                      columns (default 1 = serial)
 ///   --json <path>      also write results as JSON to <path>
 ///                      (--json=<path> works too); the file carries the
 ///                      benchmark name, options, host core count, and
@@ -37,18 +35,10 @@ struct BenchOptions {
   double scale_factor = 0.05;
   uint64_t seed = 19940601;
   std::vector<int64_t> batches = {60, 600, 6000};
-  int threads = 1;
   std::string json_path;
   int metrics_port = 0;
 
-  /// Parses the flags; when --threads exceeds the host's core count it
-  /// prints a loud warning (the parallel columns then measure
-  /// oversubscription, not speedup) and the JSON header carries
-  /// "parallel_valid": false.
   static BenchOptions Parse(int argc, char** argv);
-
-  /// threads <= hardware_concurrency(): the parallel numbers are real.
-  bool ParallelValid() const;
 };
 
 /// A populated TPC-H database plus its refresh stream.
@@ -75,15 +65,14 @@ std::string FormatCount(int64_t n);
 /// end; Write is a no-op unless --json was given, so the human-readable
 /// table stays the default output. The emitted document is
 ///
-///   { "benchmark": ..., "scale_factor": ..., "seed": ..., "threads": ...,
+///   { "benchmark": ..., "scale_factor": ..., "seed": ...,
 ///     "host_cores": ..., "build_type": ..., "sanitize": ...,
-///     "parallel_valid": ..., "results": [ {row fields...}, ... ] }
+///     "results": [ {row fields...}, ... ] }
 ///
 /// which the trajectory file BENCH_pipeline.json aggregates across runs.
 /// The build_type/sanitize header fields identify the binary that
 /// produced the numbers (a sanitizer or Debug run is not comparable to a
-/// Release one); parallel_valid is false when --threads oversubscribes
-/// the host.
+/// Release one).
 class JsonReport {
  public:
   JsonReport(std::string benchmark, const BenchOptions& options);

@@ -19,25 +19,16 @@ int Run(int argc, char** argv) {
   TpchInstance instance(options);
 
   JsonReport report("view_init", options);
-  MaintenanceOptions par_options;
-  par_options.exec.num_threads = options.threads;
-  char par_col[32];
-  std::snprintf(par_col, sizeof(par_col), "Time(par%d)", options.threads);
-  PrintHeader("Initial materialization",
-              {"View", "Rows", "Time", par_col});
+  PrintHeader("Initial materialization", {"View", "Rows", "Time"});
 
   auto run_view = [&](const std::string& label, const ViewDef& def) {
     ViewMaintainer maintainer(&instance.catalog, def, MaintenanceOptions());
-    ViewMaintainer par(&instance.catalog, def, par_options);
     double ms = TimeMs([&] { maintainer.InitializeView(); });
-    double par_ms = TimeMs([&] { par.InitializeView(); });
-    PrintRow({label, FormatCount(maintainer.view().size()), FormatMs(ms),
-              FormatMs(par_ms)});
+    PrintRow({label, FormatCount(maintainer.view().size()), FormatMs(ms)});
     report.BeginRow();
     report.Str("view", label);
     report.Count("rows", maintainer.view().size());
     report.Num("init_ms", ms);
-    report.Num("init_parallel_ms", par_ms);
   };
 
   run_view("v3", tpch::MakeV3(instance.catalog));
@@ -52,8 +43,7 @@ int Run(int argc, char** argv) {
     AggViewMaintainer agg(&instance.catalog, tpch::MakeV3(instance.catalog),
                           group_by, aggs);
     double ms = TimeMs([&] { agg.InitializeView(); });
-    PrintRow({"v3_by_segment", FormatCount(agg.num_groups()), FormatMs(ms),
-              "-"});
+    PrintRow({"v3_by_segment", FormatCount(agg.num_groups()), FormatMs(ms)});
     report.BeginRow();
     report.Str("view", "v3_by_segment");
     report.Count("rows", agg.num_groups());

@@ -1,7 +1,6 @@
 #include "exec/evaluator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 
 #include "common/check.h"
@@ -58,40 +57,15 @@ std::shared_ptr<const Relation> Owned(Relation relation) {
   return std::make_shared<const Relation>(std::move(relation));
 }
 
-// Workers a standalone (static-operator) loop may use.
-int StaticWorkers(const ExecConfig& config, ThreadPool* pool, int64_t rows) {
-  if (pool == nullptr || config.num_threads <= 1) return 1;
-  if (rows < config.parallel_min_rows) return 1;
-  return std::min(config.num_threads, pool->num_threads());
-}
-
-// Runs body(begin, end) over [0, count) — morsel-parallel when the
-// input is large enough, inline otherwise. Bodies must only touch
-// per-index state (element writes to distinct positions are fine).
-void ParallelRange(const ExecConfig& config, ThreadPool* pool, int64_t count,
-                   const std::function<void(int64_t, int64_t)>& body) {
-  const int workers = StaticWorkers(config, pool, count);
-  if (workers == 1) {
-    body(0, count);
-    return;
-  }
-  pool->ParallelFor(
-      count, config.morsel_rows,
-      [&](int64_t, int64_t begin, int64_t end) { body(begin, end); },
-      workers);
-}
-
 // Join-key hashes for every row of `rel` (kSkipHash for NULL keys).
-std::vector<size_t> HashRows(const Relation& rel, const std::vector<int>& keys,
-                             const ExecConfig& config, ThreadPool* pool) {
+std::vector<size_t> HashRows(const Relation& rel,
+                             const std::vector<int>& keys) {
   std::vector<size_t> hashes(static_cast<size_t>(rel.size()));
-  ParallelRange(config, pool, rel.size(), [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const Row& row = rel.row(i);
-      hashes[static_cast<size_t>(i)] =
-          AnyNullAt(row, keys) ? JoinTable::kSkipHash : HashAt(row, keys);
-    }
-  });
+  for (int64_t i = 0; i < rel.size(); ++i) {
+    const Row& row = rel.row(i);
+    hashes[static_cast<size_t>(i)] =
+        AnyNullAt(row, keys) ? JoinTable::kSkipHash : HashAt(row, keys);
+  }
   return hashes;
 }
 
@@ -128,37 +102,6 @@ Relation Evaluator::RelationFrom(const Table& table) {
   rel.mutable_rows()->reserve(static_cast<size_t>(table.size()));
   table.ForEach([&](const Row& row) { rel.Add(row); });
   return rel;
-}
-
-int Evaluator::WorkersFor(int64_t rows) const {
-  return StaticWorkers(exec_, pool_, rows);
-}
-
-void Evaluator::AppendChunked(
-    int64_t count, Relation* out,
-    const std::function<void(std::vector<Row>&, int64_t, int64_t)>& body)
-    const {
-  const int workers = WorkersFor(count);
-  if (workers == 1) {
-    body(*out->mutable_rows(), 0, count);
-    return;
-  }
-  const int64_t grain = exec_.morsel_rows;
-  const int64_t num_chunks = (count + grain - 1) / grain;
-  std::vector<std::vector<Row>> chunks(static_cast<size_t>(num_chunks));
-  pool_->ParallelFor(
-      count, grain,
-      [&](int64_t chunk, int64_t begin, int64_t end) {
-        body(chunks[static_cast<size_t>(chunk)], begin, end);
-      },
-      workers);
-  std::vector<Row>* rows = out->mutable_rows();
-  size_t total = rows->size();
-  for (const std::vector<Row>& chunk : chunks) total += chunk.size();
-  rows->reserve(total);
-  for (std::vector<Row>& chunk : chunks) {
-    for (Row& row : chunk) rows->push_back(std::move(row));
-  }
 }
 
 std::shared_ptr<const Relation> Evaluator::Eval(const RelExprPtr& expr) const {
@@ -232,12 +175,6 @@ std::shared_ptr<const Relation> Evaluator::EvalTraced(
   return result;
 }
 
-const char* Evaluator::ParallelModeFor(int64_t rows) const {
-  if (pool_ == nullptr || exec_.num_threads <= 1) return "serial_config";
-  if (rows < exec_.parallel_min_rows) return "below_min_rows";
-  return "parallel";
-}
-
 std::shared_ptr<const Relation> Evaluator::EvalNode(
     const RelExprPtr& expr) const {
   switch (expr->kind()) {
@@ -254,19 +191,19 @@ std::shared_ptr<const Relation> Evaluator::EvalNode(
     case RelKind::kDedup: {
       std::shared_ptr<const Relation> in = Eval(expr->input());
       NoteArg("rows_in", in->size());
-      return Owned(DedupRows(*in, exec_, pool_));
+      return Owned(DedupRows(*in));
     }
     case RelKind::kSubsumeRemove: {
       std::shared_ptr<const Relation> in = Eval(expr->input());
       NoteArg("rows_in", in->size());
-      return Owned(RemoveSubsumed(*in, exec_, pool_));
+      return Owned(RemoveSubsumed(*in));
     }
     case RelKind::kOuterUnion:
       return Owned(OuterUnionOf(*Eval(expr->left()), *Eval(expr->right())));
     case RelKind::kMinUnion: {
       Relation unioned =
           OuterUnionOf(*Eval(expr->left()), *Eval(expr->right()));
-      return Owned(RemoveSubsumed(std::move(unioned), exec_, pool_));
+      return Owned(RemoveSubsumed(std::move(unioned)));
     }
     case RelKind::kNullIf:
       return Owned(EvalNullIf(*expr));
@@ -292,18 +229,13 @@ std::shared_ptr<const Relation> Evaluator::EvalDeltaScan(
 Relation Evaluator::EvalSelect(const RelExpr& expr) const {
   std::shared_ptr<const Relation> in = Eval(expr.input());
   NoteArg("rows_in", in->size());
-  NoteArg("mode", std::string(ParallelModeFor(in->size())));
   BoundScalar pred = BoundScalar::Compile(expr.predicate(), in->schema());
   Relation out(in->schema());
-  const std::vector<Row>& rows = in->rows();
-  AppendChunked(in->size(), &out,
-                [&](std::vector<Row>& dst, int64_t begin, int64_t end) {
-                  dst.reserve(dst.size() + static_cast<size_t>(end - begin));
-                  for (int64_t i = begin; i < end; ++i) {
-                    const Row& row = rows[static_cast<size_t>(i)];
-                    if (pred.EvalBool(row)) dst.push_back(row);
-                  }
-                });
+  std::vector<Row>& dst = *out.mutable_rows();
+  dst.reserve(in->rows().size());
+  for (const Row& row : in->rows()) {
+    if (pred.EvalBool(row)) dst.push_back(row);
+  }
   return out;
 }
 
@@ -318,21 +250,14 @@ Relation Evaluator::EvalProject(const RelExpr& expr) const {
     schema.AddColumn(in->schema().column(p));
   }
   Relation out(std::move(schema));
-  const std::vector<Row>& rows = in->rows();
-  AppendChunked(
-      in->size(), &out,
-      [&](std::vector<Row>& dst, int64_t begin, int64_t end) {
-        dst.reserve(dst.size() + static_cast<size_t>(end - begin));
-        for (int64_t i = begin; i < end; ++i) {
-          const Row& row = rows[static_cast<size_t>(i)];
-          Row projected;
-          projected.reserve(positions.size());
-          for (int p : positions) {
-            projected.push_back(row[static_cast<size_t>(p)]);
-          }
-          dst.push_back(std::move(projected));
-        }
-      });
+  std::vector<Row>& dst = *out.mutable_rows();
+  dst.reserve(in->rows().size());
+  for (const Row& row : in->rows()) {
+    Row projected;
+    projected.reserve(positions.size());
+    for (int p : positions) projected.push_back(row[static_cast<size_t>(p)]);
+    dst.push_back(std::move(projected));
+  }
   return out;
 }
 
@@ -348,24 +273,19 @@ Relation Evaluator::EvalNullIf(const RelExpr& expr) const {
     }
   }
   Relation out(in->schema());
-  const std::vector<Row>& rows = in->rows();
-  AppendChunked(
-      in->size(), &out,
-      [&](std::vector<Row>& dst, int64_t begin, int64_t end) {
-        dst.reserve(dst.size() + static_cast<size_t>(end - begin));
-        for (int64_t i = begin; i < end; ++i) {
-          const Row& row = rows[static_cast<size_t>(i)];
-          if (pred.EvalBool(row)) {
-            dst.push_back(row);
-          } else {
-            Row nulled = row;
-            for (int p : null_positions) {
-              nulled[static_cast<size_t>(p)] = Value::Null();
-            }
-            dst.push_back(std::move(nulled));
-          }
-        }
-      });
+  std::vector<Row>& dst = *out.mutable_rows();
+  dst.reserve(in->rows().size());
+  for (const Row& row : in->rows()) {
+    if (pred.EvalBool(row)) {
+      dst.push_back(row);
+    } else {
+      Row nulled = row;
+      for (int p : null_positions) {
+        nulled[static_cast<size_t>(p)] = Value::Null();
+      }
+      dst.push_back(std::move(nulled));
+    }
+  }
   return out;
 }
 
@@ -384,10 +304,8 @@ Relation Evaluator::EvalJoin(const RelExpr& expr) const {
   static obs::Counter& rows_in =
       obs::Registry::Global().GetCounter("ojv.exec.join.rows_in");
   rows_in.Add(l.size() + r.size());
-  // Probe-side key matches that passed the residual, counted per morsel
-  // and flushed once per chunk — only when tracing is on.
-  const bool count_hits = trace_ != nullptr;
-  std::atomic<int64_t> probe_hits{0};
+  // Probe-side key matches that passed the residual (a span arg).
+  int64_t probe_hits = 0;
 
   // Combined schema (left columns then right columns).
   BoundSchema combined;
@@ -445,52 +363,42 @@ Relation Evaluator::EvalJoin(const RelExpr& expr) const {
   // Inner joins are symmetric: build the hash table over the smaller
   // input and probe with the larger (output column order is unchanged).
   if (kind == JoinKind::kInner && !left_keys.empty() && l.size() < r.size()) {
-    std::vector<size_t> build_hashes = HashRows(l, left_keys, exec_, pool_);
+    std::vector<size_t> build_hashes = HashRows(l, left_keys);
     JoinTable table;
-    table.Build(build_hashes, WorkersFor(l.size()), pool_);
-    std::vector<size_t> probe_hashes = HashRows(r, right_keys, exec_, pool_);
+    table.Build(build_hashes);
+    std::vector<size_t> probe_hashes = HashRows(r, right_keys);
     NoteArg("build_rows", table.size());
     NoteArg("build_capacity", static_cast<int64_t>(table.capacity()));
     NoteArg("probe_rows", r.size());
     NoteArg("build_side", std::string("left"));
-    NoteArg("workers", WorkersFor(r.size()));
-    NoteArg("mode", std::string(ParallelModeFor(r.size())));
     Relation out(combined);
-    AppendChunked(
-        r.size(), &out,
-        [&](std::vector<Row>& dst, int64_t begin, int64_t end) {
-          // One output per probe row is the common case (key joins);
-          // reserving it up front avoids regrowth inside the hot loop.
-          dst.reserve(dst.size() + static_cast<size_t>(end - begin));
-          Row combined_row(static_cast<size_t>(lcols + rcols));
-          int64_t local_hits = 0;
-          for (int64_t ri = begin; ri < end; ++ri) {
-            const size_t h = probe_hashes[static_cast<size_t>(ri)];
-            if (h == JoinTable::kSkipHash) continue;
-            const Row& rrow = r.row(ri);
-            table.ForEachMatch(h, [&](int64_t li) {
-              const Row& lrow = l.row(li);
-              if (!EqualAt(lrow, left_keys, rrow, right_keys)) return true;
-              ++local_hits;
-              for (int i = 0; i < lcols; ++i) {
-                combined_row[static_cast<size_t>(i)] =
-                    lrow[static_cast<size_t>(i)];
-              }
-              for (int i = 0; i < rcols; ++i) {
-                combined_row[static_cast<size_t>(lcols + i)] =
-                    rrow[static_cast<size_t>(i)];
-              }
-              if (!has_residual || residual.EvalBool(combined_row)) {
-                dst.push_back(combined_row);
-              }
-              return true;
-            });
-          }
-          if (count_hits) {
-            probe_hits.fetch_add(local_hits, std::memory_order_relaxed);
-          }
-        });
-    NoteArg("probe_hits", probe_hits.load(std::memory_order_relaxed));
+    std::vector<Row>& dst = *out.mutable_rows();
+    // One output per probe row is the common case (key joins);
+    // reserving it up front avoids regrowth inside the hot loop.
+    dst.reserve(static_cast<size_t>(r.size()));
+    Row combined_row(static_cast<size_t>(lcols + rcols));
+    for (int64_t ri = 0; ri < r.size(); ++ri) {
+      const size_t h = probe_hashes[static_cast<size_t>(ri)];
+      if (h == JoinTable::kSkipHash) continue;
+      const Row& rrow = r.row(ri);
+      table.ForEachMatch(h, [&](int64_t li) {
+        const Row& lrow = l.row(li);
+        if (!EqualAt(lrow, left_keys, rrow, right_keys)) return true;
+        ++probe_hits;
+        for (int i = 0; i < lcols; ++i) {
+          combined_row[static_cast<size_t>(i)] = lrow[static_cast<size_t>(i)];
+        }
+        for (int i = 0; i < rcols; ++i) {
+          combined_row[static_cast<size_t>(lcols + i)] =
+              rrow[static_cast<size_t>(i)];
+        }
+        if (!has_residual || residual.EvalBool(combined_row)) {
+          dst.push_back(combined_row);
+        }
+        return true;
+      });
+    }
+    NoteArg("probe_hits", probe_hits);
     return out;
   }
 
@@ -499,107 +407,85 @@ Relation Evaluator::EvalJoin(const RelExpr& expr) const {
   JoinTable table;
   std::vector<size_t> probe_hashes;
   if (!left_keys.empty()) {
-    std::vector<size_t> build_hashes = HashRows(r, right_keys, exec_, pool_);
-    table.Build(build_hashes, WorkersFor(r.size()), pool_);
-    probe_hashes = HashRows(l, left_keys, exec_, pool_);
+    std::vector<size_t> build_hashes = HashRows(r, right_keys);
+    table.Build(build_hashes);
+    probe_hashes = HashRows(l, left_keys);
     NoteArg("build_rows", table.size());
     NoteArg("build_capacity", static_cast<int64_t>(table.capacity()));
     NoteArg("build_side", std::string("right"));
   }
   NoteArg("probe_rows", l.size());
-  NoteArg("workers", WorkersFor(l.size()));
-  NoteArg("mode", std::string(ParallelModeFor(l.size())));
 
-  // Right-side match flags feed the right/full-outer pass below; probe
-  // morsels set them concurrently (monotonic 0 -> 1, order irrelevant).
+  // Right-side match flags feed the right/full-outer pass below.
   const bool track_right =
       kind == JoinKind::kRightOuter || kind == JoinKind::kFullOuter;
-  std::vector<std::atomic<uint8_t>> right_matched(
-      track_right ? static_cast<size_t>(r.size()) : 0);
+  std::vector<char> right_matched(track_right ? static_cast<size_t>(r.size())
+                                              : 0);
 
   Relation out(semi_or_anti ? l.schema() : combined);
-  AppendChunked(
-      l.size(), &out,
-      [&](std::vector<Row>& dst, int64_t begin, int64_t end) {
-        // Outer joins emit at least one row per probe row; reserve that
-        // floor so the hot loop does not regrow the buffer.
-        dst.reserve(dst.size() + static_cast<size_t>(end - begin));
-        Row combined_row(static_cast<size_t>(lcols + rcols));
-        int64_t local_hits = 0;
-        for (int64_t li = begin; li < end; ++li) {
-          const Row& lrow = l.row(li);
-          bool matched = false;
-          auto try_match = [&](int64_t ri) {
-            const Row& rrow = r.row(ri);
-            if (!left_keys.empty() &&
-                !EqualAt(lrow, left_keys, rrow, right_keys)) {
-              return true;  // hash collision; keep probing
-            }
-            if (has_residual || !semi_or_anti) {
-              for (int i = 0; i < lcols; ++i) {
-                combined_row[static_cast<size_t>(i)] =
-                    lrow[static_cast<size_t>(i)];
-              }
-              for (int i = 0; i < rcols; ++i) {
-                combined_row[static_cast<size_t>(lcols + i)] =
-                    rrow[static_cast<size_t>(i)];
-              }
-            }
-            if (has_residual && !residual.EvalBool(combined_row)) return true;
-            matched = true;
-            ++local_hits;
-            if (track_right) {
-              right_matched[static_cast<size_t>(ri)].store(
-                  1, std::memory_order_relaxed);
-            }
-            if (!semi_or_anti) dst.push_back(combined_row);
-            return !semi_or_anti;  // semi/anti: first match settles the row
-          };
-          if (!left_keys.empty()) {
-            const size_t h = probe_hashes[static_cast<size_t>(li)];
-            if (h != JoinTable::kSkipHash) table.ForEachMatch(h, try_match);
-          } else {
-            for (int64_t ri = 0; ri < r.size(); ++ri) {
-              if (!try_match(ri)) break;
-            }
-          }
-          switch (kind) {
-            case JoinKind::kLeftOuter:
-            case JoinKind::kFullOuter:
-              if (!matched) {
-                Row row = lrow;
-                row.resize(static_cast<size_t>(lcols + rcols), Value::Null());
-                dst.push_back(std::move(row));
-              }
-              break;
-            case JoinKind::kLeftSemi:
-              if (matched) dst.push_back(lrow);
-              break;
-            case JoinKind::kLeftAnti:
-              if (!matched) dst.push_back(lrow);
-              break;
-            default:
-              break;
-          }
+  std::vector<Row>& dst = *out.mutable_rows();
+  // Outer joins emit at least one row per probe row; reserve that floor
+  // so the hot loop does not regrow the buffer.
+  dst.reserve(static_cast<size_t>(l.size()));
+  Row combined_row(static_cast<size_t>(lcols + rcols));
+  for (int64_t li = 0; li < l.size(); ++li) {
+    const Row& lrow = l.row(li);
+    bool matched = false;
+    auto try_match = [&](int64_t ri) {
+      const Row& rrow = r.row(ri);
+      if (!left_keys.empty() && !EqualAt(lrow, left_keys, rrow, right_keys)) {
+        return true;  // hash collision; keep probing
+      }
+      if (has_residual || !semi_or_anti) {
+        for (int i = 0; i < lcols; ++i) {
+          combined_row[static_cast<size_t>(i)] = lrow[static_cast<size_t>(i)];
         }
-        if (count_hits) {
-          probe_hits.fetch_add(local_hits, std::memory_order_relaxed);
+        for (int i = 0; i < rcols; ++i) {
+          combined_row[static_cast<size_t>(lcols + i)] =
+              rrow[static_cast<size_t>(i)];
         }
-      });
-  NoteArg("probe_hits", probe_hits.load(std::memory_order_relaxed));
-  if (track_right) {
-    int64_t unmatched = 0;
-    for (int64_t ri = 0; ri < r.size(); ++ri) {
-      if (!right_matched[static_cast<size_t>(ri)].load(
-              std::memory_order_relaxed)) {
-        ++unmatched;
+      }
+      if (has_residual && !residual.EvalBool(combined_row)) return true;
+      matched = true;
+      ++probe_hits;
+      if (track_right) right_matched[static_cast<size_t>(ri)] = 1;
+      if (!semi_or_anti) dst.push_back(combined_row);
+      return !semi_or_anti;  // semi/anti: first match settles the row
+    };
+    if (!left_keys.empty()) {
+      const size_t h = probe_hashes[static_cast<size_t>(li)];
+      if (h != JoinTable::kSkipHash) table.ForEachMatch(h, try_match);
+    } else {
+      for (int64_t ri = 0; ri < r.size(); ++ri) {
+        if (!try_match(ri)) break;
       }
     }
-    out.mutable_rows()->reserve(out.mutable_rows()->size() +
-                                static_cast<size_t>(unmatched));
+    switch (kind) {
+      case JoinKind::kLeftOuter:
+      case JoinKind::kFullOuter:
+        if (!matched) {
+          Row row = lrow;
+          row.resize(static_cast<size_t>(lcols + rcols), Value::Null());
+          dst.push_back(std::move(row));
+        }
+        break;
+      case JoinKind::kLeftSemi:
+        if (matched) dst.push_back(lrow);
+        break;
+      case JoinKind::kLeftAnti:
+        if (!matched) dst.push_back(lrow);
+        break;
+      default:
+        break;
+    }
+  }
+  NoteArg("probe_hits", probe_hits);
+  if (track_right) {
+    const int64_t unmatched =
+        std::count(right_matched.begin(), right_matched.end(), 0);
+    dst.reserve(dst.size() + static_cast<size_t>(unmatched));
     for (int64_t ri = 0; ri < r.size(); ++ri) {
-      if (!right_matched[static_cast<size_t>(ri)].load(
-              std::memory_order_relaxed)) {
+      if (!right_matched[static_cast<size_t>(ri)]) {
         Row row(static_cast<size_t>(lcols), Value::Null());
         const Row& rrow = r.row(ri);
         row.insert(row.end(), rrow.begin(), rrow.end());
@@ -731,41 +617,30 @@ Relation Evaluator::EvalSortMergeJoin(
   return out;
 }
 
-Relation Evaluator::DedupRows(Relation input, const ExecConfig& config,
-                              ThreadPool* pool) {
+Relation Evaluator::DedupRows(Relation input) {
   const std::vector<Row>& rows = input.rows();
   if (rows.size() <= 1) return input;
 
   std::vector<size_t> hashes(rows.size());
-  ParallelRange(config, pool, static_cast<int64_t>(rows.size()),
-                [&](int64_t begin, int64_t end) {
-                  for (int64_t i = begin; i < end; ++i) {
-                    hashes[static_cast<size_t>(i)] =
-                        HashFullRow(rows[static_cast<size_t>(i)]);
-                  }
-                });
+  for (size_t i = 0; i < rows.size(); ++i) hashes[i] = HashFullRow(rows[i]);
   JoinTable table;
-  table.Build(hashes, StaticWorkers(config, pool, input.size()), pool);
+  table.Build(hashes);
 
   // A row is a duplicate iff some earlier row equals it. ForEachMatch
   // enumerates in ascending row order, so the first row-equal match is
   // either an earlier duplicate or the row itself.
   std::vector<char> drop(rows.size(), 0);
-  ParallelRange(config, pool, static_cast<int64_t>(rows.size()),
-                [&](int64_t begin, int64_t end) {
-                  for (int64_t i = begin; i < end; ++i) {
-                    const Row& row = rows[static_cast<size_t>(i)];
-                    table.ForEachMatch(
-                        hashes[static_cast<size_t>(i)], [&](int64_t j) {
-                          if (j >= i) return false;
-                          if (rows[static_cast<size_t>(j)] == row) {
-                            drop[static_cast<size_t>(i)] = 1;
-                            return false;
-                          }
-                          return true;
-                        });
-                  }
-                });
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    table.ForEachMatch(hashes[i], [&](int64_t j) {
+      if (static_cast<size_t>(j) >= i) return false;
+      if (rows[static_cast<size_t>(j)] == row) {
+        drop[i] = 1;
+        return false;
+      }
+      return true;
+    });
+  }
 
   std::vector<Row> kept;
   kept.reserve(rows.size());
@@ -777,8 +652,7 @@ Relation Evaluator::DedupRows(Relation input, const ExecConfig& config,
   return input;
 }
 
-Relation Evaluator::RemoveSubsumed(Relation input, const ExecConfig& config,
-                                   ThreadPool* pool) {
+Relation Evaluator::RemoveSubsumed(Relation input) {
   const std::vector<Row>& rows = input.rows();
   if (rows.empty()) return input;
   const size_t cols = rows[0].size();
@@ -787,18 +661,12 @@ Relation Evaluator::RemoveSubsumed(Relation input, const ExecConfig& config,
   // Non-null masks as packed bitsets (bit c set = column c non-null),
   // one `words`-wide group per row in a flat array.
   std::vector<uint64_t> masks(rows.size() * words, 0);
-  ParallelRange(config, pool, static_cast<int64_t>(rows.size()),
-                [&](int64_t begin, int64_t end) {
-                  for (int64_t i = begin; i < end; ++i) {
-                    const Row& row = rows[static_cast<size_t>(i)];
-                    uint64_t* mask = &masks[static_cast<size_t>(i) * words];
-                    for (size_t c = 0; c < cols; ++c) {
-                      if (!row[c].is_null()) {
-                        mask[c / 64] |= uint64_t{1} << (c % 64);
-                      }
-                    }
-                  }
-                });
+  for (size_t i = 0; i < rows.size(); ++i) {
+    uint64_t* mask = &masks[i * words];
+    for (size_t c = 0; c < cols; ++c) {
+      if (!rows[i][c].is_null()) mask[c / 64] |= uint64_t{1} << (c % 64);
+    }
+  }
 
   // Group row indexes by mask. Distinct masks are few (one per term
   // shape of the normal form), so a linear scan of the group list beats
@@ -855,27 +723,18 @@ Relation Evaluator::RemoveSubsumed(Relation input, const ExecConfig& config,
       for (size_t k = 0; k < sup.rows.size(); ++k) {
         sup_hashes[k] = HashAt(rows[sup.rows[k]], proj);
       }
-      table.Build(
-          sup_hashes,
-          StaticWorkers(config, pool, static_cast<int64_t>(sup.rows.size())),
-          pool);
-      // Probe morsels write drop flags at distinct row indexes only.
-      ParallelRange(
-          config, pool, static_cast<int64_t>(sub.rows.size()),
-          [&](int64_t begin, int64_t end) {
-            for (int64_t k = begin; k < end; ++k) {
-              const size_t i = sub.rows[static_cast<size_t>(k)];
-              if (drop[i]) continue;
-              table.ForEachMatch(HashAt(rows[i], proj), [&](int64_t t) {
-                if (EqualAt(rows[i], proj, rows[sup.rows[static_cast<size_t>(t)]],
-                            proj)) {
-                  drop[i] = 1;
-                  return false;
-                }
-                return true;
-              });
-            }
-          });
+      table.Build(sup_hashes);
+      for (size_t i : sub.rows) {
+        if (drop[i]) continue;
+        table.ForEachMatch(HashAt(rows[i], proj), [&](int64_t t) {
+          if (EqualAt(rows[i], proj, rows[sup.rows[static_cast<size_t>(t)]],
+                      proj)) {
+            drop[i] = 1;
+            return false;
+          }
+          return true;
+        });
+      }
     }
   }
   std::vector<Row> kept;

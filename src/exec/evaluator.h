@@ -1,16 +1,13 @@
 #ifndef OJV_EXEC_EVALUATOR_H_
 #define OJV_EXEC_EVALUATOR_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
 
 #include "algebra/rel_expr.h"
 #include "catalog/catalog.h"
-#include "exec/exec_config.h"
 #include "exec/relation.h"
-#include "exec/thread_pool.h"
 #include "obs/trace.h"
 
 namespace ojv {
@@ -63,19 +60,6 @@ class Evaluator {
     join_algorithm_ = algorithm;
   }
 
-  /// Enables the morsel-parallel operator variants: loops over inputs of
-  /// at least config.parallel_min_rows run on `pool` with up to
-  /// config.num_threads workers. The pool is not owned and must outlive
-  /// the evaluator; a null pool (or num_threads <= 1) keeps every
-  /// operator on the serial path. Results are identical either way —
-  /// per-morsel outputs are concatenated in morsel order, so even the
-  /// row order matches the serial execution.
-  void set_exec(const ExecConfig& config, ThreadPool* pool) {
-    exec_ = config;
-    pool_ = pool;
-  }
-  const ExecConfig& exec_config() const { return exec_; }
-
   /// Binds the relation produced for DeltaScan(name). The relation must
   /// outlive the evaluator's uses.
   void BindDelta(const std::string& name, const Relation* delta) {
@@ -94,11 +78,11 @@ class Evaluator {
 
   /// Trace sink (optional; not owned). With a sink attached, every
   /// operator node records one span — rows in/out, and for joins the
-  /// algorithm, build size, probe hits, and the parallel-vs-serial
-  /// decision. Spans are recorded *after* the node's own work, so their
-  /// order is a post-order walk of the plan tree (ExplainMaintenance
-  /// relies on this to zip timings onto the tree). A span's duration
-  /// covers the node's whole subtree, like EXPLAIN ANALYZE totals.
+  /// algorithm, build size and probe hits. Spans are recorded *after* the
+  /// node's own work, so their order is a post-order walk of the plan
+  /// tree (ExplainMaintenance relies on this to zip timings onto the
+  /// tree). A span's duration covers the node's whole subtree, like
+  /// EXPLAIN ANALYZE totals.
   void set_trace(obs::TraceContext* trace) { trace_ = trace; }
 
   /// Evaluates the tree; the result may alias a cached or bound
@@ -115,19 +99,10 @@ class Evaluator {
   static Relation RelationFrom(const Table& table);
 
   /// Removal of subsumed tuples (the ↓ operator), exposed for reuse.
-  /// The two-argument overload runs morsel-parallel on `pool`.
-  static Relation RemoveSubsumed(Relation input) {
-    return RemoveSubsumed(std::move(input), ExecConfig(), nullptr);
-  }
-  static Relation RemoveSubsumed(Relation input, const ExecConfig& config,
-                                 ThreadPool* pool);
+  static Relation RemoveSubsumed(Relation input);
 
   /// Duplicate elimination (the δ operator), exposed for reuse.
-  static Relation DedupRows(Relation input) {
-    return DedupRows(std::move(input), ExecConfig(), nullptr);
-  }
-  static Relation DedupRows(Relation input, const ExecConfig& config,
-                            ThreadPool* pool);
+  static Relation DedupRows(Relation input);
 
   /// Outer union ⊎ of two relations (schema = union of tagged columns).
   static Relation OuterUnionOf(const Relation& a, const Relation& b);
@@ -150,10 +125,6 @@ class Evaluator {
       pending_str_args_.emplace_back(key, std::move(value));
     }
   }
-  /// The parallel-vs-serial decision for an input of `rows` rows, as a
-  /// span arg ("parallel" or the fallback reason).
-  const char* ParallelModeFor(int64_t rows) const;
-
   std::shared_ptr<const Relation> EvalScan(const RelExpr& expr) const;
   std::shared_ptr<const Relation> EvalDeltaScan(const RelExpr& expr) const;
   Relation EvalSelect(const RelExpr& expr) const;
@@ -166,25 +137,11 @@ class Evaluator {
   Relation EvalJoin(const RelExpr& expr) const;
   Relation EvalNullIf(const RelExpr& expr) const;
 
-  /// Workers the parallel loops may use for an input of `rows` rows
-  /// (1 = serial path).
-  int WorkersFor(int64_t rows) const;
-
-  /// Morsel-parallel producer: body fills its chunk's rows for input
-  /// positions [begin, end); chunk outputs are appended to `out` in
-  /// chunk order (serial execution appends directly).
-  void AppendChunked(
-      int64_t count, Relation* out,
-      const std::function<void(std::vector<Row>&, int64_t, int64_t)>& body)
-      const;
-
   const Catalog* catalog_;
   std::unordered_map<std::string, const Relation*> deltas_;
   std::unordered_map<std::string, const Relation*> overrides_;
   TableRelationCache* cache_ = nullptr;
   JoinAlgorithm join_algorithm_ = JoinAlgorithm::kHash;
-  ExecConfig exec_;
-  ThreadPool* pool_ = nullptr;
   obs::TraceContext* trace_ = nullptr;
   /// Args staged by the node currently evaluating (see NoteArg).
   mutable std::vector<std::pair<std::string, int64_t>> pending_args_;

@@ -1,7 +1,5 @@
 #include "exec/join_table.h"
 
-#include <algorithm>
-
 namespace ojv {
 namespace {
 
@@ -11,63 +9,26 @@ size_t NextPow2(size_t n) {
   return p;
 }
 
-size_t PartitionOf(size_t hash, int bits) {
-  return bits == 0 ? 0 : hash >> (64 - static_cast<unsigned>(bits));
-}
-
 }  // namespace
 
-void JoinTable::FillPartition(const std::vector<size_t>& hashes,
-                              size_t part_index) {
-  const Partition& part = partitions_[part_index];
+void JoinTable::Build(const std::vector<size_t>& hashes) {
+  entries_ = 0;
+  for (size_t h : hashes) {
+    if (h != kSkipHash) ++entries_;
+  }
+  // A power of two at most half full, so an empty slot always
+  // terminates a probe.
+  const size_t capacity =
+      entries_ == 0 ? 1 : NextPow2(2 * static_cast<size_t>(entries_));
+  mask_ = capacity - 1;
+  slots_.assign(capacity, Slot{0, -1});
   for (size_t row = 0; row < hashes.size(); ++row) {
     const size_t h = hashes[row];
     if (h == kSkipHash) continue;
-    if (PartitionOf(h, partition_bits_) != part_index) continue;
-    size_t idx = h & part.mask;
-    while (slots_[part.offset + idx].row >= 0) idx = (idx + 1) & part.mask;
-    slots_[part.offset + idx] = Slot{h, static_cast<int64_t>(row)};
+    size_t idx = h & mask_;
+    while (slots_[idx].row >= 0) idx = (idx + 1) & mask_;
+    slots_[idx] = Slot{h, static_cast<int64_t>(row)};
   }
-}
-
-void JoinTable::Build(const std::vector<size_t>& hashes, int num_partitions,
-                      ThreadPool* pool) {
-  const size_t num_parts =
-      pool == nullptr ? 1 : NextPow2(static_cast<size_t>(
-                                std::max(1, num_partitions)));
-  partition_bits_ = 0;
-  while ((size_t{1} << partition_bits_) < num_parts) ++partition_bits_;
-
-  // Per-partition cardinalities (single cheap pass over the hash array).
-  std::vector<size_t> counts(num_parts, 0);
-  entries_ = 0;
-  for (size_t h : hashes) {
-    if (h == kSkipHash) continue;
-    ++counts[PartitionOf(h, partition_bits_)];
-    ++entries_;
-  }
-
-  // Lay the partitions out back to back, each a power of two at most
-  // half full (an empty slot always terminates a probe).
-  partitions_.resize(num_parts);
-  size_t total = 0;
-  for (size_t p = 0; p < num_parts; ++p) {
-    size_t capacity = counts[p] == 0 ? 1 : NextPow2(2 * counts[p]);
-    partitions_[p] = Partition{total, capacity - 1};
-    total += capacity;
-  }
-  slots_.assign(total, Slot{0, -1});
-
-  if (num_parts == 1 || pool == nullptr) {
-    for (size_t p = 0; p < num_parts; ++p) FillPartition(hashes, p);
-    return;
-  }
-  pool->ParallelFor(static_cast<int64_t>(num_parts), /*grain=*/1,
-                    [&](int64_t, int64_t begin, int64_t end) {
-                      for (int64_t p = begin; p < end; ++p) {
-                        FillPartition(hashes, static_cast<size_t>(p));
-                      }
-                    });
 }
 
 }  // namespace ojv

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/thread_pool.h"
-
 namespace ojv {
 
 /// Flat open-addressing multimap from a 64-bit hash to build-side row
@@ -16,15 +14,9 @@ namespace ojv {
 /// chasing on probe, and the backing vector is reused across Build calls
 /// (RemoveSubsumed rebuilds per mask pair against the same instance).
 ///
-/// Parallel build partitions the table by the hash's top bits into
-/// independently probed sub-regions, one builder thread per partition —
-/// insertions never race because a slot region has exactly one writer.
-///
-/// Determinism: within a partition rows are inserted in ascending row id
-/// and linear probing preserves that order among equal-hash entries, so
-/// ForEachMatch enumerates matches in build row order regardless of the
-/// partition count. Serial and parallel joins therefore emit identical
-/// row sequences.
+/// Rows are inserted in ascending row id and linear probing preserves
+/// that order among equal-hash entries, so ForEachMatch enumerates
+/// matches in build row order.
 class JoinTable {
  public:
   /// Sentinel marking a build row to skip (NULL join keys: SQL equality
@@ -38,26 +30,20 @@ class JoinTable {
   static size_t NormalizeHash(size_t h) { return h == kSkipHash ? h - 1 : h; }
 
   /// (Re)builds the table over rows [0, hashes.size()), skipping entries
-  /// equal to kSkipHash. `num_partitions` is rounded up to a power of
-  /// two; pass 1 (or pool == nullptr) for a serial build.
-  void Build(const std::vector<size_t>& hashes, int num_partitions,
-             ThreadPool* pool);
+  /// equal to kSkipHash.
+  void Build(const std::vector<size_t>& hashes);
 
   /// Calls fn(row_id) for every build row whose hash equals `hash`, in
   /// ascending row id order. Callers re-check real key equality.
   template <typename Fn>
   void ForEachMatch(size_t hash, Fn&& fn) const {
     if (slots_.empty()) return;
-    const Partition& part =
-        partitions_[partition_bits_ == 0
-                        ? 0
-                        : hash >> (64 - static_cast<unsigned>(partition_bits_))];
-    size_t idx = hash & part.mask;
+    size_t idx = hash & mask_;
     for (;;) {
-      const Slot& slot = slots_[part.offset + idx];
+      const Slot& slot = slots_[idx];
       if (slot.row < 0) return;
       if (slot.hash == hash) fn(slot.row);
-      idx = (idx + 1) & part.mask;
+      idx = (idx + 1) & mask_;
     }
   }
 
@@ -71,16 +57,9 @@ class JoinTable {
     size_t hash;
     int64_t row;
   };
-  struct Partition {
-    size_t offset;
-    size_t mask;  // capacity - 1 (capacity is a power of two)
-  };
-
-  void FillPartition(const std::vector<size_t>& hashes, size_t part_index);
 
   std::vector<Slot> slots_;
-  std::vector<Partition> partitions_;
-  int partition_bits_ = 0;  // log2(partitions_.size())
+  size_t mask_ = 0;  // capacity - 1 (capacity is a power of two)
   int64_t entries_ = 0;
 };
 

@@ -96,9 +96,8 @@ class Relation {
   /// Order-insensitive bag equality against `other` (same rows with the
   /// same multiplicities after aligning column order). Schemas must bind
   /// the same (table, column) sets. This is the comparison the executor
-  /// equivalence tests use: every physical plan — serial hash,
-  /// sort-merge, parallel at any thread count — must produce Equals
-  /// results.
+  /// equivalence tests use: every physical plan — hash or sort-merge
+  /// joins, any join order — must produce Equals results.
   bool Equals(const Relation& other) const;
 
   /// Multi-line debug rendering (sorted if `sorted`), for tests/examples.

@@ -165,7 +165,8 @@ Database::ReferencingRows(const std::string& table,
     for (const std::string& col : fk->child_columns) {
       fk_positions.push_back(child->schema().IndexOf(col));
     }
-    // Hash the deleted keys for the scan below.
+    // Full scan of the child table; each child row is compared with
+    // every deleted key.
     std::vector<Row> hits;
     child->ForEach([&](const Row& row) {
       Row ref;

@@ -62,9 +62,6 @@ ViewMaintainer::ViewMaintainer(const Catalog* catalog, ViewDef view,
       options_(options),
       stats_catalog_(catalog),
       planner_(&stats_catalog_) {
-  if (options_.exec.num_threads > 1) {
-    pool_ = ThreadPool::Shared(options_.exec.num_threads);
-  }
   std::unordered_map<std::string, std::vector<std::string>> pred_columns;
   CollectPredicateColumns(view_def_.tree(), &pred_columns);
   for (const std::string& table : view_def_.tables()) {
@@ -135,7 +132,6 @@ void ViewMaintainer::BuildPlanSet(bool use_fks, PlanSet* out) {
       plan.secondary = std::make_unique<SecondaryDeltaEngine>(
           view_def_, *catalog_, out->terms, *plan.graph, table, &planner_);
       plan.secondary->set_table_cache(&table_cache_);
-      plan.secondary->set_exec(options_.exec, pool_.get());
       plan.secondary->set_trace(options_.trace);
     }
     out->plans.emplace(table, std::move(plan));
@@ -165,7 +161,6 @@ void ViewMaintainer::RestoreView(const std::vector<Row>& rows) {
 Relation ViewMaintainer::EvaluateView(obs::TraceContext* trace) const {
   Evaluator evaluator(catalog_);
   evaluator.set_table_cache(&table_cache_);
-  evaluator.set_exec(options_.exec, pool_.get());
   evaluator.set_trace(trace);
   return evaluator.EvalToRelation(view_def_.WithProjection());
 }
@@ -213,7 +208,6 @@ Relation ViewMaintainer::EvalPrimaryDelta(const RelExprPtr& expr,
                                           const Relation& delta_t) {
   Evaluator evaluator(catalog_);
   evaluator.set_table_cache(&table_cache_);
-  evaluator.set_exec(options_.exec, pool_.get());
   evaluator.set_trace(options_.trace);
   // The delta leaf is named after the updated table.
   for (const std::string& table : view_def_.tables()) {

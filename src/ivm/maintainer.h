@@ -29,10 +29,6 @@ struct MaintenanceOptions {
   bool exploit_foreign_keys = true;
   /// Where to compute ΔV^I from (§5.2 vs §5.3).
   SecondaryStrategy secondary_strategy = SecondaryStrategy::kFromView;
-  /// Executor configuration for every delta evaluation. num_threads > 1
-  /// runs the hot operators morsel-parallel on the process-wide shared
-  /// thread pool; results are identical to serial execution.
-  ExecConfig exec;
   /// Trace sink (not owned). When set, every maintenance operation
   /// records per-stage spans — plan build, primary delta with one span
   /// per exec operator, apply, secondary delta — into it. Null (the
@@ -162,8 +158,6 @@ class ViewMaintainer {
   /// delta is provably empty).
   SecondaryDeltaEngine* secondary_engine(const std::string& table);
 
-  const ExecConfig& exec_config() const { return options_.exec; }
-
   /// Attaches/detaches a trace sink at runtime (propagates to the
   /// secondary engines). Equivalent to constructing with options.trace.
   void set_trace(obs::TraceContext* trace);
@@ -250,9 +244,6 @@ class ViewMaintainer {
   /// Base tables materialized once per table version and shared across
   /// the primary- and secondary-delta evaluations of an operation.
   mutable TableRelationCache table_cache_;
-  /// Shared worker pool for morsel-parallel evaluation; null when
-  /// options_.exec.num_threads <= 1 (serial execution).
-  std::shared_ptr<ThreadPool> pool_;
   /// Cost-based planner state.
   opt::StatsCatalog stats_catalog_;
   opt::DeltaPlanner planner_;

@@ -317,7 +317,6 @@ std::vector<Row> SecondaryDeltaEngine::ComputeFromBaseTables(
 
   Evaluator evaluator(&catalog_);
   evaluator.set_table_cache(cache_);
-  evaluator.set_exec(exec_, pool_);
   evaluator.set_trace(trace_);
   evaluator.BindDelta("#primary", &primary_delta);
 

@@ -46,13 +46,6 @@ class SecondaryDeltaEngine {
   /// (optional; not owned).
   void set_table_cache(TableRelationCache* cache) { cache_ = cache; }
 
-  /// Executor configuration for the §5.3 delta expressions; `pool` is
-  /// not owned and must outlive the engine (null = serial).
-  void set_exec(const ExecConfig& exec, ThreadPool* pool) {
-    exec_ = exec;
-    pool_ = pool;
-  }
-
   /// Trace sink (optional; not owned). Records which strategy each
   /// apply ran and, for the base-table plan, the §5.3 expressions'
   /// operator spans.
@@ -148,8 +141,6 @@ class SecondaryDeltaEngine {
   std::string updated_table_;
   std::vector<TermPlan> plans_;
   TableRelationCache* cache_ = nullptr;
-  ExecConfig exec_;
-  ThreadPool* pool_ = nullptr;
   obs::TraceContext* trace_ = nullptr;
   opt::DeltaPlanner* planner_;
 };

@@ -89,7 +89,11 @@ double ViewSnapshot::staleness_micros(int64_t now_micros) const {
 // --- GenerationStore -------------------------------------------------------
 
 GenerationStore::GenerationStore(std::string view_name, bool is_aggregate)
-    : view_name_(std::move(view_name)), is_aggregate_(is_aggregate) {}
+    : view_name_(std::move(view_name)),
+      is_aggregate_(is_aggregate),
+      generation_gauge_(ServeGauge("ojv.serve.generation", view_name_)),
+      age_gauge_(ServeGauge("ojv.serve.generation_age_micros", view_name_)),
+      pinned_gauge_(ServeGauge("ojv.serve.pinned_readers", view_name_)) {}
 
 ViewSnapshot GenerationStore::Acquire() {
   std::shared_ptr<const ViewGeneration> gen;
@@ -98,9 +102,8 @@ ViewSnapshot GenerationStore::Acquire() {
     gen = gen_;
   }
   if (gen == nullptr) return ViewSnapshot();
-  ServeGauge("ojv.serve.generation_age_micros", view_name_)
-      .Set(std::max<int64_t>(
-          0, obs::SteadyNowMicros() - gen->published_micros()));
+  age_gauge_.Set(std::max<int64_t>(
+      0, obs::SteadyNowMicros() - gen->published_micros()));
   return ViewSnapshot(std::move(gen), shared_from_this());
 }
 
@@ -118,9 +121,8 @@ void GenerationStore::Publish(Relation contents, int64_t now_micros,
     gen_ = std::move(gen);
   }
   // `retired` drops here (or when its last pinned reader releases).
-  ServeGauge("ojv.serve.generation", view_name_)
-      .Set(static_cast<int64_t>(number));
-  ServeGauge("ojv.serve.generation_age_micros", view_name_).Set(0);
+  generation_gauge_.Set(static_cast<int64_t>(number));
+  age_gauge_.Set(0);
 }
 
 void GenerationStore::NoteContentChanged(int64_t now_micros) {
@@ -146,12 +148,12 @@ bool GenerationStore::UpToDate() const {
 
 void GenerationStore::Pin() {
   const int64_t pinned = pinned_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  ServeGauge("ojv.serve.pinned_readers", view_name_).Set(pinned);
+  pinned_gauge_.Set(pinned);
 }
 
 void GenerationStore::Unpin() {
   const int64_t pinned = pinned_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  ServeGauge("ojv.serve.pinned_readers", view_name_).Set(pinned);
+  pinned_gauge_.Set(pinned);
 }
 
 }  // namespace ojv

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "exec/relation.h"
+#include "obs/metrics.h"
 
 namespace ojv {
 
@@ -176,6 +177,11 @@ class GenerationStore : public std::enable_shared_from_this<GenerationStore> {
 
   const std::string view_name_;
   const bool is_aggregate_;
+  // The view's ojv.serve.* gauges, resolved once: registry references
+  // live for the process.
+  obs::Gauge& generation_gauge_;
+  obs::Gauge& age_gauge_;
+  obs::Gauge& pinned_gauge_;
   mutable std::mutex mu_;  // guards gen_ swap only
   std::shared_ptr<const ViewGeneration> gen_;
   std::atomic<uint64_t> content_version_{0};

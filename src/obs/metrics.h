@@ -19,12 +19,11 @@ namespace obs {
 std::string JsonEscape(const std::string& s);
 
 /// Monotonic process counter. Add is a single relaxed fetch_add, safe
-/// from any thread including pool workers in the middle of a morsel
-/// loop. Counters are owned by the Registry and live for the process;
-/// call sites cache the reference in a function-local static:
+/// from any thread. Counters are owned by the Registry and live for the
+/// process; call sites cache the reference in a function-local static:
 ///
 ///   static obs::Counter& c =
-///       obs::Registry::Global().GetCounter("ojv.exec.pool.morsels");
+///       obs::Registry::Global().GetCounter("ojv.exec.join.rows_in");
 ///   c.Add(n);
 class Counter {
  public:

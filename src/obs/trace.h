@@ -59,8 +59,8 @@ void Record(const char* name, const char* category, int64_t start_micros,
 /// records spans into it. Null context (the default) means tracing off.
 ///
 /// Thread-safety: all mutation goes through one mutex; spans are cheap
-/// (operators record one event per *node*, not per row or per morsel),
-/// so the lock is not on any hot path.
+/// (operators record one event per *node*, not per row), so the lock is
+/// not on any hot path.
 class TraceContext {
  public:
   TraceContext();

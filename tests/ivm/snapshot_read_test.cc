@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "ivm/database.h"
+#include "obs/metrics.h"
 #include "obs/windowed.h"
 
 namespace ojv {
@@ -93,6 +94,49 @@ TEST_F(SnapshotReadTest, SnapshotPinsItsGeneration) {
   EXPECT_EQ(before.size(), 1);
   EXPECT_EQ(after.size(), 2);
   EXPECT_GT(after.generation(), before.generation());
+}
+
+// The per-view serve gauges, read through the registry: the published
+// generation number, the age of the generation the last reader pinned,
+// and the count of live reader handles.
+TEST_F(SnapshotReadTest, ServeGaugesTrackPublishesAndPins) {
+  const char* kView = "serve_gauges";
+  auto gauge = [&](const char* base) {
+    return obs::Registry::Global()
+        .GetGauge(obs::LabeledMetric(base, "view", kView))
+        .value();
+  };
+  db_.CreateMaterializedView(MakeDeptView(kView));
+  db_.Insert("dept", {Dept(1, "eng")});
+
+  // After a publish (the fresh read's), with no reader left.
+  uint64_t published = 0;
+  {
+    ViewSnapshot fresh = db_.ReadView(kView);
+    ASSERT_TRUE(fresh.valid());
+    published = fresh.generation();
+  }
+  EXPECT_EQ(gauge("ojv.serve.generation"), static_cast<int64_t>(published));
+  EXPECT_EQ(gauge("ojv.serve.pinned_readers"), 0);
+  EXPECT_GE(gauge("ojv.serve.generation_age_micros"), 0);
+
+  // While a snapshot is held: same generation, one pin, and the age of
+  // the pinned generation at acquire time.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  {
+    ViewSnapshot held = db_.AcquireSnapshot(kView);
+    ASSERT_TRUE(held.valid());
+    EXPECT_EQ(held.generation(), published);
+    EXPECT_EQ(gauge("ojv.serve.generation"),
+              static_cast<int64_t>(published));
+    EXPECT_EQ(gauge("ojv.serve.pinned_readers"), 1);
+    EXPECT_GE(gauge("ojv.serve.generation_age_micros"), 2000);
+  }
+
+  // After it is released.
+  EXPECT_EQ(gauge("ojv.serve.pinned_readers"), 0);
+  EXPECT_EQ(gauge("ojv.serve.generation"), static_cast<int64_t>(published));
+  EXPECT_GE(gauge("ojv.serve.generation_age_micros"), 2000);
 }
 
 TEST_F(SnapshotReadTest, UnknownAndMismatchedViewsAreInvalid) {

@@ -1,8 +1,7 @@
 // The planner's legality contract, checked by brute force: every valid
 // left-deep join order of a mixed inner/left-outer delta chain over 4
-// tables evaluates to the same relation — serial and morsel-parallel —
-// and full maintenance under the cost-based planner (serial and
-// parallel) stays identical to a from-scratch recomputation.
+// tables evaluates to the same relation, and full maintenance under the
+// cost-based planner stays identical to a from-scratch recomputation.
 
 #include <gtest/gtest.h>
 
@@ -100,13 +99,8 @@ class PlannerPropertyTest : public ::testing::TestWithParam<uint64_t> {
     return RelExpr::Project(expr, out);
   }
 
-  Relation Eval(const RelExprPtr& expr, int threads) {
+  Relation Eval(const RelExprPtr& expr) {
     Evaluator evaluator(&catalog_);
-    ExecConfig exec;
-    exec.num_threads = threads;
-    std::shared_ptr<ThreadPool> pool =
-        threads > 1 ? ThreadPool::Shared(threads) : nullptr;
-    evaluator.set_exec(exec, pool.get());
     evaluator.BindDelta("D", delta_.get());
     return evaluator.EvalToRelation(expr);
   }
@@ -117,23 +111,17 @@ class PlannerPropertyTest : public ::testing::TestWithParam<uint64_t> {
 
 TEST_P(PlannerPropertyTest, EveryValidOrderEvaluatesIdentically) {
   std::vector<int> order = {0, 1, 2};
-  Relation reference = Eval(ChainFor(order), /*threads=*/1);
+  Relation reference = Eval(ChainFor(order));
   do {
-    Relation serial = Eval(ChainFor(order), /*threads=*/1);
-    Relation parallel = Eval(ChainFor(order), /*threads=*/4);
+    Relation actual = Eval(ChainFor(order));
     std::string diff;
-    EXPECT_TRUE(SameBag(reference, serial, &diff))
-        << "order " << order[0] << order[1] << order[2] << " serial: "
-        << diff;
-    EXPECT_TRUE(SameBag(reference, parallel, &diff))
-        << "order " << order[0] << order[1] << order[2] << " parallel: "
-        << diff;
+    EXPECT_TRUE(SameBag(reference, actual, &diff))
+        << "order " << order[0] << order[1] << order[2] << ": " << diff;
   } while (std::next_permutation(order.begin(), order.end()));
 }
 
-// Full-system check: maintenance with the cost-based planner (serial and
-// morsel-parallel) tracks a from-scratch recomputation across a random
-// insert/delete workload.
+// Full-system check: maintenance with the cost-based planner tracks a
+// from-scratch recomputation across a random insert/delete workload.
 class PlannerMaintenanceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PlannerMaintenanceTest, CostBasedMaintenanceMatchesRecompute) {
@@ -190,13 +178,8 @@ TEST_P(PlannerMaintenanceTest, CostBasedMaintenanceMatchesRecompute) {
                 {"B", "b_k"}},
                catalog);
 
-  MaintenanceOptions costed;  // cost-based default
-  MaintenanceOptions parallel = costed;
-  parallel.exec.num_threads = 4;
-  ViewMaintainer costed_m(&catalog, view, costed);
-  ViewMaintainer parallel_m(&catalog, view, parallel);
+  ViewMaintainer costed_m(&catalog, view);
   costed_m.InitializeView();
-  parallel_m.InitializeView();
 
   int64_t next_key = 5000;
   const char* tables[] = {"D", "A", "B"};
@@ -211,7 +194,6 @@ TEST_P(PlannerMaintenanceTest, CostBasedMaintenanceMatchesRecompute) {
       });
       std::vector<Row> deleted = ApplyBaseDelete(table, keys);
       costed_m.OnDelete(name, deleted);
-      parallel_m.OnDelete(name, deleted);
     } else {
       std::vector<Row> rows;
       int n = static_cast<int>(rng.Uniform(1, 5));
@@ -229,13 +211,10 @@ TEST_P(PlannerMaintenanceTest, CostBasedMaintenanceMatchesRecompute) {
       }
       std::vector<Row> inserted = ApplyBaseInsert(table, rows);
       costed_m.OnInsert(name, inserted);
-      parallel_m.OnInsert(name, inserted);
     }
     std::string diff;
     ASSERT_TRUE(ViewMatchesRecompute(catalog, view, costed_m.view(), &diff))
         << "costed op " << op << " on " << name << ": " << diff;
-    ASSERT_TRUE(ViewMatchesRecompute(catalog, view, parallel_m.view(), &diff))
-        << "parallel op " << op << " on " << name << ": " << diff;
   }
 }
 

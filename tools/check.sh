@@ -48,11 +48,11 @@ case "$mode" in
   tsan|all)
     # The full suite is serial-dominated; under TSan only the tests that
     # actually spawn threads carry signal, and they carry all of it: the
-    # morsel-parallel executor, the background refresher, snapshot
-    # readers racing a refresh storm (snapshot_read/snapshot_equivalence),
-    # the metric/trace/exporter/flight-recorder thread hammers, and the
+    # background refresher, snapshot readers racing a refresh storm
+    # (snapshot_read/snapshot_equivalence), the
+    # metric/trace/exporter/flight-recorder thread hammers, and the
     # trace/top tools end to end.
-    run_config tsan --tests 'parallel_executor|deferred|database|metrics|trace|snapshot|export_test|flight_recorder_test|top_tool' \
+    run_config tsan --tests 'deferred|database|metrics|trace|snapshot|export_test|flight_recorder_test|top_tool' \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOJV_TSAN=ON
     ;;&
   bench-gate|all)
@@ -71,10 +71,8 @@ case "$mode" in
         --target bench_fig5_insert bench_fig5_delete \
         bench_obs_overhead bench_skew bench_serve bench_gate >/dev/null
     echo "==> [bench-gate] run fig5 benchmarks"
-    "$dir/bench/bench_fig5_insert" --threads=4 \
-        --json="$dir/fig5_insert.json" >/dev/null
-    "$dir/bench/bench_fig5_delete" --threads=4 \
-        --json="$dir/fig5_delete.json" >/dev/null
+    "$dir/bench/bench_fig5_insert" --json="$dir/fig5_insert.json" >/dev/null
+    "$dir/bench/bench_fig5_delete" --json="$dir/fig5_delete.json" >/dev/null
     # Telemetry overhead: recorder-on and full-export timings over the
     # bare maintenance loop (the "no measurable overhead" claim, gated).
     "$dir/bench/bench_obs_overhead" --batches=60,600 \
