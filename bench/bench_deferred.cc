@@ -37,15 +37,6 @@ struct Instance {
   }
 };
 
-std::vector<Row> LineitemKeys(const std::vector<Row>& rows) {
-  std::vector<Row> keys;
-  keys.reserve(rows.size());
-  for (const Row& row : rows) {
-    keys.push_back(Row{row[0], row[3]});  // (l_orderkey, l_linenumber)
-  }
-  return keys;
-}
-
 int Run(int argc, char** argv) {
   BenchOptions options = BenchOptions::Parse(argc, argv);
   std::printf("TPC-H SF=%.3f (lineitem rows: ~%lld)\n", options.scale_factor,

@@ -1,8 +1,7 @@
 // Cost of the always-on telemetry layer on the V3 maintenance path.
 //
-// The same batched lineitem insert (one statement per batch, so the
-// evaluator runs thousands of per-node evaluations) is timed in three
-// instrumentation modes:
+// The same batched lineitem insert (one statement per batch) is timed in
+// three instrumentation modes:
 //
 //   baseline    flight recorder off, no TraceContext — the bare
 //               maintenance pipeline
@@ -14,13 +13,15 @@
 //               serialized to memory) per batch — everything the live
 //               telemetry endpoint costs while being polled
 //
-// Each mode runs kReps times per batch size and reports the minimum,
-// which is the right statistic for an overhead question on a noisy
-// 1-core container. `ours_ms` is the gated column (check.sh bench-gate,
+// Each of kReps reps runs all three modes once, in an order that rotates
+// from rep to rep, and every mode reports its median over the reps.
+// Interleaving spreads a shared host's drift over the three modes alike,
+// so the overhead percentages compare like with like; with index-probe
+// maintenance a 60-row insert takes well under a millisecond, far below
+// that drift. `ours_ms` is the gated column (check.sh bench-gate,
 // section obs_overhead in BENCH_pipeline.json); the overhead
 // percentages are what DESIGN.md §15 quotes.
 
-#include <algorithm>
 #include <sstream>
 
 #include "bench_util.h"
@@ -35,20 +36,13 @@ namespace ojv {
 namespace bench {
 namespace {
 
-constexpr int kReps = 3;
+constexpr int kReps = 15;
 
-std::vector<Row> LineitemKeys(const std::vector<Row>& rows) {
-  std::vector<Row> keys;
-  keys.reserve(rows.size());
-  for (const Row& row : rows) {
-    keys.push_back(Row{row[0], row[3]});  // (l_orderkey, l_linenumber)
-  }
-  return keys;
-}
+enum Mode { kBaseline, kRecorder, kOurs, kNumModes };
 
 int Run(int argc, char** argv) {
   BenchOptions options = BenchOptions::Parse(argc, argv);
-  std::printf("TPC-H SF=%.3f, %d reps/mode (min reported)\n",
+  std::printf("TPC-H SF=%.3f, %d reps, modes interleaved (medians)\n",
               options.scale_factor, kReps);
 
   Database db;
@@ -68,36 +62,38 @@ int Run(int argc, char** argv) {
   PrintHeader("Telemetry overhead on batched V3 maintenance",
               {"Rows", "Baseline", "Recorder", "Ours", "Rec%", "Ours%"});
   for (int64_t batch : options.batches) {
-    // One insert+restore cycle, maintenance timed; `trace` non-null
-    // attaches a TraceContext, `scrape` additionally serializes one
-    // exporter snapshot inside the timed region.
-    auto measure = [&](bool trace, bool scrape) {
-      double best = 1e18;
-      for (int rep = 0; rep < kReps; ++rep) {
-        std::vector<Row> rows = stream.NewLineitems(batch);
-        obs::TraceContext ctx;
-        if (trace) db.set_trace(&ctx);
-        double ms = TimeMs([&] {
-          db.Insert("lineitem", rows);
-          if (scrape) {
-            std::ostringstream prom;
-            obs::WritePrometheus(obs::Registry::Global(), prom);
-            std::ostringstream json;
-            obs::WriteSnapshotJson(obs::Registry::Global(), json);
-          }
-        });
-        if (trace) db.set_trace(nullptr);
-        best = std::min(best, ms);
-        db.Delete("lineitem", LineitemKeys(rows));
-      }
-      return best;
+    // One insert+restore cycle in `mode`, maintenance timed; kOurs
+    // attaches a TraceContext and serializes one exporter snapshot
+    // inside the timed region.
+    auto measure = [&](Mode mode) {
+      recorder.SetEnabled(mode != kBaseline);
+      std::vector<Row> rows = stream.NewLineitems(batch);
+      obs::TraceContext ctx;
+      if (mode == kOurs) db.set_trace(&ctx);
+      double ms = TimeMs([&] {
+        db.Insert("lineitem", rows);
+        if (mode == kOurs) {
+          std::ostringstream prom;
+          obs::WritePrometheus(obs::Registry::Global(), prom);
+          std::ostringstream json;
+          obs::WriteSnapshotJson(obs::Registry::Global(), json);
+        }
+      });
+      if (mode == kOurs) db.set_trace(nullptr);
+      db.Delete("lineitem", LineitemKeys(rows));
+      return ms;
     };
 
-    recorder.SetEnabled(false);
-    double baseline_ms = measure(/*trace=*/false, /*scrape=*/false);
-    recorder.SetEnabled(true);
-    double recorder_ms = measure(/*trace=*/false, /*scrape=*/false);
-    double ours_ms = measure(/*trace=*/true, /*scrape=*/true);
+    std::vector<double> samples[kNumModes];
+    for (int rep = 0; rep < kReps; ++rep) {
+      for (int i = 0; i < kNumModes; ++i) {
+        const Mode mode = static_cast<Mode>((rep + i) % kNumModes);
+        samples[mode].push_back(measure(mode));
+      }
+    }
+    const double baseline_ms = Median(samples[kBaseline]);
+    const double recorder_ms = Median(samples[kRecorder]);
+    const double ours_ms = Median(samples[kOurs]);
 
     auto pct = [&](double ms) {
       return baseline_ms > 0 ? (ms / baseline_ms - 1.0) * 100.0 : 0.0;

@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -63,6 +64,21 @@ double TimeMs(const std::function<void()>& fn) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+double Median(std::vector<double> samples) {
+  if (samples.empty()) return 0;
+  std::sort(samples.begin(), samples.end());
+  const size_t mid = samples.size() / 2;
+  return samples.size() % 2 == 1 ? samples[mid]
+                                 : (samples[mid - 1] + samples[mid]) / 2;
+}
+
+std::vector<Row> LineitemKeys(const std::vector<Row>& rows) {
+  std::vector<Row> keys;
+  keys.reserve(rows.size());
+  for (const Row& row : rows) keys.push_back(Row{row[0], row[3]});
+  return keys;
 }
 
 void PrintHeader(const std::string& title,

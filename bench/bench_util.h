@@ -53,6 +53,13 @@ struct TpchInstance {
 /// Milliseconds spent in fn.
 double TimeMs(const std::function<void()>& fn);
 
+/// Median of `samples` (the mean of the middle two for an even count);
+/// 0 when empty.
+double Median(std::vector<double> samples);
+
+/// The unique keys (l_orderkey, l_linenumber) of full lineitem rows.
+std::vector<Row> LineitemKeys(const std::vector<Row>& rows);
+
 /// Fixed-width table printing helpers.
 void PrintHeader(const std::string& title,
                  const std::vector<std::string>& columns);

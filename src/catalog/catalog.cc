@@ -38,16 +38,30 @@ std::vector<std::string> Catalog::TableNames() const {
 }
 
 void Catalog::AddForeignKey(ForeignKey fk) {
-  const Table* child = GetTable(fk.child_table);
+  Table* child = GetTable(fk.child_table);
   const Table* parent = GetTable(fk.parent_table);
   OJV_CHECK(fk.child_columns.size() == fk.parent_columns.size(),
             "FK column count mismatch");
   OJV_CHECK(fk.parent_columns == parent->key_columns(),
             "FK must reference the parent's unique key");
+  std::vector<int> child_positions;
   for (const std::string& c : fk.child_columns) {
     OJV_CHECK(child->schema().Find(c) >= 0, "unknown FK child column");
+    child_positions.push_back(child->schema().IndexOf(c));
   }
+  // Parent deletes find their children, and delta joins reach them from
+  // a parent Δ, through this index.
+  child->AddIndex(std::move(child_positions));
   foreign_keys_.push_back(std::move(fk));
+}
+
+int Catalog::ChildIndexOf(const ForeignKey& fk) const {
+  const Table* child = GetTable(fk.child_table);
+  std::vector<int> positions;
+  for (const std::string& c : fk.child_columns) {
+    positions.push_back(child->schema().IndexOf(c));
+  }
+  return child->FindIndex(positions);
 }
 
 std::vector<const ForeignKey*> Catalog::ForeignKeysReferencing(

@@ -44,8 +44,13 @@ class Catalog {
   std::vector<std::string> TableNames() const;
 
   /// Declares a foreign key. Aborts if tables/columns do not exist or the
-  /// parent columns are not exactly the parent's unique key.
+  /// parent columns are not exactly the parent's unique key. Gives the
+  /// child table a hash index on the child columns (built from its rows
+  /// if it has any).
   void AddForeignKey(ForeignKey fk);
+
+  /// Id of the child-table index AddForeignKey made for `fk`.
+  int ChildIndexOf(const ForeignKey& fk) const;
 
   const std::vector<ForeignKey>& foreign_keys() const { return foreign_keys_; }
 

@@ -1,5 +1,7 @@
 #include "catalog/table.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace ojv {
@@ -17,6 +19,10 @@ bool ValueFitsType(const Value& v, ValueType type) {
   }
   return false;
 }
+
+// Indexes smaller than this are never rebuilt: their stale entries
+// cost less than the rebuild.
+constexpr size_t kMinRebuildEntries = 64;
 
 }  // namespace
 
@@ -90,15 +96,85 @@ bool Table::Insert(Row row) {
     free_slots_.pop_back();
     slots_[slot] = std::move(row);
     live_[slot] = 1;
+    ++stamps_[slot];
   } else {
     slot = slots_.size();
     slots_.push_back(std::move(row));
     live_.push_back(1);
+    stamps_.push_back(0);
   }
   key_index_.emplace(h, slot);
   ++live_count_;
   ++version_;
+  for (HashIndex& index : indexes_) {
+    IndexSlot(&index, slot);
+    // Deletes leave their entries behind; once the stale entries
+    // outnumber the live rows, a rebuild pays for itself.
+    if (index.entries() > kMinRebuildEntries &&
+        index.entries() > 2 * static_cast<size_t>(live_count_)) {
+      RebuildIndex(&index);
+    }
+  }
   return true;
+}
+
+void Table::IndexSlot(HashIndex* index, size_t slot) {
+  OJV_CHECK(slot < (size_t{1} << 32), "too many slots for an index");
+  const Row& row = slots_[slot];
+  for (int p : index->positions()) {
+    if (row[static_cast<size_t>(p)].is_null()) return;
+  }
+  index->Append(HashRowAt(row, index->positions()),
+                static_cast<uint32_t>(slot), stamps_[slot]);
+}
+
+void Table::RebuildIndex(HashIndex* index) {
+  index->Clear();
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (live_[i]) IndexSlot(index, i);
+  }
+}
+
+int Table::AddIndex(std::vector<int> positions) {
+  OJV_CHECK(!positions.empty(), "an index needs at least one column");
+  for (int p : positions) {
+    OJV_CHECK(p >= 0 && p < schema_.num_columns(), "index column out of range");
+  }
+  const int existing = FindIndex(positions);
+  if (existing != kNoPath) return existing;
+  indexes_.emplace_back(std::move(positions));
+  RebuildIndex(&indexes_.back());
+  return num_indexes() - 1;
+}
+
+int Table::FindIndex(const std::vector<int>& positions) const {
+  for (int i = 0; i < num_indexes(); ++i) {
+    if (index_positions(i) == positions) return i;
+  }
+  return kNoPath;
+}
+
+int Table::AccessPath(const std::vector<int>& eq_positions) const {
+  auto covers = [&](const std::vector<int>& columns) {
+    for (int c : columns) {
+      if (std::find(eq_positions.begin(), eq_positions.end(), c) ==
+          eq_positions.end()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (covers(key_positions_)) return kUniqueKeyPath;
+  for (int i = 0; i < num_indexes(); ++i) {
+    if (covers(index_positions(i))) return i;
+  }
+  return kNoPath;
+}
+
+size_t Table::index_bytes() const {
+  size_t bytes = 0;
+  for (const HashIndex& index : indexes_) bytes += index.bytes();
+  return bytes;
 }
 
 bool Table::DeleteByKey(const Row& key, Row* deleted) {

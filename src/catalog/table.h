@@ -5,16 +5,21 @@
 #include <unordered_map>
 #include <vector>
 
+#include "catalog/hash_index.h"
 #include "catalog/schema.h"
+#include "common/check.h"
 
 namespace ojv {
 
-/// A base table: schema + rows + unique-key hash index.
+/// A base table: schema + rows + unique-key hash index + secondary hash
+/// indexes.
 ///
 /// Every base table must declare a unique key over non-nullable columns
 /// (paper §2 restriction). Rows live in stable slots; deletion tombstones
 /// a slot and pushes it on a free list so row ids held by indexes stay
-/// valid until reuse.
+/// valid until reuse. Every fill of a slot bumps the slot's stamp, which
+/// is how the secondary indexes (HashIndex) tell their stale entries from
+/// live ones without any work on delete.
 class Table {
  public:
   Table(std::string name, Schema schema, std::vector<std::string> key_columns);
@@ -72,6 +77,61 @@ class Table {
     }
   }
 
+  // --- secondary indexes ---
+
+  /// AccessPath result: fetch through the unique key (FindByKey).
+  static constexpr int kUniqueKeyPath = -2;
+  /// AccessPath / FindIndex result: no index serves the columns.
+  static constexpr int kNoPath = -1;
+
+  /// Adds a secondary hash index over the columns at `positions` (in
+  /// key order), filled from the live rows, and returns its id. An
+  /// existing index over the same positions is reused.
+  int AddIndex(std::vector<int> positions);
+
+  int num_indexes() const { return static_cast<int>(indexes_.size()); }
+  const std::vector<int>& index_positions(int index) const {
+    return indexes_[static_cast<size_t>(index)].positions();
+  }
+  /// Id of the index over exactly `positions`, or kNoPath.
+  int FindIndex(const std::vector<int>& positions) const;
+
+  /// How to fetch the rows whose columns at `eq_positions` equal given
+  /// values: kUniqueKeyPath when the positions include the whole unique
+  /// key, else the id of the first index whose columns they include,
+  /// else kNoPath.
+  int AccessPath(const std::vector<int>& eq_positions) const;
+
+  /// Calls fn(row) for every live row whose `index` columns equal `key`
+  /// (values in the index's key order) until fn returns false. A key
+  /// with a NULL matches nothing.
+  template <typename Fn>
+  void ForEachIndexed(int index, const Row& key, Fn&& fn) const {
+    const HashIndex& idx = indexes_[static_cast<size_t>(index)];
+    const std::vector<int>& positions = idx.positions();
+    OJV_CHECK(key.size() == positions.size(), "index key arity mismatch");
+    for (const Value& v : key) {
+      if (v.is_null()) return;
+    }
+    idx.ForEachCandidate(HashKeyValues(key), [&](uint32_t slot,
+                                                 uint32_t stamp) {
+      if (!live_[slot] || stamps_[slot] != stamp) return true;  // stale
+      const Row& row = slots_[slot];
+      for (size_t i = 0; i < positions.size(); ++i) {
+        if (row[static_cast<size_t>(positions[i])] != key[i]) return true;
+      }
+      return static_cast<bool>(fn(row));
+    });
+  }
+
+  /// Entries held by `index`, stale ones included (test hook: the index
+  /// rebuilds once they exceed twice the live rows).
+  size_t index_entries(int index) const {
+    return indexes_[static_cast<size_t>(index)].entries();
+  }
+  /// Heap bytes held by all secondary indexes.
+  size_t index_bytes() const;
+
  private:
   struct KeyRef {
     const Table* table;
@@ -81,6 +141,11 @@ class Table {
   size_t HashKeyOf(const Row& row) const;
   size_t HashKeyValues(const Row& key) const;
   bool KeyEquals(size_t slot, const Row& key) const;
+  /// Appends the row in `slot` to `index` unless an indexed value is
+  /// NULL.
+  void IndexSlot(HashIndex* index, size_t slot);
+  /// Refills `index` from the live rows, dropping its stale entries.
+  void RebuildIndex(HashIndex* index);
 
   std::string name_;
   Schema schema_;
@@ -89,12 +154,16 @@ class Table {
 
   std::vector<Row> slots_;
   std::vector<char> live_;
+  /// Bumped on every fill of a slot; index entries carry the stamp they
+  /// were made under.
+  std::vector<uint32_t> stamps_;
   std::vector<size_t> free_slots_;
   int64_t live_count_ = 0;
   uint64_t version_ = 0;
 
   // key hash -> slots (collision chain resolved by KeyEquals).
   std::unordered_multimap<size_t, size_t> key_index_;
+  std::vector<HashIndex> indexes_;
 };
 
 }  // namespace ojv

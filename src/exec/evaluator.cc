@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 
 #include "common/check.h"
 #include "exec/bound_scalar.h"
@@ -69,7 +70,140 @@ std::vector<size_t> HashRows(const Relation& rel,
   return hashes;
 }
 
+// A join predicate split against its two input schemas.
+struct JoinKeys {
+  std::vector<int> left;   // left-input positions of the equality conjuncts
+  std::vector<int> right;  // the matching right-input positions
+  ScalarExprPtr residual;  // every other conjunct; null when none
+};
+
+// Column = column conjuncts with one side in each input become join keys;
+// everything else is residual.
+JoinKeys SplitJoinPredicate(const ScalarExprPtr& pred, const BoundSchema& l,
+                            const BoundSchema& r) {
+  JoinKeys keys;
+  std::vector<ScalarExprPtr> residual_conjuncts;
+  for (const ScalarExprPtr& c : SplitConjuncts(pred)) {
+    bool handled = false;
+    if (c->kind() == ScalarKind::kCompare &&
+        c->compare_op() == CompareOp::kEq &&
+        c->left()->kind() == ScalarKind::kColumn &&
+        c->right()->kind() == ScalarKind::kColumn) {
+      int ll = l.Find(c->left()->column());
+      int lr = r.Find(c->right()->column());
+      int rl = l.Find(c->right()->column());
+      int rr = r.Find(c->left()->column());
+      if (ll >= 0 && lr >= 0) {
+        keys.left.push_back(ll);
+        keys.right.push_back(lr);
+        handled = true;
+      } else if (rl >= 0 && rr >= 0) {
+        keys.left.push_back(rl);
+        keys.right.push_back(rr);
+        handled = true;
+      }
+    }
+    if (!handled) residual_conjuncts.push_back(c);
+  }
+  keys.residual = MakeConjunction(residual_conjuncts);
+  return keys;
+}
+
+// Left columns then right columns.
+BoundSchema CombinedSchema(const BoundSchema& l, const BoundSchema& r) {
+  BoundSchema combined;
+  for (const BoundColumn& c : l.columns()) combined.AddColumn(c);
+  for (const BoundColumn& c : r.columns()) {
+    OJV_CHECK(l.Find(c.table, c.column) < 0,
+              "join inputs must have disjoint columns");
+    combined.AddColumn(c);
+  }
+  return combined;
+}
+
+void CombineInto(const Row& lrow, const Row& rrow, Row* combined) {
+  std::copy(lrow.begin(), lrow.end(), combined->begin());
+  std::copy(rrow.begin(), rrow.end(),
+            combined->begin() + static_cast<std::ptrdiff_t>(lrow.size()));
+}
+
+// Emits what a left/full outer, semi or anti join owes `lrow` once its
+// matches are known: the null-extended row (to `width` columns) of an
+// unmatched outer row, a matched semi row, an unmatched anti row.
+void EmitLeftRow(JoinKind kind, const Row& lrow, bool matched, size_t width,
+                 std::vector<Row>* dst) {
+  switch (kind) {
+    case JoinKind::kLeftOuter:
+    case JoinKind::kFullOuter:
+      if (!matched) {
+        Row row = lrow;
+        row.resize(width, Value::Null());
+        dst->push_back(std::move(row));
+      }
+      break;
+    case JoinKind::kLeftSemi:
+      if (matched) dst->push_back(lrow);
+      break;
+    case JoinKind::kLeftAnti:
+      if (!matched) dst->push_back(lrow);
+      break;
+    default:
+      break;
+  }
+}
+
+// Global join work counter (rows fed into join operators). It is the one
+// join counter that counts regardless of tracing, so /metrics shows join
+// volume without a trace attached.
+obs::Counter& JoinRowsIn() {
+  static obs::Counter& rows_in =
+      obs::Registry::Global().GetCounter("ojv.exec.join.rows_in");
+  return rows_in;
+}
+
+// The node a probe join fetches from: the join's right input, or the
+// input of a selection there.
+const RelExprPtr& RightScan(const RelExpr& join) {
+  return join.right()->kind() == RelKind::kSelect ? join.right()->input()
+                                                  : join.right();
+}
+
 }  // namespace
+
+int ProbePath(const RelExpr& join, const Catalog& catalog) {
+  const JoinKind kind = join.join_kind();
+  if (kind != JoinKind::kInner && kind != JoinKind::kLeftOuter &&
+      kind != JoinKind::kLeftSemi && kind != JoinKind::kLeftAnti) {
+    return Table::kNoPath;
+  }
+  const RelExprPtr& scan = RightScan(join);
+  if (scan->kind() != RelKind::kScan || !catalog.HasTable(scan->table())) {
+    return Table::kNoPath;
+  }
+  const std::set<std::string> left_tables = join.left()->ReferencedTables();
+  if (left_tables.count(scan->table()) > 0) return Table::kNoPath;
+  const Table& table = *catalog.GetTable(scan->table());
+  std::vector<int> eq_positions;
+  for (const ScalarExprPtr& c : SplitConjuncts(join.predicate())) {
+    if (c->kind() != ScalarKind::kCompare ||
+        c->compare_op() != CompareOp::kEq ||
+        c->left()->kind() != ScalarKind::kColumn ||
+        c->right()->kind() != ScalarKind::kColumn) {
+      continue;
+    }
+    const bool left_is_own = c->left()->column().table == table.name();
+    const ColumnRef& own =
+        left_is_own ? c->left()->column() : c->right()->column();
+    const ColumnRef& other =
+        left_is_own ? c->right()->column() : c->left()->column();
+    if (own.table != table.name() || left_tables.count(other.table) == 0) {
+      continue;
+    }
+    const int position = table.schema().Find(own.column);
+    if (position >= 0) eq_positions.push_back(position);
+  }
+  return table.AccessPath(eq_positions);
+}
 
 std::shared_ptr<const Relation> TableRelationCache::Get(const Table& table) {
   Entry& entry = entries_[table.name()];
@@ -291,58 +425,130 @@ Relation Evaluator::EvalNullIf(const RelExpr& expr) const {
 
 Relation Evaluator::EvalJoin(const RelExpr& expr) const {
   std::shared_ptr<const Relation> lp = Eval(expr.left());
+  if (probe_joins_ != nullptr && probe_joins_->count(&expr) > 0 &&
+      catalog_ != nullptr && overrides_.count(RightScan(expr)->table()) == 0) {
+    const int path = ProbePath(expr, *catalog_);
+    if (path != Table::kNoPath) return ProbeJoin(expr, *lp, path);
+  }
   std::shared_ptr<const Relation> rp = Eval(expr.right());
-  const Relation& l = *lp;
-  const Relation& r = *rp;
+  return HashJoin(expr, *lp, *rp);
+}
+
+Relation Evaluator::ProbeJoin(const RelExpr& expr, const Relation& l,
+                              int path) const {
+  const JoinKind kind = expr.join_kind();
+  const RelExprPtr& right = expr.right();
+  const bool has_select = right->kind() == RelKind::kSelect;
+  const RelExprPtr& scan = RightScan(expr);
+  const Table& table = *catalog_->GetTable(scan->table());
+  const BoundSchema rschema = SchemaFor(table);
+  const JoinKeys keys = SplitJoinPredicate(expr.predicate(), l.schema(),
+                                           rschema);
+  const std::vector<int>& path_columns = path == Table::kUniqueKeyPath
+                                             ? table.key_positions()
+                                             : table.index_positions(path);
+  // For each lookup column, the left position that supplies its value.
+  // Right positions are table column positions: SchemaFor keeps order.
+  std::vector<int> lookup_from;
+  for (int column : path_columns) {
+    auto it = std::find(keys.right.begin(), keys.right.end(), column);
+    OJV_CHECK(it != keys.right.end(),
+              "probe join lookup column missing from the left input");
+    lookup_from.push_back(keys.left[static_cast<size_t>(
+        it - keys.right.begin())]);
+  }
+
+  const bool semi_or_anti =
+      kind == JoinKind::kLeftSemi || kind == JoinKind::kLeftAnti;
+  NoteArg("kind", std::string(JoinKindName(kind)));
+  NoteArg("algo", std::string("index"));
+  NoteArg("build_rows", int64_t{0});
+  NoteArg("probe_rows", l.size());
+
+  const BoundSchema combined = CombinedSchema(l.schema(), rschema);
+  BoundScalar right_pred;
+  if (has_select) right_pred = BoundScalar::Compile(right->predicate(), rschema);
+  BoundScalar residual;
+  const bool has_residual = keys.residual != nullptr;
+  if (has_residual) residual = BoundScalar::Compile(keys.residual, combined);
+
+  // Each fetched row passes the right side's selection, the equality
+  // conjuncts the lookup did not cover, and the residual, in that order.
+  Relation out(semi_or_anti ? l.schema() : combined);
+  std::vector<Row>& dst = *out.mutable_rows();
+  dst.reserve(static_cast<size_t>(l.size()));
+  Row combined_row(static_cast<size_t>(combined.num_columns()));
+  Row lookup(path_columns.size());
+  int64_t fetched = 0;
+  int64_t selected = 0;
+  int64_t probe_hits = 0;
+  for (const Row& lrow : l.rows()) {
+    bool matched = false;
+    auto visit = [&](const Row& rrow) {
+      ++fetched;
+      if (has_select) {
+        if (!right_pred.EvalBool(rrow)) return true;
+        ++selected;
+      }
+      if (!EqualAt(lrow, keys.left, rrow, keys.right)) return true;
+      if (has_residual || !semi_or_anti) {
+        CombineInto(lrow, rrow, &combined_row);
+      }
+      if (has_residual && !residual.EvalBool(combined_row)) return true;
+      matched = true;
+      ++probe_hits;
+      if (!semi_or_anti) dst.push_back(combined_row);
+      return !semi_or_anti;  // semi/anti: the first match settles the row
+    };
+    // SQL equality never matches a NULL key.
+    if (!AnyNullAt(lrow, keys.left)) {
+      for (size_t k = 0; k < lookup_from.size(); ++k) {
+        lookup[k] = lrow[static_cast<size_t>(lookup_from[k])];
+      }
+      if (path == Table::kUniqueKeyPath) {
+        if (const Row* rrow = table.FindByKey(lookup)) visit(*rrow);
+      } else {
+        table.ForEachIndexed(path, lookup, visit);
+      }
+    }
+    EmitLeftRow(kind, lrow, matched,
+                static_cast<size_t>(combined.num_columns()), &dst);
+  }
+  NoteArg("probe_hits", probe_hits);
+  JoinRowsIn().Add(l.size() + fetched);
+  if (trace_ != nullptr) {
+    // The right input never ran as a plan of its own; record its nodes'
+    // spans (post-order, before the join's own) with what the lookups
+    // fetched. Their time is the join's: the lookups run inside it.
+    const int64_t now = trace_->NowMicros();
+    trace_->RecordComplete(ExecSpanNameFor(RelKind::kScan), "exec", now, 0,
+                           {{"rows_out", fetched}},
+                           {{"table", scan->table()}});
+    if (has_select) {
+      trace_->RecordComplete(ExecSpanNameFor(RelKind::kSelect), "exec", now,
+                             0, {{"rows_in", fetched}, {"rows_out", selected}},
+                             {});
+    }
+  }
+  return out;
+}
+
+Relation Evaluator::HashJoin(const RelExpr& expr, const Relation& l,
+                             const Relation& r) const {
   const JoinKind kind = expr.join_kind();
   const bool semi_or_anti =
       kind == JoinKind::kLeftSemi || kind == JoinKind::kLeftAnti;
   NoteArg("kind", std::string(JoinKindName(kind)));
-  // Global join work counter (rows fed into join operators). It is
-  // the one join counter that counts regardless of tracing, so
-  // /metrics shows join volume without a trace attached.
-  static obs::Counter& rows_in =
-      obs::Registry::Global().GetCounter("ojv.exec.join.rows_in");
-  rows_in.Add(l.size() + r.size());
+  JoinRowsIn().Add(l.size() + r.size());
   // Probe-side key matches that passed the residual (a span arg).
   int64_t probe_hits = 0;
 
-  // Combined schema (left columns then right columns).
-  BoundSchema combined;
-  for (const BoundColumn& c : l.schema().columns()) combined.AddColumn(c);
-  for (const BoundColumn& c : r.schema().columns()) {
-    OJV_CHECK(l.schema().Find(c.table, c.column) < 0,
-              "join inputs must have disjoint columns");
-    combined.AddColumn(c);
-  }
-
+  const BoundSchema combined = CombinedSchema(l.schema(), r.schema());
   // Split the predicate into hashable equality conjuncts and a residual.
-  std::vector<int> left_keys;
-  std::vector<int> right_keys;
-  std::vector<ScalarExprPtr> residual_conjuncts;
-  for (const ScalarExprPtr& c : SplitConjuncts(expr.predicate())) {
-    bool handled = false;
-    if (c->kind() == ScalarKind::kCompare &&
-        c->compare_op() == CompareOp::kEq &&
-        c->left()->kind() == ScalarKind::kColumn &&
-        c->right()->kind() == ScalarKind::kColumn) {
-      int ll = l.schema().Find(c->left()->column());
-      int lr = r.schema().Find(c->right()->column());
-      int rl = l.schema().Find(c->right()->column());
-      int rr = r.schema().Find(c->left()->column());
-      if (ll >= 0 && lr >= 0) {
-        left_keys.push_back(ll);
-        right_keys.push_back(lr);
-        handled = true;
-      } else if (rl >= 0 && rr >= 0) {
-        left_keys.push_back(rl);
-        right_keys.push_back(rr);
-        handled = true;
-      }
-    }
-    if (!handled) residual_conjuncts.push_back(c);
-  }
-  ScalarExprPtr residual_expr = MakeConjunction(residual_conjuncts);
+  JoinKeys keys = SplitJoinPredicate(expr.predicate(), l.schema(), r.schema());
+  const std::vector<int>& left_keys = keys.left;
+  const std::vector<int>& right_keys = keys.right;
+  const ScalarExprPtr& residual_expr = keys.residual;
 
   if (join_algorithm_ == JoinAlgorithm::kSortMerge && !left_keys.empty() &&
       !semi_or_anti) {
@@ -385,13 +591,7 @@ Relation Evaluator::EvalJoin(const RelExpr& expr) const {
         const Row& lrow = l.row(li);
         if (!EqualAt(lrow, left_keys, rrow, right_keys)) return true;
         ++probe_hits;
-        for (int i = 0; i < lcols; ++i) {
-          combined_row[static_cast<size_t>(i)] = lrow[static_cast<size_t>(i)];
-        }
-        for (int i = 0; i < rcols; ++i) {
-          combined_row[static_cast<size_t>(lcols + i)] =
-              rrow[static_cast<size_t>(i)];
-        }
+        CombineInto(lrow, rrow, &combined_row);
         if (!has_residual || residual.EvalBool(combined_row)) {
           dst.push_back(combined_row);
         }
@@ -437,13 +637,7 @@ Relation Evaluator::EvalJoin(const RelExpr& expr) const {
         return true;  // hash collision; keep probing
       }
       if (has_residual || !semi_or_anti) {
-        for (int i = 0; i < lcols; ++i) {
-          combined_row[static_cast<size_t>(i)] = lrow[static_cast<size_t>(i)];
-        }
-        for (int i = 0; i < rcols; ++i) {
-          combined_row[static_cast<size_t>(lcols + i)] =
-              rrow[static_cast<size_t>(i)];
-        }
+        CombineInto(lrow, rrow, &combined_row);
       }
       if (has_residual && !residual.EvalBool(combined_row)) return true;
       matched = true;
@@ -460,24 +654,8 @@ Relation Evaluator::EvalJoin(const RelExpr& expr) const {
         if (!try_match(ri)) break;
       }
     }
-    switch (kind) {
-      case JoinKind::kLeftOuter:
-      case JoinKind::kFullOuter:
-        if (!matched) {
-          Row row = lrow;
-          row.resize(static_cast<size_t>(lcols + rcols), Value::Null());
-          dst.push_back(std::move(row));
-        }
-        break;
-      case JoinKind::kLeftSemi:
-        if (matched) dst.push_back(lrow);
-        break;
-      case JoinKind::kLeftAnti:
-        if (!matched) dst.push_back(lrow);
-        break;
-      default:
-        break;
-    }
+    EmitLeftRow(kind, lrow, matched, static_cast<size_t>(lcols + rcols),
+                &dst);
   }
   NoteArg("probe_hits", probe_hits);
   if (track_right) {

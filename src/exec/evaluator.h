@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "algebra/rel_expr.h"
 #include "catalog/catalog.h"
@@ -36,10 +37,24 @@ class TableRelationCache {
   std::unordered_map<std::string, Entry> entries_;
 };
 
+/// How a probe join of `join` fetches its right rows:
+/// Table::kUniqueKeyPath, the id of an index of the right table, or
+/// Table::kNoPath when `join` cannot probe. It can when it is an inner,
+/// left outer, left semi or left anti join, its right input is Scan(T)
+/// or Select(Scan(T)) of a catalog table T that its left input does not
+/// mention, and its column = column conjuncts between T and the left
+/// input's tables cover T's unique key or one of T's indexes. The
+/// planner marks probe joins, and the Evaluator runs them, by this rule.
+int ProbePath(const RelExpr& join, const Catalog& catalog);
+
 /// Executes relational expression trees against a catalog.
 ///
 /// Joins with equality conjuncts run as hash joins; otherwise nested
-/// loops. Delta scans resolve through named bindings supplied by the
+/// loops. Join nodes the caller marks as probe joins (set_probe_joins)
+/// run as index nested loops instead: only the left input is evaluated,
+/// and each of its rows fetches the matching base rows of the right
+/// input's table through the table's unique key or a secondary index.
+/// Delta scans resolve through named bindings supplied by the
 /// caller (the maintainer binds ΔT under the table's own name, and the
 /// secondary-delta machinery binds intermediates like "#primary").
 /// Table overrides let a caller evaluate a subtree against a substituted
@@ -76,13 +91,24 @@ class Evaluator {
   /// Uses `cache` for base-table scans (optional; not owned).
   void set_table_cache(TableRelationCache* cache) { cache_ = cache; }
 
+  /// Join nodes to run as probe joins (optional; not owned). A marked
+  /// join probes when ProbePath finds it an access path and its right
+  /// table is not overridden; otherwise it runs as a hash join. Either
+  /// way the output bag is the same.
+  void set_probe_joins(const std::unordered_set<const RelExpr*>* joins) {
+    probe_joins_ = joins;
+  }
+
   /// Trace sink (optional; not owned). With a sink attached, every
   /// operator node records one span — rows in/out, and for joins the
   /// algorithm, build size and probe hits. Spans are recorded *after* the
   /// node's own work, so their order is a post-order walk of the plan
   /// tree (ExplainMaintenance relies on this to zip timings onto the
   /// tree). A span's duration covers the node's whole subtree, like
-  /// EXPLAIN ANALYZE totals.
+  /// EXPLAIN ANALYZE totals. A probe join (algo=index, build_rows=0)
+  /// still records one span per right-side node, with the rows its
+  /// lookups fetched and selected and zero duration: that time is the
+  /// join's.
   void set_trace(obs::TraceContext* trace) { trace_ = trace; }
 
   /// Evaluates the tree; the result may alias a cached or bound
@@ -135,12 +161,18 @@ class Evaluator {
                              const ScalarExprPtr& residual_expr) const;
   Relation EvalProject(const RelExpr& expr) const;
   Relation EvalJoin(const RelExpr& expr) const;
+  /// The probe join of `expr` over its evaluated left input, fetching
+  /// through `path` (ProbePath's answer for `expr`).
+  Relation ProbeJoin(const RelExpr& expr, const Relation& l, int path) const;
+  Relation HashJoin(const RelExpr& expr, const Relation& l,
+                    const Relation& r) const;
   Relation EvalNullIf(const RelExpr& expr) const;
 
   const Catalog* catalog_;
   std::unordered_map<std::string, const Relation*> deltas_;
   std::unordered_map<std::string, const Relation*> overrides_;
   TableRelationCache* cache_ = nullptr;
+  const std::unordered_set<const RelExpr*>* probe_joins_ = nullptr;
   JoinAlgorithm join_algorithm_ = JoinAlgorithm::kHash;
   obs::TraceContext* trace_ = nullptr;
   /// Args staged by the node currently evaluating (see NoteArg).

@@ -34,7 +34,8 @@ class JoinTable {
   void Build(const std::vector<size_t>& hashes);
 
   /// Calls fn(row_id) for every build row whose hash equals `hash`, in
-  /// ascending row id order. Callers re-check real key equality.
+  /// ascending row id order, until fn returns false. Callers re-check
+  /// real key equality.
   template <typename Fn>
   void ForEachMatch(size_t hash, Fn&& fn) const {
     if (slots_.empty()) return;
@@ -42,7 +43,7 @@ class JoinTable {
     for (;;) {
       const Slot& slot = slots_[idx];
       if (slot.row < 0) return;
-      if (slot.hash == hash) fn(slot.row);
+      if (slot.hash == hash && !fn(slot.row)) return;
       idx = (idx + 1) & mask_;
     }
   }

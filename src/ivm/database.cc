@@ -159,30 +159,25 @@ std::vector<std::pair<const ForeignKey*, std::vector<Row>>>
 Database::ReferencingRows(const std::string& table,
                           const std::vector<Row>& keys) {
   std::vector<std::pair<const ForeignKey*, std::vector<Row>>> out;
-  for (const ForeignKey* fk : catalog_.ForeignKeysReferencing(table)) {
+  std::vector<const ForeignKey*> fks = catalog_.ForeignKeysReferencing(table);
+  if (fks.empty()) return out;
+  // A key named twice must not report its children twice.
+  std::vector<Row> distinct;
+  distinct.reserve(keys.size());
+  std::unordered_set<Row, KeyHash> seen;
+  for (const Row& key : keys) {
+    if (seen.insert(key).second) distinct.push_back(key);
+  }
+  for (const ForeignKey* fk : fks) {
     const Table* child = catalog_.GetTable(fk->child_table);
-    std::vector<int> fk_positions;
-    for (const std::string& col : fk->child_columns) {
-      fk_positions.push_back(child->schema().IndexOf(col));
-    }
-    // Full scan of the child table; each child row is compared with
-    // every deleted key.
+    const int index = catalog_.ChildIndexOf(*fk);
     std::vector<Row> hits;
-    child->ForEach([&](const Row& row) {
-      Row ref;
-      ref.reserve(fk_positions.size());
-      for (int p : fk_positions) {
-        const Value& v = row[static_cast<size_t>(p)];
-        if (v.is_null()) return;
-        ref.push_back(v);
-      }
-      for (const Row& key : keys) {
-        if (key == ref) {
-          hits.push_back(row);
-          return;
-        }
-      }
-    });
+    for (const Row& key : distinct) {
+      child->ForEachIndexed(index, key, [&](const Row& row) {
+        hits.push_back(row);
+        return true;
+      });
+    }
     if (!hits.empty()) out.emplace_back(fk, std::move(hits));
   }
   return out;

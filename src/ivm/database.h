@@ -224,14 +224,15 @@ class Database {
   ViewMaintainer* AddView(std::unique_ptr<ViewMaintainer> view);
   // FK child check for inserted rows of `table`; true if row valid.
   bool RowSatisfiesForeignKeys(const std::string& table, const Row& row);
-  // Referencing child rows that block / cascade a parent delete.
+  // Referencing child rows that block / cascade a parent delete, fetched
+  // per distinct key through each child's FK index.
   std::vector<std::pair<const ForeignKey*, std::vector<Row>>>
   ReferencingRows(const std::string& table, const std::vector<Row>& keys);
   /// (table, keys) deletes in apply order.
   using DeleteSteps = std::vector<std::pair<std::string, std::vector<Row>>>;
   /// The deletes a delete of `keys` from `table` implies, children
   /// first: appends one step per cascading reference, depth first, then
-  /// `table`'s own step. Scans each step's children once. Returns false,
+  /// `table`'s own step. Looks up each step's children once. Returns false,
   /// with *error set, when a restricting foreign key references any row
   /// of the tree.
   bool CollectCascade(const std::string& table, std::vector<Row> keys,

@@ -77,16 +77,21 @@ std::string FormatEst(double est) {
   return s.str();
 }
 
+/// Renders the plan tree, one node per line, with the planner's `est`
+/// annotations and probe-join marks (`plan`, may be null) and the
+/// measured `stats`.
 void RenderAnnotatedPlan(
     const RelExprPtr& node,
     const std::map<const RelExpr*, const obs::TraceEvent*>& stats,
-    const std::unordered_map<const RelExpr*, double>* est, int depth,
-    std::ostringstream& out) {
+    const opt::PlannedDelta* plan, int depth, std::ostringstream& out) {
   out << std::string(4 + 2 * static_cast<size_t>(depth), ' ')
       << NodeLabel(*node);
-  if (est != nullptr) {
-    auto eit = est->find(node.get());
-    if (eit != est->end()) out << "  (est=" << FormatEst(eit->second) << ")";
+  if (plan != nullptr) {
+    auto eit = plan->node_est.find(node.get());
+    if (eit != plan->node_est.end()) {
+      out << "  (est=" << FormatEst(eit->second) << ")";
+    }
+    if (plan->probe_joins.count(node.get()) > 0) out << " probe";
   }
   auto it = stats.find(node.get());
   if (it != stats.end()) {
@@ -105,7 +110,7 @@ void RenderAnnotatedPlan(
   }
   out << "\n";
   for (const RelExprPtr& child : node->children()) {
-    RenderAnnotatedPlan(child, stats, est, depth + 1, out);
+    RenderAnnotatedPlan(child, stats, plan, depth + 1, out);
   }
 }
 
@@ -118,7 +123,7 @@ void AppendPlanEntryLine(std::ostringstream& out, const char* op,
       << " replans=" << entry->replans
       << (entry->plan.reordered ? " (reordered)" : " (static order)") << "\n";
   if (entry->plan.expr != nullptr && !entry->plan.node_est.empty()) {
-    RenderAnnotatedPlan(entry->plan.expr, {}, &entry->plan.node_est, 0, out);
+    RenderAnnotatedPlan(entry->plan.expr, {}, &entry->plan, 0, out);
   }
 }
 
@@ -261,9 +266,9 @@ std::string ExplainMaintenance(const ViewMaintainer& maintainer,
           size_t next = 0;
           std::map<const RelExpr*, const obs::TraceEvent*> stats;
           ZipPlan(plan, execs, &next, &stats);
-          RenderAnnotatedPlan(
-              plan, stats, entry != nullptr ? &entry->plan.node_est : nullptr,
-              0, out);
+          RenderAnnotatedPlan(plan, stats,
+                              entry != nullptr ? &entry->plan : nullptr, 0,
+                              out);
           if (next != execs.size()) {
             out << "    (" << execs.size() - next
                 << " exec span(s) not matched to this plan — a different\n"

@@ -204,11 +204,13 @@ const RelExprPtr& ViewMaintainer::delta_expr(const std::string& table) const {
   return main_.For(table).delta_expr;
 }
 
-Relation ViewMaintainer::EvalPrimaryDelta(const RelExprPtr& expr,
-                                          const Relation& delta_t) {
+Relation ViewMaintainer::EvalPrimaryDelta(
+    const RelExprPtr& expr, const Relation& delta_t,
+    const std::unordered_set<const RelExpr*>* probe_joins) {
   Evaluator evaluator(catalog_);
   evaluator.set_table_cache(&table_cache_);
   evaluator.set_trace(options_.trace);
+  evaluator.set_probe_joins(probe_joins);
   // The delta leaf is named after the updated table.
   for (const std::string& table : view_def_.tables()) {
     if (delta_t.schema().HasTable(table)) {
@@ -248,7 +250,7 @@ Relation ViewMaintainer::ComputePrimaryDeltaRelation(const std::string& table,
                                                      const Relation& delta_t) {
   const TablePlan& plan = main_.For(table);
   OJV_CHECK(!plan.delta_empty, "delta is provably empty");
-  return EvalPrimaryDelta(plan.delta_expr, delta_t);
+  return EvalPrimaryDelta(plan.delta_expr, delta_t, /*probe_joins=*/nullptr);
 }
 
 SecondaryDeltaEngine* ViewMaintainer::secondary_engine(
@@ -387,6 +389,7 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
   // Cost-based plan selection: reuse the cached order unless |Δ| moved
   // far from what it was costed for.
   RelExprPtr exec_expr = plan.delta_expr;
+  const std::unordered_set<const RelExpr*>* probe_joins = nullptr;
   opt::PlanCacheEntry* cache_entry = nullptr;
   if (ContainsJoin(plan.delta_expr)) {
     const std::string key = opt::PlanCache::Key(
@@ -410,10 +413,13 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
       ++cache_entry->hits;
     }
     exec_expr = cache_entry->plan.expr;
+    probe_joins = &cache_entry->plan.probe_joins;
     root_span.AddArg("plan_source", cache_entry->source);
     root_span.AddArg("join_order", cache_entry->plan.order);
     root_span.AddArg("reordered",
                      static_cast<int64_t>(cache_entry->plan.reordered));
+    root_span.AddArg("probe_joins",
+                     static_cast<int64_t>(probe_joins->size()));
   }
 
   // ΔT as a tagged relation.
@@ -423,7 +429,7 @@ MaintenanceStats ViewMaintainer::Maintain(const TablePlan& plan,
   // Step 1: compute the primary delta.
   obs::Span primary_span(options_.trace, "ivm.primary_delta", "ivm");
   auto primary_start = std::chrono::steady_clock::now();
-  Relation primary = EvalPrimaryDelta(exec_expr, delta_t);
+  Relation primary = EvalPrimaryDelta(exec_expr, delta_t, probe_joins);
   stats.primary_rows = primary.size();
   stats.fk_fast_path =
       plan.delta_expr->kind() == RelKind::kDeltaScan ||

@@ -231,8 +231,11 @@ class ViewMaintainer {
                             const std::vector<Row>& rows, bool is_insert,
                             PlanPolicy policy);
   // Evaluates one primary-delta expression (static or planner-chosen)
-  // and aligns it to the output schema.
-  Relation EvalPrimaryDelta(const RelExprPtr& expr, const Relation& delta_t);
+  // and aligns it to the output schema. `probe_joins` (may be null) are
+  // the planner's probe-join marks on `expr`.
+  Relation EvalPrimaryDelta(
+      const RelExprPtr& expr, const Relation& delta_t,
+      const std::unordered_set<const RelExpr*>* probe_joins);
 
   const Catalog* catalog_;
   ViewDef view_def_;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "algebra/rel_expr.h"
 
@@ -18,6 +19,9 @@ struct PlannedDelta {
   std::unordered_map<const RelExpr*, double> node_est;
   bool reordered = false;  // false: order identical to the static plan
   std::string order;       // join right tables bottom-up, e.g. "S,B"
+  /// Join nodes of `expr` to run as index probes instead of hash builds
+  /// (Evaluator::set_probe_joins).
+  std::unordered_set<const RelExpr*> probe_joins;
 };
 
 /// Cached plan and its counters for one (table, op, policy) key.

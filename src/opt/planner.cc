@@ -5,6 +5,8 @@
 #include <functional>
 #include <limits>
 
+#include "exec/evaluator.h"
+
 namespace ojv {
 namespace opt {
 
@@ -265,6 +267,41 @@ void Annotate(const RelExprPtr& e, CardinalityEstimator* est,
   (*out)[e.get()] = est->Estimate(e);
 }
 
+/// Marks the main-path joins that should probe: ProbePath finds the
+/// step an access path, and est(left rows) × (1 + fanout), the lookups
+/// plus the rows they fetch, is below est(rows of T), what a hash build
+/// reads.
+void MarkProbeJoins(const Catalog& catalog, CardinalityEstimator* est,
+                    PlannedDelta* plan) {
+  for (const RelExpr* cur = plan->expr.get(); cur != nullptr;) {
+    switch (cur->kind()) {
+      case RelKind::kJoin: {
+        if (ProbePath(*cur, catalog) != Table::kNoPath) {
+          const RelExprPtr& right = cur->right();
+          const RelExprPtr& scan =
+              right->kind() == RelKind::kSelect ? right->input() : right;
+          const double left_rows = plan->node_est.at(cur->left().get());
+          const double fanout = est->JoinFanout(right, cur->predicate());
+          if (left_rows * (1 + fanout) < est->Estimate(scan)) {
+            plan->probe_joins.insert(cur);
+          }
+        }
+        cur = cur->left().get();
+        break;
+      }
+      case RelKind::kSelect:
+      case RelKind::kNullIf:
+      case RelKind::kDedup:
+      case RelKind::kSubsumeRemove:
+        cur = cur->input().get();
+        break;
+      default:
+        cur = nullptr;  // the base leaf
+        break;
+    }
+  }
+}
+
 }  // namespace
 
 PlannedDelta DeltaPlanner::Plan(const RelExprPtr& static_expr,
@@ -368,6 +405,9 @@ PlannedDelta DeltaPlanner::Plan(const RelExprPtr& static_expr,
   }
 
   Annotate(result.expr, &est, &result.node_est);
+  if (stats_ != nullptr && stats_->catalog() != nullptr) {
+    MarkProbeJoins(*stats_->catalog(), &est, &result);
+  }
   return result;
 }
 

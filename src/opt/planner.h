@@ -37,6 +37,13 @@ inline constexpr double kReplanDeltaLog2 = 3.0;
 /// Any decomposition or validation failure returns the static expression
 /// unchanged (reordered=false), so planning can never produce a plan the
 /// executor has not already been proven against.
+///
+/// After ordering, each main-path join step that can probe (ProbePath,
+/// the rule the Evaluator runs by) is marked as a probe join when
+/// est(left rows) × (1 + fanout) < est(rows of T): looking up each left
+/// row's matches then reads fewer rows than building a hash table over
+/// all of T. The choice is re-made whenever the plan is (a |Δ| shift of
+/// 2^kReplanDeltaLog2).
 class DeltaPlanner {
  public:
   explicit DeltaPlanner(StatsCatalog* stats) : stats_(stats) {}

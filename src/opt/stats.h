@@ -78,6 +78,9 @@ class StatsCatalog {
  public:
   explicit StatsCatalog(const Catalog* catalog) : catalog_(catalog) {}
 
+  /// The catalog whose tables this describes.
+  const Catalog* catalog() const { return catalog_; }
+
   /// Statistics for `table`, rebuilding if absent or stale. Returns null
   /// for unknown tables. The pointer is valid until the next non-const
   /// call.

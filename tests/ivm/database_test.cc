@@ -193,6 +193,82 @@ TEST_F(DatabaseTest, BlockedCascadeChangesNothing) {
   }
 }
 
+// Parent deletes find their children through the FK index. Churn on
+// emp leaves stale index entries and reused slots behind, the FK is
+// declared over existing rows, and the delete names a key twice.
+TEST_F(DatabaseTest, RestrictThroughTheIndexRejectsAndChangesNothing) {
+  ViewMaintainer* view = db_.CreateMaterializedView(MakeDeptView());
+  db_.Insert("dept", {Dept(1, "eng"), Dept(2, "ops"), Dept(3, "hr")});
+  db_.Insert("emp", {Emp(10, 1, 1.0), Emp(11, 2, 2.0), Emp(12, 2, 3.0)});
+  db_.catalog()->AddForeignKey({"emp", {"e_dept"}, "dept", {"d_id"}});
+  db_.Delete("emp", {Row{Value::Int64(10)}, Row{Value::Int64(11)}});
+  db_.Insert("emp", {Emp(13, 3, 4.0)});  // reuses a freed slot
+  dept_before_ = Rows("dept");
+  emp_before_ = Rows("emp");
+
+  // dept 1 lost its only employee; dept 2 still has emp 12.
+  Database::StatementResult result = db_.Delete(
+      "dept", {Row{Value::Int64(1)}, Row{Value::Int64(2)},
+               Row{Value::Int64(2)}});
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.error, "delete from dept violates FK from emp");
+  ExpectUnchangedAndConsistent(*view);
+
+  EXPECT_TRUE(db_.Delete("dept", {Row{Value::Int64(1)}}).ok());
+}
+
+TEST_F(DatabaseTest, CascadeThroughTheIndexDeletesEveryChild) {
+  ForeignKey fk{"emp", {"e_dept"}, "dept", {"d_id"}};
+  fk.cascading_delete = true;
+  db_.catalog()->AddForeignKey(fk);
+  ViewMaintainer* view = db_.CreateMaterializedView(MakeDeptView());
+  db_.Insert("dept", {Dept(1, "eng"), Dept(2, "ops"), Dept(3, "hr")});
+  for (int64_t i = 0; i < 30; ++i) {
+    db_.Insert("emp", {Emp(100 + i, 1 + i % 3, static_cast<double>(i))});
+  }
+  for (int64_t i = 0; i < 30; i += 4) {
+    db_.Delete("emp", {Row{Value::Int64(100 + i)}});
+  }
+  db_.Insert("emp", {Emp(200, 1, 0.5), Emp(201, 2, 0.5)});
+  // What the old full scan found: every emp row of dept 1 or 2.
+  std::vector<Row> expected_left;
+  db_.catalog()->GetTable("emp")->ForEach([&](const Row& row) {
+    if (row[1] == Value::Int64(3)) expected_left.push_back(row);
+  });
+  const int64_t children =
+      db_.catalog()->GetTable("emp")->size() -
+      static_cast<int64_t>(expected_left.size());
+
+  Database::StatementResult result = db_.Delete(
+      "dept", {Row{Value::Int64(2)}, Row{Value::Int64(1)},
+               Row{Value::Int64(1)}});
+  EXPECT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.rows_affected, 2 + children);
+  EXPECT_EQ(Rows("emp"), expected_left);
+  std::string diff;
+  EXPECT_TRUE(ViewMatchesRecompute(*db_.catalog(), view->view_def(),
+                                   view->view(), &diff))
+      << diff;
+}
+
+TEST_F(DatabaseTest, NullForeignKeyColumnReferencesNothing) {
+  Catalog* catalog = db_.catalog();
+  catalog->CreateTable(
+      "member",
+      Schema({ColumnDef{"m_id", ValueType::kInt64, false},
+              ColumnDef{"m_dept", ValueType::kInt64, true}}),
+      {"m_id"});
+  catalog->AddForeignKey({"member", {"m_dept"}, "dept", {"d_id"}});
+  db_.Insert("dept", {Dept(1, "eng")});
+  EXPECT_EQ(db_.Insert("member", {Row{Value::Int64(5), Value::Null()}})
+                .rows_affected,
+            1);
+
+  EXPECT_TRUE(db_.Delete("dept", {Row{Value::Int64(1)}}).ok());
+  EXPECT_EQ(catalog->GetTable("dept")->size(), 0);
+  EXPECT_EQ(catalog->GetTable("member")->size(), 1);
+}
+
 TEST_F(DatabaseTest, ViewsAreMaintainedAcrossStatements) {
   ViewMaintainer* view = db_.CreateMaterializedView(MakeDeptView());
   EXPECT_EQ(view->view().size(), 0);

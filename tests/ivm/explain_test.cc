@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/trace.h"
+#include "tpch/dbgen.h"
+#include "tpch/refresh.h"
 #include "tpch/tpch_schema.h"
 #include "tpch/views.h"
 
@@ -55,6 +58,38 @@ TEST(ExplainTest, NormalFormSectionListsPredicates) {
   EXPECT_NE(report.find("where"), std::string::npos);
   EXPECT_NE(report.find("subsumption graph:"), std::string::npos);
   EXPECT_NE(report.find("-> {customer}"), std::string::npos);
+}
+
+// A small lineitem insert into V3 probes every join step through a key
+// or FK index: the plan lines mark the probes, and the measured plan
+// still zips one exec span onto every node.
+TEST(ExplainTest, V3LineitemInsertShowsProbeJoins) {
+  Catalog catalog;
+  tpch::CreateSchema(&catalog);
+  tpch::DbgenOptions options;
+  options.scale_factor = 0.002;
+  tpch::Dbgen dbgen(options);
+  dbgen.Populate(&catalog);
+  tpch::RefreshStream refresh(&catalog, &dbgen, /*seed=*/7);
+  obs::TraceContext trace;
+  MaintenanceOptions maintenance;
+  maintenance.trace = &trace;
+  ViewMaintainer maintainer(&catalog, tpch::MakeV3(catalog), maintenance);
+  maintainer.InitializeView();
+  trace.Clear();
+  std::vector<Row> rows = ApplyBaseInsert(catalog.GetTable("lineitem"),
+                                          refresh.NewLineitems(3));
+  maintainer.OnInsert("lineitem", rows);
+
+  std::string report = ExplainMaintenance(maintainer, trace);
+  size_t plan_at = report.find("plan[insert]");
+  ASSERT_NE(plan_at, std::string::npos);
+  EXPECT_NE(report.find(") probe", plan_at), std::string::npos);
+  size_t measured_at = report.find("measured maintenance");
+  ASSERT_NE(measured_at, std::string::npos);
+  EXPECT_NE(report.find("algo=index", measured_at), std::string::npos);
+  EXPECT_EQ(report.find("algo=hash", measured_at), std::string::npos);
+  EXPECT_EQ(report.find("not matched", measured_at), std::string::npos);
 }
 
 }  // namespace
