@@ -1,5 +1,7 @@
 #include "bench_util.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -64,6 +66,12 @@ double TimeMs(const std::function<void()>& fn) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+double PeakRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
 }
 
 double Median(std::vector<double> samples) {

@@ -57,6 +57,9 @@ double TimeMs(const std::function<void()>& fn);
 /// 0 when empty.
 double Median(std::vector<double> samples);
 
+/// Peak resident set size of this process so far, in MB (getrusage).
+double PeakRssMb();
+
 /// The unique keys (l_orderkey, l_linenumber) of full lineitem rows.
 std::vector<Row> LineitemKeys(const std::vector<Row>& rows);
 

@@ -47,9 +47,8 @@ GriffinKumarMaintainer::GriffinKumarMaintainer(const Catalog* catalog,
 void GriffinKumarMaintainer::InitializeView() {
   view_store_ = std::make_unique<MaterializedView>(view_def_.output_schema());
   Evaluator evaluator(catalog_);
-  evaluator.set_table_cache(&table_cache_);
   Relation contents = evaluator.EvalToRelation(view_def_.WithProjection());
-  for (const Row& row : contents.rows()) view_store_->Insert(row);
+  for (Row& row : *contents.mutable_rows()) view_store_->Insert(std::move(row));
 }
 
 MaintenanceStats GriffinKumarMaintainer::OnInsert(const std::string& table,

@@ -5,8 +5,10 @@
 namespace ojv {
 
 Relation RecomputeView(const Catalog& catalog, const ViewDef& view) {
+  // The unpruned tree, not WithProjection(): the oracle stays independent
+  // of the narrowed expression the maintainers evaluate.
   Evaluator evaluator(&catalog);
-  return evaluator.EvalToRelation(view.WithProjection());
+  return evaluator.EvalToRelation(RelExpr::Project(view.tree(), view.output()));
 }
 
 bool ViewMatchesRecompute(const Catalog& catalog, const ViewDef& view,

@@ -10,7 +10,9 @@
 namespace ojv {
 
 /// Recomputes the view contents from scratch (the correctness oracle for
-/// every incremental strategy, and the naive maintenance baseline).
+/// every incremental strategy, and the naive maintenance baseline). It
+/// evaluates Project(view.tree(), view.output()) over full-width scans,
+/// so it also checks ViewDef::WithProjection's narrowed scans.
 Relation RecomputeView(const Catalog& catalog, const ViewDef& view);
 
 /// True when the materialized view's contents equal a from-scratch

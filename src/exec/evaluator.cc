@@ -54,8 +54,10 @@ std::shared_ptr<const Relation> NonOwning(const Relation* relation) {
   return std::shared_ptr<const Relation>(relation, [](const Relation*) {});
 }
 
+// Allocated non-const, so EvalToRelation may move an operator's result
+// out of the one pointer that holds it.
 std::shared_ptr<const Relation> Owned(Relation relation) {
-  return std::make_shared<const Relation>(std::move(relation));
+  return std::make_shared<Relation>(std::move(relation));
 }
 
 // Join-key hashes for every row of `rel` (kSkipHash for NULL keys).
@@ -161,6 +163,27 @@ obs::Counter& JoinRowsIn() {
   return rows_in;
 }
 
+// The schema `in` projected to `columns`; *positions receives each
+// output column's position in `in`.
+BoundSchema ProjectSchema(const BoundSchema& in,
+                          const std::vector<ColumnRef>& columns,
+                          std::vector<int>* positions) {
+  BoundSchema schema;
+  for (const ColumnRef& ref : columns) {
+    const int p = in.IndexOf(ref);
+    positions->push_back(p);
+    schema.AddColumn(in.column(p));
+  }
+  return schema;
+}
+
+Row ProjectRow(const Row& row, const std::vector<int>& positions) {
+  Row projected;
+  projected.reserve(positions.size());
+  for (int p : positions) projected.push_back(row[static_cast<size_t>(p)]);
+  return projected;
+}
+
 // The node a probe join fetches from: the join's right input, or the
 // input of a selection there.
 const RelExprPtr& RightScan(const RelExpr& join) {
@@ -251,6 +274,15 @@ std::shared_ptr<const Relation> Evaluator::Eval(const RelExprPtr& expr) const {
     return result;
   }
   return EvalNode(expr);
+}
+
+Relation Evaluator::EvalToRelation(const RelExprPtr& expr) const {
+  std::shared_ptr<const Relation> result = Eval(expr);
+  if (expr->kind() == RelKind::kScan || expr->kind() == RelKind::kDeltaScan) {
+    return *result;
+  }
+  // Owned allocated it non-const, and no other pointer to it exists.
+  return std::move(*std::const_pointer_cast<Relation>(result));
 }
 
 const char* ExecSpanNameFor(RelKind kind) {
@@ -374,23 +406,45 @@ Relation Evaluator::EvalSelect(const RelExpr& expr) const {
 }
 
 Relation Evaluator::EvalProject(const RelExpr& expr) const {
+  if (expr.input()->kind() == RelKind::kScan) return ProjectScan(expr);
   std::shared_ptr<const Relation> in = Eval(expr.input());
   NoteArg("rows_in", in->size());
-  BoundSchema schema;
   std::vector<int> positions;
-  for (const ColumnRef& ref : expr.projection()) {
-    int p = in->schema().IndexOf(ref);
-    positions.push_back(p);
-    schema.AddColumn(in->schema().column(p));
-  }
-  Relation out(std::move(schema));
+  Relation out(ProjectSchema(in->schema(), expr.projection(), &positions));
   std::vector<Row>& dst = *out.mutable_rows();
   dst.reserve(in->rows().size());
-  for (const Row& row : in->rows()) {
-    Row projected;
-    projected.reserve(positions.size());
-    for (int p : positions) projected.push_back(row[static_cast<size_t>(p)]);
-    dst.push_back(std::move(projected));
+  for (const Row& row : in->rows()) dst.push_back(ProjectRow(row, positions));
+  return out;
+}
+
+Relation Evaluator::ProjectScan(const RelExpr& expr) const {
+  const std::string& name = expr.input()->table();
+  auto it = overrides_.find(name);
+  const Relation* state = it == overrides_.end() ? nullptr : it->second;
+  const Table* table = state == nullptr ? catalog_->GetTable(name) : nullptr;
+  const int64_t rows_in = state != nullptr ? state->size() : table->size();
+  std::vector<int> positions;
+  Relation out(
+      ProjectSchema(state != nullptr ? state->schema() : SchemaFor(*table),
+                    expr.projection(), &positions));
+  std::vector<Row>& dst = *out.mutable_rows();
+  dst.reserve(static_cast<size_t>(rows_in));
+  auto project = [&](const Row& row) {
+    dst.push_back(ProjectRow(row, positions));
+  };
+  if (state != nullptr) {
+    for (const Row& row : state->rows()) project(row);
+  } else {
+    table->ForEach(project);
+  }
+  NoteArg("rows_in", rows_in);
+  if (trace_ != nullptr) {
+    // The scan never ran as a node of its own; record its span (before
+    // the project's, as a post-order walk would) with the rows it read.
+    // Its time is the project's.
+    trace_->RecordComplete(ExecSpanNameFor(RelKind::kScan), "exec",
+                           trace_->NowMicros(), 0, {{"rows_out", rows_in}},
+                           {{"table", name}});
   }
   return out;
 }

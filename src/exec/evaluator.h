@@ -115,8 +115,11 @@ class Evaluator {
   /// relation and must be treated as immutable.
   std::shared_ptr<const Relation> Eval(const RelExprPtr& expr) const;
 
-  /// Convenience: evaluates and deep-copies the result.
-  Relation EvalToRelation(const RelExprPtr& expr) const { return *Eval(expr); }
+  /// Evaluates the tree into a relation the caller owns. An operator
+  /// root's result is moved out, since this evaluation alone holds it; a
+  /// bare Scan or DeltaScan root may alias a cached or bound relation, so
+  /// its result is copied.
+  Relation EvalToRelation(const RelExprPtr& expr) const;
 
   /// Tagged bound schema for a base table (columns carry key ordinals).
   static BoundSchema SchemaFor(const Table& table);
@@ -160,6 +163,9 @@ class Evaluator {
                              const std::vector<int>& right_keys,
                              const ScalarExprPtr& residual_expr) const;
   Relation EvalProject(const RelExpr& expr) const;
+  /// Project(Scan(T)) fused: copies only the projected cells of T's live
+  /// rows (or of T's override) instead of a full-width copy of T first.
+  Relation ProjectScan(const RelExpr& expr) const;
   Relation EvalJoin(const RelExpr& expr) const;
   /// The probe join of `expr` over its evaluated left input, fetching
   /// through `path` (ProbePath's answer for `expr`).

@@ -104,7 +104,7 @@ void AggViewMaintainer::ApplyRow(const Row& row, int sign,
   if (acc.row_count == 0) groups->erase(key);
 }
 
-void AggViewMaintainer::LoadContents(const std::vector<Row>& rows) {
+void AggViewMaintainer::LoadContents(std::vector<Row> rows) {
   groups_.clear();
   for (const Row& row : rows) ApplyRow(row, +1, &groups_);
 }

@@ -65,7 +65,7 @@ class AggViewMaintainer : public ViewMaintainer {
   bool MatchesRecompute(double rel_tol, std::string* diff) const;
 
  protected:
-  void LoadContents(const std::vector<Row>& rows) override;
+  void LoadContents(std::vector<Row> rows) override;
   void ApplyPrimaryDelta(const Relation& primary, bool is_insert) override;
   int64_t ApplySecondaryDelta(SecondaryDeltaEngine* engine,
                               const Relation& primary,

@@ -142,11 +142,10 @@ void ViewMaintainer::InitializeView() {
   obs::Span span(options_.trace, "ivm.init_view", "ivm");
   span.AddArg("view", view_def_.name());
   Relation contents = EvaluateView(options_.trace);
-  LoadContents(contents.rows());
   span.AddArg("rows", contents.size());
-  // Prime statistics while initialization already owns a full scan of
-  // every base table; the first maintenance call should plan, not
-  // ANALYZE.
+  LoadContents(std::move(*contents.mutable_rows()));
+  // Prime statistics at set-up; the first maintenance call should plan,
+  // not ANALYZE.
   obs::Span stats_span(options_.trace, "ivm.init_stats", "ivm");
   for (const std::string& table : view_def_.tables()) {
     stats_catalog_.Get(table);
@@ -160,16 +159,13 @@ void ViewMaintainer::RestoreView(const std::vector<Row>& rows) {
 
 Relation ViewMaintainer::EvaluateView(obs::TraceContext* trace) const {
   Evaluator evaluator(catalog_);
-  evaluator.set_table_cache(&table_cache_);
   evaluator.set_trace(trace);
   return evaluator.EvalToRelation(view_def_.WithProjection());
 }
 
-void ViewMaintainer::LoadContents(const std::vector<Row>& rows) {
+void ViewMaintainer::LoadContents(std::vector<Row> rows) {
   view_store_ = std::make_unique<MaterializedView>(view_def_.output_schema());
-  for (const Row& row : rows) {
-    view_store_->Insert(row);
-  }
+  for (Row& row : rows) view_store_->Insert(std::move(row));
 }
 
 void ViewMaintainer::ApplyPrimaryDelta(const Relation& primary,

@@ -186,7 +186,7 @@ class ViewMaintainer {
   // --- storage hooks: where the deltas land ---
 
   /// Installs full view contents (InitializeView, RestoreView).
-  virtual void LoadContents(const std::vector<Row>& rows);
+  virtual void LoadContents(std::vector<Row> rows);
   /// Applies ΔV^D (aligned to the output schema) of an insert or delete.
   virtual void ApplyPrimaryDelta(const Relation& primary, bool is_insert);
   /// Computes and applies ΔV^I with `engine` after ΔV^D was applied;
@@ -195,8 +195,9 @@ class ViewMaintainer {
                                       const Relation& primary,
                                       const Relation& delta_t, bool is_insert);
 
-  /// Evaluates the whole view over the current base tables, reusing the
-  /// base tables the delta evaluations already materialized.
+  /// Evaluates the whole view over the current base tables, reading
+  /// only the columns it uses (ViewDef::WithProjection) and bypassing
+  /// table_cache_, so no whole-table copy outlives the evaluation.
   Relation EvaluateView(obs::TraceContext* trace) const;
 
  private:
@@ -244,9 +245,11 @@ class ViewMaintainer {
   /// FK-free plans for OnUpdate; empty when main_ is already FK-free.
   PlanSet update_;
   std::unique_ptr<MaterializedView> view_store_;
-  /// Base tables materialized once per table version and shared across
-  /// the primary- and secondary-delta evaluations of an operation.
-  mutable TableRelationCache table_cache_;
+  /// Base tables materialized once per table version for the
+  /// maintenance-time evaluations that still read whole tables: the §5.3
+  /// from-base fragments and the primary delta's hash-join steps.
+  /// Full-view evaluations (EvaluateView) do not use it.
+  TableRelationCache table_cache_;
   /// Cost-based planner state.
   opt::StatsCatalog stats_catalog_;
   opt::DeltaPlanner planner_;

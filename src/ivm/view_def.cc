@@ -1,5 +1,7 @@
 #include "ivm/view_def.h"
 
+#include <map>
+
 #include "common/check.h"
 #include "exec/evaluator.h"
 
@@ -95,6 +97,26 @@ RelExprPtr ReplaceOuterJoins(const RelExprPtr& expr) {
   }
 }
 
+// Wraps every Scan(T) in a Project to columns.at(T).
+RelExprPtr NarrowScans(
+    const RelExprPtr& expr,
+    const std::map<std::string, std::vector<ColumnRef>>& columns) {
+  switch (expr->kind()) {
+    case RelKind::kScan:
+      return RelExpr::Project(expr, columns.at(expr->table()));
+    case RelKind::kSelect:
+      return RelExpr::Select(NarrowScans(expr->input(), columns),
+                             expr->predicate());
+    case RelKind::kJoin:
+      return RelExpr::Join(expr->join_kind(),
+                           NarrowScans(expr->left(), columns),
+                           NarrowScans(expr->right(), columns),
+                           expr->predicate());
+    default:
+      OJV_CHECK(false, "unexpected node in view tree");
+  }
+}
+
 }  // namespace
 
 ViewDef::ViewDef(std::string name, RelExprPtr tree,
@@ -132,6 +154,21 @@ ViewDef::ViewDef(std::string name, RelExprPtr tree,
     OJV_CHECK(output_schema_.HasFullKey(t),
               "view output must include every table's unique key");
   }
+
+  // Per table, the columns the output or a predicate reads.
+  std::vector<ColumnRef> refs = output_;
+  for (const ScalarExprPtr& c : conjuncts_) c->CollectColumns(&refs);
+  const std::set<ColumnRef> read(refs.begin(), refs.end());
+  std::map<std::string, std::vector<ColumnRef>> columns;
+  for (const std::string& t : tables_) {
+    const Schema& schema = catalog.GetTable(t)->schema();
+    std::vector<ColumnRef>& kept = columns[t];
+    for (int i = 0; i < schema.num_columns(); ++i) {
+      const ColumnRef ref{t, schema.column(i).name};
+      if (read.count(ref) > 0) kept.push_back(ref);
+    }
+  }
+  evaluable_ = RelExpr::Project(NarrowScans(tree_, columns), output_);
 }
 
 ViewDef ViewDef::CoreView(const Catalog& catalog) const {

@@ -41,10 +41,12 @@ class ViewDef {
   /// The view's output schema with table tags and key ordinals.
   const BoundSchema& output_schema() const { return output_schema_; }
 
-  /// Complete evaluable expression: projection over the join tree.
-  RelExprPtr WithProjection() const {
-    return RelExpr::Project(tree_, output_);
-  }
+  /// Complete evaluable expression: the output projection over the
+  /// join tree, with every Scan(T) wrapped in a Project to the columns of
+  /// T that the output or a predicate conjunct reads (in T's column
+  /// order). The output holds every table's key, so each narrowed scan
+  /// keeps it. Same bag as Project(tree(), output()); built once.
+  const RelExprPtr& WithProjection() const { return evaluable_; }
 
   /// The "core view" of the experiments section: same tree with every
   /// outer join replaced by an inner join.
@@ -57,6 +59,7 @@ class ViewDef {
   std::set<std::string> tables_;
   std::vector<ScalarExprPtr> conjuncts_;
   BoundSchema output_schema_;
+  RelExprPtr evaluable_;
 };
 
 }  // namespace ojv

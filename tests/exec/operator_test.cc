@@ -230,5 +230,103 @@ TEST_F(OperatorTest, TableOverrideSubstitutesState) {
   EXPECT_EQ(out.row(0)[2], Value::Int64(500));
 }
 
+// Project(Scan(T)) runs fused: it copies only the projected cells of
+// T's live rows, or of T's override. It must produce what a Project over
+// the full-width rows produces; the reference binds those rows as a
+// delta, which the evaluator never fuses.
+class FusedProjectScanTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Table* w = catalog_.CreateTable(
+        "W",
+        Schema({ColumnDef{"w_a", ValueType::kInt64, true},
+                ColumnDef{"w_id1", ValueType::kInt64, false},
+                ColumnDef{"w_b", ValueType::kString, true},
+                ColumnDef{"w_id2", ValueType::kInt64, false}}),
+        {"w_id1", "w_id2"});
+    for (int64_t i = 0; i < 6; ++i) {
+      w->Insert(Row{i % 2 == 0 ? Value::Int64(i * 10) : Value::Null(),
+                    Value::Int64(i / 2), Value::String("b" + std::to_string(i)),
+                    Value::Int64(i % 2)});
+    }
+    // A dead slot: the fused scan must visit live rows only.
+    ASSERT_TRUE(w->DeleteByKey(Row{Value::Int64(1), Value::Int64(0)},
+                               nullptr));
+  }
+
+  // Project(`columns`) over Scan(W) and over a DeltaScan bound to
+  // `rows`, which must hold W's rows as the scan sees them.
+  void ExpectFusedMatches(const std::vector<ColumnRef>& columns,
+                          const Evaluator& evaluator,
+                          const Relation& rows) {
+    Relation fused =
+        evaluator.EvalToRelation(RelExpr::Project(RelExpr::Scan("W"), columns));
+    Evaluator reference(&catalog_);
+    reference.BindDelta("W", &rows);
+    Relation unfused = reference.EvalToRelation(
+        RelExpr::Project(RelExpr::DeltaScan("W"), columns));
+    ASSERT_EQ(fused.schema().num_columns(), unfused.schema().num_columns());
+    for (int i = 0; i < fused.schema().num_columns(); ++i) {
+      const BoundColumn& a = fused.schema().column(i);
+      const BoundColumn& b = unfused.schema().column(i);
+      EXPECT_EQ(a.ToString(), b.ToString());
+      EXPECT_EQ(a.type, b.type);
+      EXPECT_EQ(a.key_ordinal, b.key_ordinal);
+    }
+    EXPECT_EQ(fused.schema().KeyPositions("W"),
+              unfused.schema().KeyPositions("W"));
+    EXPECT_EQ(fused.schema().HasFullKey("W"),
+              unfused.schema().HasFullKey("W"));
+    std::string diff;
+    EXPECT_TRUE(SameBag(unfused, fused, &diff)) << diff;
+  }
+
+  Catalog catalog_;
+};
+
+TEST_F(FusedProjectScanTest, MatchesProjectOverTheMaterializedScan) {
+  const Relation rows = Evaluator::RelationFrom(*catalog_.GetTable("W"));
+  ASSERT_EQ(rows.size(), 5);
+  Evaluator evaluator(&catalog_);
+  // Key columns out of table order, a non-key column dropped.
+  ExpectFusedMatches({{"W", "w_id2"}, {"W", "w_b"}, {"W", "w_id1"}},
+                     evaluator, rows);
+  // Half the key projected away.
+  ExpectFusedMatches({{"W", "w_a"}, {"W", "w_id1"}}, evaluator, rows);
+  Relation fused = evaluator.EvalToRelation(RelExpr::Project(
+      RelExpr::Scan("W"), {{"W", "w_id2"}, {"W", "w_b"}, {"W", "w_id1"}}));
+  EXPECT_EQ(fused.schema().KeyPositions("W"), (std::vector<int>{2, 0}));
+  EXPECT_TRUE(fused.schema().HasFullKey("W"));
+}
+
+TEST_F(FusedProjectScanTest, ProjectsFromAnOverriddenTable) {
+  Relation old_state(Evaluator::SchemaFor(*catalog_.GetTable("W")));
+  old_state.Add(Row{Value::Int64(7), Value::Int64(40), Value::String("x"),
+                    Value::Int64(1)});
+  old_state.Add(Row{Value::Null(), Value::Int64(41), Value::Null(),
+                    Value::Int64(0)});
+  Evaluator evaluator(&catalog_);
+  evaluator.OverrideTable("W", &old_state);
+  ExpectFusedMatches({{"W", "w_b"}, {"W", "w_id1"}, {"W", "w_id2"}},
+                     evaluator, old_state);
+}
+
+// The fused scan records its own span before the project's, as a
+// post-order walk of Project(Scan(W)) would, with the rows it read.
+TEST_F(FusedProjectScanTest, TraceRecordsTheScanThenTheProject) {
+  obs::TraceContext trace;
+  Evaluator evaluator(&catalog_);
+  evaluator.set_trace(&trace);
+  evaluator.Eval(RelExpr::Project(RelExpr::Scan("W"), {{"W", "w_id1"}}));
+  std::vector<obs::TraceEvent> events = trace.Snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].name, "exec.scan");
+  EXPECT_EQ(*events[0].StrArg("table"), "W");
+  EXPECT_EQ(events[0].ArgOr("rows_out", -1), 5);
+  EXPECT_EQ(events[1].name, "exec.project");
+  EXPECT_EQ(events[1].ArgOr("rows_in", -1), 5);
+  EXPECT_EQ(events[1].ArgOr("rows_out", -1), 5);
+}
+
 }  // namespace
 }  // namespace ojv
