@@ -59,13 +59,12 @@ uint64_t DeltaLog::high_water_mark(const std::string& view) const {
   return it->second;
 }
 
-std::map<std::string, std::vector<DeltaEntry>> DeltaLog::PendingFor(
-    const std::string& view, const std::set<std::string>& tables) const {
-  uint64_t hwm = high_water_mark(view);
+std::map<std::string, std::vector<DeltaEntry>> DeltaLog::EntriesAfter(
+    uint64_t seq, const std::set<std::string>& tables) const {
   std::map<std::string, std::vector<DeltaEntry>> out;
   for (const auto& [table, entries] : tables_) {
     if (!tables.empty() && tables.count(table) == 0) continue;
-    auto first = FirstPending(entries, hwm);
+    auto first = FirstPending(entries, seq);
     if (first == entries.end()) continue;
     out[table].assign(first, entries.end());
   }
@@ -108,7 +107,7 @@ void DeltaLog::AdvanceTo(const std::string& view, uint64_t seq) {
 }
 
 void DeltaLog::TruncateConsumed() {
-  uint64_t min_hwm = tail();
+  uint64_t min_hwm = std::min(tail(), hold_after_);
   for (const auto& [view, hwm] : high_water_) {
     min_hwm = std::min(min_hwm, hwm);
   }

@@ -59,10 +59,15 @@ class DeltaLog {
   uint64_t tail() const { return next_seq_ - 1; }
   uint64_t high_water_mark(const std::string& view) const;
 
-  /// Entries with seq > hwm(view) whose table is in `tables`, grouped by
+  /// Entries with seq > `seq` whose table is in `tables`, grouped by
   /// table in sequence order. An empty filter selects every table.
+  std::map<std::string, std::vector<DeltaEntry>> EntriesAfter(
+      uint64_t seq, const std::set<std::string>& tables) const;
+  /// EntriesAfter(hwm(view), tables).
   std::map<std::string, std::vector<DeltaEntry>> PendingFor(
-      const std::string& view, const std::set<std::string>& tables) const;
+      const std::string& view, const std::set<std::string>& tables) const {
+    return EntriesAfter(high_water_mark(view), tables);
+  }
 
   /// Number of pending entries for `view` restricted to `tables`.
   int64_t PendingRows(const std::string& view,
@@ -76,8 +81,14 @@ class DeltaLog {
   /// Marks everything up to `seq` as consumed by `view`.
   void AdvanceTo(const std::string& view, uint64_t seq);
 
-  /// Drops entries consumed by every registered consumer.
+  /// Drops entries consumed by every registered consumer and the hold.
   void TruncateConsumed();
+
+  /// Keeps every entry after `seq` through TruncateConsumed, whatever
+  /// the consumers' marks, until ReleaseHold: an open transaction's
+  /// entries are its undo record.
+  void HoldAfter(uint64_t seq) { hold_after_ = seq; }
+  void ReleaseHold() { hold_after_ = UINT64_MAX; }
 
   /// Entries currently held (across all tables).
   int64_t size() const;
@@ -85,6 +96,7 @@ class DeltaLog {
  private:
   std::map<std::string, std::deque<DeltaEntry>> tables_;
   std::map<std::string, uint64_t> high_water_;
+  uint64_t hold_after_ = UINT64_MAX;
   uint64_t next_seq_ = 1;
 };
 

@@ -90,6 +90,8 @@ ViewMaintainer* Database::AddView(std::unique_ptr<ViewMaintainer> view) {
   view->InitializeView();
   ViewMaintainer* raw = view.get();
   views_[name] = std::move(view);
+  // Inside a transaction every view is on the log (BeginTransaction).
+  if (in_transaction_) delta_log_.RegisterConsumer(name);
   InstallSnapshotStore(name);
   return raw;
 }
@@ -186,7 +188,7 @@ Database::ReferencingRows(const std::string& table,
 void Database::Accumulate(const std::string& view,
                           const MaintenanceStats& stats) {
   ViewStats& total = stats_[view];
-  ++total.statements;
+  ++total.steps;
   total.delta_rows += stats.delta_rows;
   total.primary_rows += stats.primary_rows;
   total.secondary_rows += stats.secondary_rows;
@@ -202,13 +204,13 @@ void Database::Accumulate(const std::string& view,
 std::string Database::StatsReport() const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   std::ostringstream out;
-  out << "view                stmts      delta    primary  secondary"
+  out << "view                steps      delta    primary  secondary"
       << "    total-ms" << '\n';
   for (const auto& [name, s] : stats_) {
     char line[160];
     std::snprintf(line, sizeof(line),
                   "%-18s %6lld %10lld %10lld %10lld %11.2f\n",
-                  name.c_str(), static_cast<long long>(s.statements),
+                  name.c_str(), static_cast<long long>(s.steps),
                   static_cast<long long>(s.delta_rows),
                   static_cast<long long>(s.primary_rows),
                   static_cast<long long>(s.secondary_rows),
@@ -233,14 +235,19 @@ const std::set<std::string>& Database::TablesOf(const std::string& view) const {
 
 void Database::StageDeferred(const std::string& table, deferred::DeltaOp op,
                              const std::vector<Row>& rows, bool update_pair) {
-  if (rows.empty() || in_transaction_ || !scheduler_.HasDeferredViews()) {
+  if (rows.empty()) return;
+  // Inside a transaction every change is logged: the entries are its
+  // undo record and the kImmediate views' catch-up batch.
+  bool staged = in_transaction_;
+  if (staged) {
+    delta_log_.Append(table, op, rows, update_pair);
+  } else if (!scheduler_.HasDeferredViews()) {
     return;
   }
-  // Stage only when some deferred view will ever consume the entries.
-  // Every consumer's published snapshot generation goes stale the
-  // moment the change is staged: the stored view is now behind base
+  // Otherwise stage only when some deferred view will ever consume the
+  // entries. Every consumer's published snapshot generation goes stale
+  // the moment the change is staged: the stored view is now behind base
   // even though its contents have not moved.
-  bool staged = false;
   const int64_t now = obs::SteadyNowMicros();
   for (const std::string& view : scheduler_.DeferredViews()) {
     if (TablesOf(view).count(table) == 0) continue;
@@ -261,13 +268,17 @@ bool Database::SetRefreshPolicy(const std::string& view,
   if (views_.count(view) == 0) return false;
   bool was_deferred = scheduler_.IsDeferred(view);
   bool now_deferred = policy != deferred::RefreshPolicy::kImmediate;
-  if (was_deferred && !now_deferred) {
+  // Inside a transaction the view stays on the log either way and
+  // catches up as its new policy says when the transaction ends.
+  if (was_deferred && !now_deferred && !in_transaction_) {
     // Drain before going eager: an immediate view is never stale.
     RefreshLocked(view);
     delta_log_.UnregisterConsumer(view);
   }
   scheduler_.SetPolicy(view, policy, config);
-  if (!was_deferred && now_deferred) delta_log_.RegisterConsumer(view);
+  if (!was_deferred && now_deferred && !in_transaction_) {
+    delta_log_.RegisterConsumer(view);
+  }
   return true;
 }
 
@@ -279,7 +290,7 @@ deferred::RefreshPolicy Database::GetRefreshPolicy(
 
 int64_t Database::PendingRows(const std::string& view) const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (!scheduler_.IsDeferred(view)) return 0;
+  if (!delta_log_.IsConsumer(view)) return 0;
   return delta_log_.PendingRows(view, TablesOf(view));
 }
 
@@ -297,7 +308,7 @@ deferred::ViewRefreshState Database::RefreshState(
 
 deferred::RefreshStats Database::Refresh(const std::string& view) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  return RefreshLocked(view);  // zero stats: unknown views are not deferred
+  return RefreshLocked(view);  // zero stats: unknown views are not on the log
 }
 
 std::map<std::string, deferred::RefreshStats> Database::RefreshAll() {
@@ -370,7 +381,7 @@ ViewSnapshot Database::FreshRead(
   ViewSnapshot snap;
   {
     std::lock_guard<std::recursive_mutex> lock(mu_);
-    if (!in_transaction_ && scheduler_.IsDeferred(name)) RefreshLocked(name);
+    RefreshLocked(name);  // a no-op unless the view is on the log
     snap = SnapshotReadLocked(name, store);
   }
   RecordServeRead(read_start, snap);
@@ -411,7 +422,7 @@ ViewSnapshot Database::ReadAggregateRelation(const std::string& name) {
 
 deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
   deferred::RefreshStats stats;
-  if (!scheduler_.IsDeferred(name)) return stats;  // never stale
+  if (!delta_log_.IsConsumer(name)) return stats;  // never stale
   obs::Span refresh_span(default_options_.trace, "deferred.refresh",
                          "deferred");
   refresh_span.AddArg("view", name);
@@ -442,69 +453,51 @@ deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
       }
     }
 
-    auto maintain = [&](const MaintenanceStats& m) {
-      Accumulate(name, m);
-      stats.maintenance_micros += m.total_micros;
-    };
-
-    if (active.size() == 1 &&
-        (active[0]->deletes.empty() || active[0]->inserts.empty())) {
-      // Single-table, single-operation batch: the base table's current
-      // (post-batch) state is exactly what one eager statement with the
-      // net rows would have seen, so no revert is needed and the
-      // foreign-key plan set stays usable.
-      const deferred::TableDelta& d = *active[0];
-      if (!d.deletes.empty()) {
-        maintain(view->OnDelete(d.table, d.deletes, PlanPolicy::kDefault));
-      } else {
-        maintain(view->OnInsert(d.table, d.inserts, PlanPolicy::kDefault));
+    // A single-table, single-operation batch is maintained on the
+    // current (post-batch) base state: what one eager statement with the
+    // net rows would have seen. Any other batch (several tables, or
+    // delete+reinsert pairs) is replayed: revert the raw pending entries
+    // newest-first, then apply and maintain each net delta in
+    // first-appearance order, its deletes then its inserts, so every
+    // step sees the base state an eager run of the consolidated
+    // statements would have seen. Foreign keys may be violated between
+    // those steps (an update pair's halves, a child batch replayed before
+    // its parents), so a replay runs on the constraint-free plans (§6
+    // caveats 1 and 3), as does every refresh inside a transaction.
+    // Fully-cancelled tables are reverted and not replayed: their pre-
+    // and post-batch states coincide.
+    const bool replay = active.size() > 1 ||
+                        (active.size() == 1 && !active[0]->deletes.empty() &&
+                         !active[0]->inserts.empty());
+    const PlanPolicy policy = replay || in_transaction_
+                                  ? PlanPolicy::kConstraintFree
+                                  : PlanPolicy::kDefault;
+    if (replay) RevertNewestFirst(pending, /*log_inverses=*/false);
+    StatementResult steps;
+    for (const deferred::TableDelta* d : active) {
+      Table* base = catalog_.GetTable(d->table);
+      if (replay) {
+        std::vector<Row> keys;
+        for (const Row& row : d->deletes) keys.push_back(base->KeyOf(row));
+        OJV_CHECK(ApplyBaseDelete(base, keys).size() == keys.size(),
+                  "consolidated deletes must all be present");
       }
-    } else if (!active.empty()) {
-      // General batch (several tables, or delete+reinsert pairs): revert
-      // the raw pending entries newest-first, then replay the net deltas
-      // in first-appearance order. Every maintenance call then sees
-      // precisely the base state an eager execution of the consolidated
-      // statement sequence would have seen. Foreign keys may be violated
-      // between those statements (an update pair's halves, a child batch
-      // replayed before its parents), so the whole replay runs on the
-      // constraint-free plan sets (§6 caveats 1 and 3).
-      std::vector<std::pair<const std::string*, const deferred::DeltaEntry*>>
-          raw;
-      for (const auto& [table, entries] : pending) {
-        for (const deferred::DeltaEntry& e : entries) {
-          raw.emplace_back(&table, &e);
-        }
+      MaintainStep(d->table, d->deletes, /*is_insert=*/false, policy, view,
+                   &steps);
+      if (replay) {
+        OJV_CHECK(ApplyBaseInsert(base, d->inserts).size() == d->inserts.size(),
+                  "consolidated inserts must all be fresh keys");
       }
-      std::sort(raw.begin(), raw.end(), [](const auto& a, const auto& b) {
-        return a.second->seq > b.second->seq;
-      });
-      for (const auto& [table, entry] : raw) {
-        Table* base = catalog_.GetTable(*table);
-        if (entry->op == deferred::DeltaOp::kInsert) {
-          Row removed;
-          OJV_CHECK(base->DeleteByKey(base->KeyOf(entry->row), &removed),
-                    "deferred revert: staged insert not present");
-        } else {
-          OJV_CHECK(base->Insert(entry->row),
-                    "deferred revert: staged delete still present");
-        }
-      }
-      for (const deferred::TableDelta* d : active) {
-        Table* base = catalog_.GetTable(d->table);
-        maintain(view->OnConsolidatedBatch(base, d->table, d->deletes,
-                                           d->inserts,
-                                           PlanPolicy::kConstraintFree));
-      }
-      // Fully-cancelled tables were reverted but have nothing to replay:
-      // restore their post-batch state by definition of cancellation
-      // (their pre- and post-batch states coincide), so nothing to do.
+      MaintainStep(d->table, d->inserts, /*is_insert=*/true, policy, view,
+                   &steps);
     }
+    stats.maintenance_micros = steps.view_micros[name];
   }
 
   delta_log_.AdvanceTo(name, consumed_to);
   delta_log_.TruncateConsumed();
   stats.refresh_micros = MicrosSince(start);
-  scheduler_.RecordRefresh(name, stats);
+  if (scheduler_.IsDeferred(name)) scheduler_.RecordRefresh(name, stats);
   // The stored view is caught up: publish the refreshed contents so
   // snapshot readers see them without touching the statement mutex.
   // (No-op when the batch was empty.) Inside a transaction the contents
@@ -524,6 +517,38 @@ deferred::RefreshStats Database::RefreshLocked(const std::string& name) {
   return stats;
 }
 
+void Database::RevertNewestFirst(
+    const std::map<std::string, std::vector<deferred::DeltaEntry>>& entries,
+    bool log_inverses) {
+  std::vector<std::pair<const std::string*, const deferred::DeltaEntry*>> raw;
+  for (const auto& [table, table_entries] : entries) {
+    for (const deferred::DeltaEntry& e : table_entries) {
+      raw.emplace_back(&table, &e);
+    }
+  }
+  std::sort(raw.begin(), raw.end(), [](const auto& a, const auto& b) {
+    return a.second->seq > b.second->seq;
+  });
+  for (const auto& [table, entry] : raw) {
+    Table* base = catalog_.GetTable(*table);
+    const bool was_insert = entry->op == deferred::DeltaOp::kInsert;
+    if (was_insert) {
+      Row removed;
+      OJV_CHECK(base->DeleteByKey(base->KeyOf(entry->row), &removed),
+                "revert: logged insert not present");
+    } else {
+      OJV_CHECK(base->Insert(entry->row),
+                "revert: logged delete still present");
+    }
+    if (log_inverses) {
+      delta_log_.Append(*table,
+                        was_insert ? deferred::DeltaOp::kDelete
+                                   : deferred::DeltaOp::kInsert,
+                        {entry->row}, entry->update_pair);
+    }
+  }
+}
+
 void Database::MaybeAutoRefresh(StatementResult* result) {
   if (in_transaction_ || !scheduler_.HasDeferredViews()) return;
   if (refresher_.running()) {
@@ -537,7 +562,9 @@ void Database::MaybeAutoRefresh(StatementResult* result) {
 
 void Database::DrainDueViews() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (in_transaction_) return;  // transactions drain at Begin and run eager
+  // Inside a transaction the pending rows are uncommitted; the next
+  // drain after it ends refreshes them.
+  if (in_transaction_) return;
   RefreshDueViews(nullptr);
 }
 
@@ -576,28 +603,19 @@ void Database::StopBackgroundRefresh() { refresher_.Stop(); }
 
 // --- statements -----------------------------------------------------------
 
-void Database::MaintainInsert(const std::string& table,
-                              const std::vector<Row>& rows,
-                              StatementResult* result) {
+void Database::MaintainStep(const std::string& table,
+                            const std::vector<Row>& rows, bool is_insert,
+                            PlanPolicy policy, ViewMaintainer* only,
+                            StatementResult* result) {
+  if (rows.empty() || (only == nullptr && in_transaction_)) return;
   auto start = std::chrono::steady_clock::now();
   for (auto& [name, view] : views_) {
+    if (only != nullptr ? view.get() != only : scheduler_.IsDeferred(name)) {
+      continue;
+    }
     if (view->view_def().tables().count(table) == 0) continue;
-    if (DeferredNow(name)) continue;
-    MaintenanceStats stats = view->OnInsert(table, rows, CurrentPolicy());
-    Accumulate(name, stats);
-    result->view_micros[name] += stats.total_micros;
-  }
-  result->maintenance_micros += MicrosSince(start);
-}
-
-void Database::MaintainDelete(const std::string& table,
-                              const std::vector<Row>& rows,
-                              StatementResult* result) {
-  auto start = std::chrono::steady_clock::now();
-  for (auto& [name, view] : views_) {
-    if (view->view_def().tables().count(table) == 0) continue;
-    if (DeferredNow(name)) continue;
-    MaintenanceStats stats = view->OnDelete(table, rows, CurrentPolicy());
+    MaintenanceStats stats = is_insert ? view->OnInsert(table, rows, policy)
+                                       : view->OnDelete(table, rows, policy);
     Accumulate(name, stats);
     result->view_micros[name] += stats.total_micros;
   }
@@ -628,15 +646,10 @@ Database::StatementResult Database::Insert(const std::string& table,
     accepted.push_back(row);
   }
   result.rows_affected = static_cast<int64_t>(accepted.size());
-  if (!accepted.empty()) {
-    MaintainInsert(table, accepted, &result);
-    StageDeferred(table, deferred::DeltaOp::kInsert, accepted,
-                  /*update_pair=*/false);
-    if (in_transaction_) {
-      undo_log_.push_back(
-          {UndoEntry::Kind::kDeleteInserted, table, accepted, {}});
-    }
-  }
+  MaintainStep(table, accepted, /*is_insert=*/true, PlanPolicy::kDefault,
+               nullptr, &result);
+  StageDeferred(table, deferred::DeltaOp::kInsert, accepted,
+                /*update_pair=*/false);
   MaybeAutoRefresh(&result);
   span.AddArg("rows_affected", result.rows_affected);
   span.AddArg("rows_rejected", result.rows_rejected);
@@ -675,8 +688,9 @@ Database::StatementResult Database::DeleteLocked(const std::string& table,
   // before anything changes, so a blocking child anywhere in it rejects
   // the statement with every table untouched. Cascaded children are
   // deleted (and their views maintained) before their parents. Inside a
-  // transaction the checks are deferred to Commit and cascades are
-  // suppressed (SQL defers the constraint action too).
+  // transaction the checks are deferred to Commit, cascades are
+  // suppressed (SQL defers the constraint action too) and no view is
+  // maintained.
   DeleteSteps steps;
   if (in_transaction_) {
     steps.emplace_back(table, std::move(valid_keys));
@@ -690,14 +704,10 @@ Database::StatementResult Database::DeleteLocked(const std::string& table,
         ApplyBaseDelete(catalog_.GetTable(step_table), step_keys);
     deleted_here = deleted.size();
     result.rows_affected += static_cast<int64_t>(deleted.size());
-    if (deleted.empty()) continue;
-    MaintainDelete(step_table, deleted, &result);
+    MaintainStep(step_table, deleted, /*is_insert=*/false,
+                 PlanPolicy::kDefault, nullptr, &result);
     StageDeferred(step_table, deferred::DeltaOp::kDelete, deleted,
                   /*update_pair=*/false);
-    if (in_transaction_) {
-      undo_log_.push_back(
-          {UndoEntry::Kind::kReinsertDeleted, step_table, deleted, {}});
-    }
   }
   result.rows_rejected += static_cast<int64_t>(keys.size() - deleted_here);
   return result;
@@ -777,33 +787,27 @@ Database::StatementResult Database::Update(const std::string& table,
       ++result.rows_rejected;
       continue;
     }
-    OJV_CHECK(base->Insert(new_rows[i]), "reinsert under same key");
     old_rows.push_back(std::move(old_row));
     applied_new.push_back(new_rows[i]);
   }
   result.rows_affected = static_cast<int64_t>(applied_new.size());
   if (applied_new.empty()) return result;
 
-  auto start = std::chrono::steady_clock::now();
-  for (auto& [name, view] : views_) {
-    if (view->view_def().tables().count(table) == 0) continue;
-    if (DeferredNow(name)) continue;
-    MaintenanceStats stats = view->OnUpdate(table, old_rows, applied_new);
-    Accumulate(name, stats);
-    result.view_micros[name] += stats.total_micros;
-  }
-  result.maintenance_micros += MicrosSince(start);
-  // Stage both halves flagged as an update pair: wherever the refresh
-  // boundary falls, their replay must stay on constraint-free plans
-  // (§6 caveat 1).
+  // A delete step, then an insert step. Between them a foreign key need
+  // not hold (a parent's children are orphaned), so both run on the
+  // constraint-free plans (§6 caveat 1). Both halves are staged as an
+  // update pair.
+  MaintainStep(table, old_rows, /*is_insert=*/false,
+               PlanPolicy::kConstraintFree, nullptr, &result);
   StageDeferred(table, deferred::DeltaOp::kDelete, old_rows,
                 /*update_pair=*/true);
+  for (const Row& row : applied_new) {
+    OJV_CHECK(base->Insert(row), "reinsert under same key");
+  }
+  MaintainStep(table, applied_new, /*is_insert=*/true,
+               PlanPolicy::kConstraintFree, nullptr, &result);
   StageDeferred(table, deferred::DeltaOp::kInsert, applied_new,
                 /*update_pair=*/true);
-  if (in_transaction_) {
-    undo_log_.push_back(
-        {UndoEntry::Kind::kReverseUpdate, table, applied_new, old_rows});
-  }
   MaybeAutoRefresh(&result);
   span.AddArg("rows_affected", result.rows_affected);
   span.AddArg("rows_rejected", result.rows_rejected);
@@ -813,83 +817,62 @@ Database::StatementResult Database::Update(const std::string& table,
 bool Database::BeginTransaction() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (in_transaction_) return false;
-  // Deferred views catch up first: statements inside the transaction are
-  // maintained eagerly (on constraint-free plans), and rollback's
-  // inverse statements assume the views reflect all prior statements.
-  for (const std::string& view : scheduler_.DeferredViews()) {
-    RefreshLocked(view);
-  }
   in_transaction_ = true;
-  undo_log_.clear();
+  txn_start_ = delta_log_.tail();
+  delta_log_.HoldAfter(txn_start_);
+  // The kImmediate views join the log until the transaction ends.
+  for (const auto& [name, view] : views_) {
+    if (!scheduler_.IsDeferred(name)) delta_log_.RegisterConsumer(name);
+  }
   return true;
 }
 
 Database::StatementResult Database::Commit() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
+  obs::Span span(default_options_.trace, "db.commit", "db");
   StatementResult result;
+  std::string violation;
   if (!in_transaction_) {
     result.error = "no open transaction";
-    return result;
-  }
-  std::string violation;
-  if (!catalog_.CheckForeignKeys(&violation)) {
+  } else if (!catalog_.CheckForeignKeys(&violation)) {
     Rollback();
     result.error = "commit aborted: " + violation;
-    return result;
+  } else {
+    FinishTransaction();
+    MaybeAutoRefresh(&result);
   }
-  in_transaction_ = false;
-  undo_log_.clear();
+  span.AddArg("ok", static_cast<int64_t>(result.ok()));
   return result;
 }
 
 bool Database::Rollback() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (!in_transaction_) return false;
-  // Replay inverses newest-first; maintenance stays constraint-free
-  // (in_transaction_ remains set until we are done).
-  StatementResult scratch;
-  for (auto it = undo_log_.rbegin(); it != undo_log_.rend(); ++it) {
-    Table* base = catalog_.GetTable(it->table);
-    switch (it->kind) {
-      case UndoEntry::Kind::kDeleteInserted: {
-        std::vector<Row> keys;
-        for (const Row& row : it->rows) keys.push_back(base->KeyOf(row));
-        std::vector<Row> deleted = ApplyBaseDelete(base, keys);
-        OJV_CHECK(deleted.size() == keys.size(), "rollback delete mismatch");
-        MaintainDelete(it->table, deleted, &scratch);
-        break;
-      }
-      case UndoEntry::Kind::kReinsertDeleted: {
-        std::vector<Row> inserted = ApplyBaseInsert(base, it->rows);
-        OJV_CHECK(inserted.size() == it->rows.size(),
-                  "rollback insert mismatch");
-        MaintainInsert(it->table, inserted, &scratch);
-        break;
-      }
-      case UndoEntry::Kind::kReverseUpdate: {
-        std::vector<Row> keys;
-        for (const Row& row : it->rows) keys.push_back(base->KeyOf(row));
-        std::vector<Row> current;
-        ApplyBaseUpdate(base, keys, it->old_rows, &current);
-        // These reversals bypass Accumulate (rollback is not a
-        // maintenance statement), so invalidate the snapshot
-        // generations explicitly.
-        const int64_t now = obs::SteadyNowMicros();
-        for (auto& [name, view] : views_) {
-          if (view->view_def().tables().count(it->table) > 0) {
-            view->OnUpdate(it->table, current, it->old_rows);
-            if (auto store = SnapshotStoreFor(name)) {
-              store->NoteContentChanged(now);
-            }
-          }
-        }
-        break;
-      }
-    }
-  }
-  undo_log_.clear();
-  in_transaction_ = false;
+  obs::Span span(default_options_.trace, "db.rollback", "db");
+  // The inverses are logged in the order they are applied. For a view
+  // that consumed none of the transaction they cancel against its
+  // entries at consolidation; a view that did replays them.
+  RevertNewestFirst(delta_log_.EntriesAfter(txn_start_, {}),
+                    /*log_inverses=*/true);
+  FinishTransaction();
   return true;
+}
+
+void Database::FinishTransaction() {
+  // Still inside the transaction, so these catch-ups run on the
+  // constraint-free plans and publish nothing. A deferred view that
+  // read inside the transaction catches up too: its contents may hold a
+  // state in which a foreign key did not hold.
+  for (const auto& [name, view] : views_) {
+    const bool eager = !scheduler_.IsDeferred(name);
+    if (eager || delta_log_.high_water_mark(name) > txn_start_) {
+      RefreshLocked(name);
+    }
+    if (eager) delta_log_.UnregisterConsumer(name);
+  }
+  in_transaction_ = false;
+  delta_log_.ReleaseHold();
+  delta_log_.TruncateConsumed();
 }
 
 }  // namespace ojv

@@ -24,7 +24,8 @@ namespace ojv {
 /// governed per view by a refresh policy (src/deferred/):
 ///
 ///   - kImmediate (default): maintained inside the statement, exactly
-///     the paper's setup and the seed behavior;
+///     the paper's setup and the seed behavior (inside a transaction,
+///     at Commit or Rollback instead);
 ///   - kOnDemand: statements stage their changes in an append-only delta
 ///     log; the view catches up at read time or on an explicit Refresh;
 ///   - kThreshold: like kOnDemand, but the view auto-refreshes when its
@@ -108,8 +109,8 @@ class Database {
   StatementResult Delete(const std::string& table,
                          const std::vector<Row>& keys);
 
-  /// Updates rows by key (delete+insert pair, §6 caveat 1 honored by
-  /// the maintainers). Key columns must be unchanged.
+  /// Updates rows by key as a delete step, then an insert step, both on
+  /// the constraint-free plans (§6 caveat 1). Keys must be unchanged.
   StatementResult Update(const std::string& table,
                          const std::vector<Row>& keys,
                          const std::vector<Row>& new_rows);
@@ -122,17 +123,18 @@ class Database {
 
   /// Sets a view's refresh policy. Switching away from kImmediate
   /// registers the view on the delta log (it is up to date at that
-  /// point); switching back drains it first. `config` only matters for
-  /// kThreshold. A refresh replays on the view's own executor config
-  /// (MaintenanceOptions::exec). Returns false for an unknown view.
+  /// point); switching back drains it first. Inside a transaction only
+  /// the policy changes; the view catches up by it when the transaction
+  /// ends. `config` only matters for kThreshold. Returns false for an
+  /// unknown view.
   bool SetRefreshPolicy(
       const std::string& view, deferred::RefreshPolicy policy,
       deferred::ThresholdConfig config = deferred::ThresholdConfig());
   deferred::RefreshPolicy GetRefreshPolicy(const std::string& view) const;
 
   /// Drains the view's pending deltas into its contents. A no-op (zero
-  /// stats) for kImmediate views, which are never stale, and for
-  /// unknown views.
+  /// stats) for unknown views and, outside a transaction, for
+  /// kImmediate views, which are never stale there.
   deferred::RefreshStats Refresh(const std::string& view);
 
   /// Refreshes every deferred view; returns per-view stats.
@@ -159,9 +161,9 @@ class Database {
   /// observes the full view. An invalid snapshot (== nullptr) means
   /// unknown view; ReadView answers row views only,
   /// ReadAggregateRelation aggregation views only. Inside a transaction
-  /// the read sees the transaction's own writes through an unpublished
-  /// generation (number 0): other readers keep the last committed
-  /// generation.
+  /// the read catches the view up to the transaction's own writes and
+  /// pins them as an unpublished generation (number 0): other readers
+  /// keep the last committed generation.
   ViewSnapshot ReadView(const std::string& name);
   ViewSnapshot ReadAggregateRelation(const std::string& name);
 
@@ -184,33 +186,32 @@ class Database {
 
   // --- multi-statement transactions (§6 caveat 3) ---
   //
-  // Inside a transaction, foreign-key checking is deferred: statements
-  // skip per-row enforcement and view maintenance runs on the
-  // constraint-free plan sets (a deferrable constraint may be violated
-  // between statements, so the FK optimizations are off). Commit()
-  // validates every declared constraint; a violation rolls the whole
-  // transaction back — base tables and views — via inverse statements.
-  // Deferred views are drained at BeginTransaction and maintained
-  // eagerly until the transaction ends, so the undo log's inverse
-  // statements always see up-to-date views.
+  // A transaction is one delta-log batch, and the log is its undo
+  // record. Inside it, statements skip FK checks and cascades, apply and
+  // log their changes, and maintain no view. A read (ReadView, Refresh)
+  // catches a view up on the constraint-free plans, since a deferrable
+  // constraint may be violated between statements, and publishes nothing.
 
   /// Starts a transaction. Returns false if one is already open.
   bool BeginTransaction();
 
-  /// Validates deferred constraints and finishes the transaction. On
-  /// violation the transaction is rolled back and the result carries
-  /// the error.
+  /// Validates every declared foreign key. On success each kImmediate
+  /// view catches up on the batch; a deferred view keeps it pending
+  /// unless it read inside the transaction. On violation the
+  /// transaction is rolled back and the result carries the error.
   StatementResult Commit();
 
-  /// Reverts every statement of the open transaction (inverse order).
+  /// Reverts the base tables from the transaction's log entries, newest
+  /// first, and logs the inverses: they cancel for a view that did not
+  /// read inside the transaction, and a view that did replays them.
   /// Returns false when no transaction is open.
   bool Rollback();
 
   bool in_transaction() const { return in_transaction_; }
 
   /// Cumulative maintenance counters per view since creation, rendered
-  /// as a table: statements observed, delta/primary/secondary row
-  /// totals, and total maintenance time.
+  /// as a table: maintenance steps, delta/primary/secondary row totals,
+  /// and total maintenance time.
   std::string StatsReport() const;
 
   /// Per-view refresh-policy counters (refreshes, raw vs consolidated
@@ -238,21 +239,18 @@ class Database {
   bool CollectCascade(const std::string& table, std::vector<Row> keys,
                       DeleteSteps* steps, std::string* error);
 
-  void MaintainInsert(const std::string& table, const std::vector<Row>& rows,
-                      StatementResult* result);
-  void MaintainDelete(const std::string& table, const std::vector<Row>& rows,
-                      StatementResult* result);
-
-  /// True when `view`'s maintenance is being staged rather than run
-  /// inside the current statement.
-  bool DeferredNow(const std::string& view) const {
-    return !in_transaction_ && scheduler_.IsDeferred(view);
-  }
+  /// The one caller of ViewMaintainer::OnInsert/OnDelete: `rows` were
+  /// just inserted into (deleted from) `table`. Maintains `only`, or if
+  /// null every kImmediate view (none inside a transaction), when it
+  /// reads `table`, and books each view's cost into `result`.
+  void MaintainStep(const std::string& table, const std::vector<Row>& rows,
+                    bool is_insert, PlanPolicy policy, ViewMaintainer* only,
+                    StatementResult* result);
 
   /// Tables referenced by the (row or aggregate) view.
   const std::set<std::string>& TablesOf(const std::string& view) const;
   /// Stages a statement's rows for the deferred views that reference
-  /// `table`; no-op when none do.
+  /// `table`; no-op when none do, except inside a transaction.
   void StageDeferred(const std::string& table, deferred::DeltaOp op,
                      const std::vector<Row>& rows, bool update_pair);
   /// Threshold check after a statement: refreshes due views inline, or
@@ -296,19 +294,23 @@ class Database {
   ViewSnapshot FreshRead(const std::string& name,
                          const std::shared_ptr<GenerationStore>& store);
 
-  /// The one refresh path for a deferred view: consolidates its pending
-  /// batch, reverts and replays it (or, for a single-table single-op
-  /// batch, maintains the post-batch state directly), advances its
-  /// delta-log mark and, outside a transaction, publishes a generation.
-  /// Caller holds `mu_`.
+  /// The one refresh path for a view on the delta log (a deferred view,
+  /// or inside a transaction any view): consolidates its pending batch,
+  /// reverts and replays it (or, for a single-table single-op batch,
+  /// maintains the post-batch state directly), advances its delta-log
+  /// mark and, outside a transaction, publishes a generation. Caller
+  /// holds `mu_`.
   deferred::RefreshStats RefreshLocked(const std::string& view);
+  /// Undoes the base-table changes of `entries` newest-first; with
+  /// `log_inverses`, logs each undo as a new entry.
+  void RevertNewestFirst(
+      const std::map<std::string, std::vector<deferred::DeltaEntry>>& entries,
+      bool log_inverses);
+  /// Commit and Rollback's tail: catches up the kImmediate views and the
+  /// views that read inside the transaction, then closes it.
+  void FinishTransaction();
   StatementResult DeleteLocked(const std::string& table,
                                const std::vector<Row>& keys);
-
-  PlanPolicy CurrentPolicy() const {
-    return in_transaction_ ? PlanPolicy::kConstraintFree
-                           : PlanPolicy::kDefault;
-  }
 
   Catalog catalog_;
   MaintenanceOptions default_options_;
@@ -316,7 +318,7 @@ class Database {
   std::map<std::string, std::unique_ptr<ViewMaintainer>> views_;
 
   struct ViewStats {
-    int64_t statements = 0;
+    int64_t steps = 0;
     int64_t delta_rows = 0;
     int64_t primary_rows = 0;
     int64_t secondary_rows = 0;
@@ -340,15 +342,9 @@ class Database {
   deferred::RefreshScheduler scheduler_;
   deferred::BackgroundRefresher refresher_;
 
-  struct UndoEntry {
-    enum class Kind { kDeleteInserted, kReinsertDeleted, kReverseUpdate };
-    Kind kind;
-    std::string table;
-    std::vector<Row> rows;      // inserted rows / deleted rows / new rows
-    std::vector<Row> old_rows;  // kReverseUpdate only
-  };
   bool in_transaction_ = false;
-  std::vector<UndoEntry> undo_log_;
+  /// The delta log's tail when the open transaction began.
+  uint64_t txn_start_ = 0;
 };
 
 }  // namespace ojv

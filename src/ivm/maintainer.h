@@ -39,8 +39,8 @@ struct MaintenanceOptions {
 /// Which plan set a maintenance call uses. kConstraintFree selects the
 /// FK-free plans (unpruned normal form, no Theorem 3 / SimplifyTree):
 /// required while a deferrable constraint may be violated — UPDATE
-/// pairs (§6 caveat 1) and statements inside multi-statement
-/// transactions with deferred checking (§6 caveat 3).
+/// pairs (§6 caveat 1) and every refresh inside a multi-statement
+/// transaction, whose checks are deferred (§6 caveat 3).
 enum class PlanPolicy { kDefault, kConstraintFree };
 
 /// Counters and timings for one maintenance operation.

@@ -294,14 +294,17 @@ std::optional<Relation> AnswerFromView(const ViewDef& query,
 std::optional<Relation> AnswerFromDatabase(const ViewDef& query, Database* db,
                                            std::string* matched_view) {
   for (ViewMaintainer* maintainer : db->Views()) {
-    std::optional<Relation> answer = AnswerFromView(
-        query, maintainer->view_def(), maintainer->view(), *db->catalog());
-    if (answer.has_value()) {
-      if (matched_view != nullptr) {
-        *matched_view = maintainer->view_def().name();
-      }
-      return answer;
-    }
+    const ViewDef& view = maintainer->view_def();
+    MatchResult match = MatchView(query, view, *db->catalog());
+    // The stored contents can lag the base tables (a deferred view, or
+    // any view inside a transaction): the fresh read catches up first.
+    ViewSnapshot snap =
+        match.matched ? db->ReadView(view.name()) : ViewSnapshot();
+    if (!snap) continue;
+    if (matched_view != nullptr) *matched_view = view.name();
+    Evaluator evaluator(db->catalog());
+    evaluator.BindDelta("#view", &snap.relation());
+    return evaluator.EvalToRelation(match.rewrite);
   }
   return std::nullopt;
 }

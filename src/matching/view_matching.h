@@ -63,6 +63,8 @@ std::optional<Relation> AnswerFromView(const ViewDef& query,
 /// Scans the database's registered views for one that can answer the
 /// query; returns the first match's answer (and the view's name through
 /// *matched_view if non-null), or std::nullopt when no view qualifies.
+/// The answer reads the view through Database::ReadView, so it sees
+/// every base change so far, the caller's open transaction included.
 std::optional<Relation> AnswerFromDatabase(const ViewDef& query, Database* db,
                                            std::string* matched_view);
 

@@ -291,24 +291,78 @@ TEST_F(DeferredDatabaseTest, SwitchingBackToImmediateDrainsFirst) {
   EXPECT_EQ(view->view().size(), 2);
 }
 
-TEST_F(DeferredDatabaseTest, TransactionsDrainDeferredViewsAndRunEager) {
+// A transaction is one delta-log batch: a deferred view that does not
+// read inside it keeps every row pending, its own and the
+// transaction's, until it refreshes.
+TEST_F(DeferredDatabaseTest, TransactionRowsStayPendingForDeferredViews) {
   ViewMaintainer* view = db_.CreateMaterializedView(MakeDeptView());
   db_.SetRefreshPolicy("dept_emp", RefreshPolicy::kOnDemand);
   db_.Insert("dept", {Dept(1, "eng")});
   EXPECT_EQ(db_.PendingRows("dept_emp"), 1);
 
   ASSERT_TRUE(db_.BeginTransaction());
-  EXPECT_EQ(db_.PendingRows("dept_emp"), 0);  // drained at Begin
-  EXPECT_TRUE(Matches(view));
-
-  // Statements inside the transaction maintain the view immediately.
+  EXPECT_EQ(db_.PendingRows("dept_emp"), 1);  // survives Begin
+  EXPECT_EQ(view->view().size(), 0);
   db_.Insert("emp", {Emp(10, 1, 100.0)});
-  EXPECT_TRUE(Matches(view));
-  EXPECT_EQ(db_.PendingRows("dept_emp"), 0);
+  ASSERT_TRUE(db_.Commit().ok());
 
-  db_.Rollback();
+  // The committed rows are pending until Refresh.
+  EXPECT_EQ(db_.PendingRows("dept_emp"), 2);
+  EXPECT_EQ(view->view().size(), 0);
+  db_.Refresh("dept_emp");
+  EXPECT_EQ(db_.PendingRows("dept_emp"), 0);
   EXPECT_TRUE(Matches(view));
-  EXPECT_EQ(db_.catalog()->GetTable("emp")->size(), 0);
+
+  // After a rollback the transaction's forward and inverse entries
+  // cancel; the refresh applies only the row staged before it.
+  db_.Insert("dept", {Dept(2, "ops")});
+  ASSERT_TRUE(db_.BeginTransaction());
+  db_.Insert("emp", {Emp(11, 2, 50.0)});
+  db_.Delete("emp", {Key(10)});
+  db_.Update("dept", {Key(1)}, {Dept(1, "renamed")});
+  ASSERT_TRUE(db_.Rollback());
+  EXPECT_EQ(db_.catalog()->GetTable("emp")->size(), 1);
+  RefreshStats stats = db_.Refresh("dept_emp");
+  EXPECT_EQ(stats.raw_entries, 9);  // 1 staged before, 4 forward, 4 inverse
+  EXPECT_EQ(stats.consolidated_rows, 1);
+  EXPECT_TRUE(Matches(view));
+  EXPECT_EQ(db_.DeltaLogSize(), 0);
+}
+
+// A deferred view read inside a transaction holds a state in which a
+// foreign key may not hold (inside a transaction even a non-deferrable
+// FK is checked only at Commit). It catches up when the transaction
+// ends, on the constraint-free plans, so its next refresh starts from a
+// committed state where the FK plans are sound.
+TEST_F(DeferredDatabaseTest, DeferredViewReadInsideTransactionCatchesUpAtEnd) {
+  db_.catalog()->AddForeignKey({"emp", {"e_dept"}, "dept", {"d_id"}});
+  ViewMaintainer* view = db_.CreateMaterializedView(MakeDeptView());
+  db_.SetRefreshPolicy("dept_emp", RefreshPolicy::kOnDemand);
+  db_.Insert("dept", {Dept(1, "eng")});
+
+  ASSERT_TRUE(db_.BeginTransaction());
+  db_.Insert("emp", {Emp(10, 2, 100.0)});  // dept 2 does not exist yet
+  EXPECT_EQ(db_.ReadView("dept_emp").size(), 2);
+  db_.Insert("dept", {Dept(2, "ops")});
+  ASSERT_TRUE(db_.Commit().ok());
+  EXPECT_EQ(db_.PendingRows("dept_emp"), 0);
+  db_.Refresh("dept_emp");
+  EXPECT_TRUE(Matches(view));
+
+  ASSERT_TRUE(db_.BeginTransaction());
+  db_.Insert("emp", {Emp(11, 3, 50.0)});  // dangling until rolled back
+  EXPECT_EQ(db_.ReadView("dept_emp").size(), 3);
+  ASSERT_TRUE(db_.Rollback());
+  EXPECT_EQ(db_.PendingRows("dept_emp"), 0);
+  db_.Refresh("dept_emp");
+  EXPECT_TRUE(Matches(view));
+
+  // Single-table batches after the transactions run on the FK plans.
+  db_.Insert("dept", {Dept(3, "hr")});
+  db_.Refresh("dept_emp");
+  db_.Delete("emp", {Key(10)});
+  db_.Refresh("dept_emp");
+  EXPECT_TRUE(Matches(view));
 }
 
 TEST_F(DeferredDatabaseTest, DroppingADeferredViewReleasesItsLog) {

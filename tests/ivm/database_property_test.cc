@@ -3,7 +3,9 @@
 // commit or roll back, validated against a shadow catalog that applies
 // only the surviving statements. Views must always equal a recompute of
 // the *real* catalog, and after every commit/rollback the real catalog
-// must equal the shadow.
+// must equal the shadow. Fresh reads inside a transaction catch the view
+// up mid-transaction, so a rollback either cancels the transaction's
+// entries (no read) or replays their inverses into the view (a read).
 
 #include <gtest/gtest.h>
 
@@ -161,6 +163,14 @@ TEST_P(DatabasePropertyTest, TransactionsAgreeWithShadowModel) {
         Stmt stmt = random_statement(real);
         apply(real, stmt);
         stmts.push_back(std::move(stmt));
+        if (rng.Chance(0.3)) {
+          ViewSnapshot snap = real.ReadView("pc");
+          ASSERT_TRUE(snap.valid());
+          std::string diff;
+          ASSERT_TRUE(ViewMatchesRecompute(*real.catalog(), view->view_def(),
+                                           snap.relation(), &diff))
+              << "fresh read in txn, seed " << seed << ": " << diff;
+        }
       }
       bool explicit_rollback = rng.Chance(0.25);
       if (explicit_rollback) {
@@ -184,6 +194,9 @@ TEST_P(DatabasePropertyTest, TransactionsAgreeWithShadowModel) {
       ASSERT_EQ(r1.rows_affected, r2.rows_affected);
       expect_same_tables("after autocommit");
     }
+    // The only view is eager: once no transaction is open, nothing
+    // waits in the delta log.
+    ASSERT_EQ(real.DeltaLogSize(), 0) << "round " << round << " seed " << seed;
   }
 }
 

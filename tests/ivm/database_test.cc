@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/recompute.h"
+#include "obs/trace.h"
 
 namespace ojv {
 namespace {
@@ -330,6 +331,40 @@ TEST_F(DatabaseTest, UpdateOfReferencedParentWithDeclaredFk) {
     if (row[1] == Value::String("engineering")) found = true;
   });
   EXPECT_TRUE(found);
+}
+
+TEST_F(DatabaseTest, UpdateOfParentsWithChildrenRunsTwoConstraintFreeSteps) {
+  // An UPDATE is its delete step, then its insert step. Between them the
+  // updated departments are gone and their employees are orphans, which
+  // the FK plans assume cannot exist, so both steps run constraint-free.
+  db_.catalog()->AddForeignKey({"emp", {"e_dept"}, "dept", {"d_id"}});
+  ViewMaintainer* view = db_.CreateMaterializedView(MakeDeptView());
+  db_.Insert("dept", {Dept(1, "eng"), Dept(2, "ops"), Dept(3, "hr")});
+  db_.Insert("emp", {Emp(10, 1, 100.0), Emp(11, 1, 90.0), Emp(20, 2, 80.0)});
+
+  obs::TraceContext trace;
+  db_.set_trace(&trace);
+  Database::StatementResult result =
+      db_.Update("dept",
+                 {Row{Value::Int64(1)}, Row{Value::Int64(2)},
+                  Row{Value::Int64(3)}},
+                 {Dept(1, "eng2"), Dept(2, "ops2"), Dept(3, "hr2")});
+  db_.set_trace(nullptr);
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.rows_affected, 3);
+  std::string diff;
+  ASSERT_TRUE(ViewMatchesRecompute(*db_.catalog(), view->view_def(),
+                                   view->view(), &diff))
+      << diff;
+  EXPECT_EQ(view->view().size(), 4);  // three employees and hr
+
+  std::vector<std::string> steps;
+  for (const obs::TraceEvent& e : trace.Snapshot()) {
+    if (e.name == "ivm.maintain") {
+      steps.push_back(*e.StrArg("op") + "/" + *e.StrArg("policy"));
+    }
+  }
+  EXPECT_EQ(steps, (std::vector<std::string>{"delete/cf", "insert/cf"}));
 }
 
 TEST_F(DatabaseTest, AggregateViewsThroughStatements) {

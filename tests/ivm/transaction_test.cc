@@ -1,7 +1,10 @@
 // Multi-statement transactions with deferred FK checking (§6 caveat 3):
 // constraint-violating intermediate states are allowed, Commit validates
 // and either finalizes or rolls everything back — base tables and all
-// maintained views.
+// maintained views. Inside a transaction a view catches up only when it
+// is read, so mid-transaction checks go through ReadView. Every FK check
+// waits for Commit, deferrable or not, so each test runs with both kinds
+// of FK; only a non-deferrable one lets the maintainers exploit it.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +20,7 @@ ScalarExprPtr Eq(const char* t1, const char* c1, const char* t2,
                              ScalarExpr::Column(t2, c2));
 }
 
-class TransactionTest : public ::testing::Test {
+class TransactionTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
     db_.catalog()->CreateTable(
@@ -32,7 +35,7 @@ class TransactionTest : public ::testing::Test {
                 ColumnDef{"e_salary", ValueType::kFloat64, true}}),
         {"e_id"});
     ForeignKey fk{"emp", {"e_dept"}, "dept", {"d_id"}};
-    fk.deferrable = true;
+    fk.deferrable = GetParam();
     db_.catalog()->AddForeignKey(fk);
 
     RelExprPtr tree = RelExpr::Join(
@@ -58,18 +61,28 @@ class TransactionTest : public ::testing::Test {
         << when << ": " << diff;
   }
 
+  // The read-your-writes path: catches the view up first.
+  void ExpectReadConsistent(const char* when) {
+    ViewSnapshot snap = db_.ReadView("dept_emp");
+    ASSERT_TRUE(snap.valid()) << when;
+    std::string diff;
+    EXPECT_TRUE(ViewMatchesRecompute(*db_.catalog(), view_->view_def(),
+                                     snap.relation(), &diff))
+        << when << ": " << diff;
+  }
+
   Database db_;
   ViewMaintainer* view_ = nullptr;
 };
 
-TEST_F(TransactionTest, DeferredChecksAllowTemporaryViolations) {
+TEST_P(TransactionTest, DeferredChecksAllowTemporaryViolations) {
   ASSERT_TRUE(db_.BeginTransaction());
   // Child first, parent second — invalid order outside a transaction.
   EXPECT_EQ(db_.Insert("emp", {Row{Value::Int64(11), Value::Int64(2),
                                    Value::Float64(50)}})
                 .rows_affected,
             1);
-  ExpectConsistent("mid-transaction (violated FK)");
+  ExpectReadConsistent("mid-transaction (violated FK)");
   EXPECT_EQ(db_.Insert("dept", {Row{Value::Int64(2), Value::String("ops")}})
                 .rows_affected,
             1);
@@ -80,7 +93,7 @@ TEST_F(TransactionTest, DeferredChecksAllowTemporaryViolations) {
   ExpectConsistent("after commit");
 }
 
-TEST_F(TransactionTest, CommitViolationRollsEverythingBack) {
+TEST_P(TransactionTest, CommitViolationRollsEverythingBack) {
   int64_t dept_before = db_.catalog()->GetTable("dept")->size();
   int64_t emp_before = db_.catalog()->GetTable("emp")->size();
   Relation view_before = view_->view().AsRelation();
@@ -92,7 +105,9 @@ TEST_F(TransactionTest, CommitViolationRollsEverythingBack) {
   db_.Delete("emp", {Row{Value::Int64(10)}});
   db_.Update("dept", {Row{Value::Int64(1)}},
              {Row{Value::Int64(1), Value::String("renamed")}});
-  ExpectConsistent("mid-transaction");
+  // The read catches the view up inside the transaction, so the
+  // rollback below must replay the inverses into it.
+  ExpectReadConsistent("mid-transaction");
 
   Database::StatementResult commit = db_.Commit();
   EXPECT_FALSE(commit.ok());
@@ -113,8 +128,9 @@ TEST_F(TransactionTest, CommitViolationRollsEverythingBack) {
   ExpectConsistent("after rollback");
 }
 
-TEST_F(TransactionTest, ExplicitRollback) {
+TEST_P(TransactionTest, ExplicitRollback) {
   Relation view_before = view_->view().AsRelation();
+  const uint64_t generation = db_.AcquireSnapshot("dept_emp").generation();
   ASSERT_TRUE(db_.BeginTransaction());
   db_.Delete("emp", {Row{Value::Int64(10)}});
   db_.Delete("dept", {Row{Value::Int64(1)}});  // no child check: deferred
@@ -126,9 +142,38 @@ TEST_F(TransactionTest, ExplicitRollback) {
   std::string diff;
   EXPECT_TRUE(SameBag(view_before, view_->view().AsRelation(), &diff))
       << diff;
+  // The view did not read inside the transaction: its forward and
+  // inverse entries cancel, so nothing was maintained or republished.
+  EXPECT_EQ(db_.AcquireSnapshot("dept_emp").generation(), generation);
+  EXPECT_EQ(db_.DeltaLogSize(), 0);
 }
 
-TEST_F(TransactionTest, RollbackWithoutTransactionFails) {
+TEST_P(TransactionTest, ViewsCatchUpAtCommitNotBefore) {
+  ASSERT_TRUE(db_.BeginTransaction());
+  db_.Insert("dept", {Row{Value::Int64(2), Value::String("ops")}});
+  db_.Insert("emp",
+             {Row{Value::Int64(11), Value::Int64(2), Value::Float64(50)}});
+  // The statements only applied and logged their changes.
+  EXPECT_EQ(view_->view().size(), 1);
+  EXPECT_EQ(db_.PendingRows("dept_emp"), 2);
+  ASSERT_TRUE(db_.Commit().ok());
+  EXPECT_EQ(db_.PendingRows("dept_emp"), 0);
+  EXPECT_EQ(db_.DeltaLogSize(), 0);
+  ExpectConsistent("after commit");
+}
+
+TEST_P(TransactionTest, RollbackAfterReadingADanglingChild) {
+  ASSERT_TRUE(db_.BeginTransaction());
+  db_.Insert("emp", {Row{Value::Int64(11), Value::Int64(2),  // no dept 2
+                         Value::Float64(50)}});
+  ExpectReadConsistent("mid-transaction (violated FK)");
+  ASSERT_TRUE(db_.Rollback());
+  // The view replays the delete of the dangling child, which the FK
+  // plans would assume had a department.
+  ExpectConsistent("after rollback");
+}
+
+TEST_P(TransactionTest, RollbackWithoutTransactionFails) {
   EXPECT_FALSE(db_.Rollback());
   EXPECT_FALSE(db_.in_transaction());
   EXPECT_EQ(db_.catalog()->GetTable("dept")->size(), 1);
@@ -136,12 +181,17 @@ TEST_F(TransactionTest, RollbackWithoutTransactionFails) {
   ExpectConsistent("after a rollback with no transaction");
 }
 
-TEST_F(TransactionTest, NestedBeginAndEmptyCommit) {
+TEST_P(TransactionTest, NestedBeginAndEmptyCommit) {
   ASSERT_TRUE(db_.BeginTransaction());
   EXPECT_FALSE(db_.BeginTransaction());
   EXPECT_TRUE(db_.Commit().ok());
   EXPECT_FALSE(db_.Commit().ok());  // nothing open
 }
+
+INSTANTIATE_TEST_SUITE_P(Fk, TransactionTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Deferrable" : "NotDeferrable";
+                         });
 
 }  // namespace
 }  // namespace ojv

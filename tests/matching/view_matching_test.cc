@@ -7,6 +7,8 @@
 
 #include "ivm/database.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "baseline/recompute.h"
@@ -363,6 +365,64 @@ TEST_F(ViewMatchingTest, AnswerFromDatabaseScansRegisteredViews) {
               {"lineitem", "l_linenumber"}},
              *db.catalog());
   EXPECT_FALSE(AnswerFromDatabase(q2, &db, nullptr).has_value());
+}
+
+// The database answer reads the view through ReadView: a stored view
+// that lags the base tables must not answer stale rows.
+class AnswerFromDatabaseFreshnessTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    tpch::CreateSchema(db_.catalog());
+    tpch::DbgenOptions options;
+    options.scale_factor = 0.002;
+    dbgen_ = std::make_unique<tpch::Dbgen>(options);
+    dbgen_->Populate(db_.catalog());
+    db_.CreateMaterializedView(tpch::MakeOjView(*db_.catalog()));
+    RelExprPtr inner = RelExpr::Join(
+        JoinKind::kInner, RelExpr::Scan("orders"), RelExpr::Scan("lineitem"),
+        Eq("lineitem", "l_orderkey", "orders", "o_orderkey"));
+    RelExprPtr tree = RelExpr::Join(
+        JoinKind::kInner, RelExpr::Scan("part"), inner,
+        Eq("part", "p_partkey", "lineitem", "l_partkey"));
+    query_ = std::make_unique<ViewDef>(
+        "q", tree, tpch::MakeOjView(*db_.catalog()).output(), *db_.catalog());
+  }
+
+  void InsertLineitems(int64_t n) {
+    tpch::RefreshStream refresh(db_.catalog(), dbgen_.get(), 77);
+    ASSERT_EQ(db_.Insert("lineitem", refresh.NewLineitems(n)).rows_affected,
+              n);
+  }
+
+  void ExpectFreshAnswer() {
+    std::string which;
+    std::optional<Relation> answer = AnswerFromDatabase(*query_, &db_, &which);
+    ASSERT_TRUE(answer.has_value());
+    EXPECT_EQ(which, "oj_view");
+    std::string diff;
+    EXPECT_TRUE(SameBag(RecomputeView(*db_.catalog(), *query_), *answer, &diff))
+        << diff;
+  }
+
+  Database db_;
+  std::unique_ptr<tpch::Dbgen> dbgen_;
+  std::unique_ptr<ViewDef> query_;
+};
+
+TEST_F(AnswerFromDatabaseFreshnessTest, OnDemandViewCatchesUpFirst) {
+  db_.SetRefreshPolicy("oj_view", deferred::RefreshPolicy::kOnDemand);
+  InsertLineitems(100);
+  ASSERT_EQ(db_.PendingRows("oj_view"), 100);
+  ExpectFreshAnswer();
+  EXPECT_EQ(db_.PendingRows("oj_view"), 0);
+}
+
+TEST_F(AnswerFromDatabaseFreshnessTest, EagerViewInsideTransaction) {
+  ASSERT_TRUE(db_.BeginTransaction());
+  InsertLineitems(100);
+  ExpectFreshAnswer();
+  ASSERT_TRUE(db_.Rollback());
+  ExpectFreshAnswer();
 }
 
 }  // namespace

@@ -14,6 +14,9 @@
 //   SHOW name;                             view/table row counts
 //   DUMP VIEW name TO 'file';              write the view contents
 //   CHECK name;                            view == recompute (exit 1 if not)
+//                                          (all three read views fresh, so
+//                                          they see an open transaction's
+//                                          writes)
 //   STATS;                                 cumulative maintenance counters
 //   BEGIN; / COMMIT; / ROLLBACK;           deferred-FK transactions
 //   QUERY SELECT ...;                      run a query; answered from a
@@ -232,14 +235,14 @@ class Interpreter {
     }
     if (ConsumeWord(statement, "SHOW", &rest)) {
       std::string name = TakeToken(&rest);
-      if (ViewMaintainer* view = db_.GetView(name)) {
+      if (ViewSnapshot view = db_.ReadView(name)) {
         std::printf("%s: %lld rows\n", name.c_str(),
-                    static_cast<long long>(view->view().size()));
+                    static_cast<long long>(view.size()));
         return true;
       }
-      if (AggViewMaintainer* agg = db_.GetAggregateView(name)) {
+      if (ViewSnapshot agg = db_.ReadAggregateRelation(name)) {
         std::printf("%s: %lld groups\n", name.c_str(),
-                    static_cast<long long>(agg->num_groups()));
+                    static_cast<long long>(agg.size()));
         return true;
       }
       if (db_.catalog()->HasTable(name)) {
@@ -255,15 +258,10 @@ class Interpreter {
       std::string to_clause;
       if (!ConsumeWord(rest, "TO", &to_clause)) return Fail("expected TO");
       std::string file = TakeToken(&to_clause);
-      ViewMaintainer* view = db_.GetView(name);
-      Relation contents = view != nullptr
-                              ? view->view().AsRelation()
-                              : Relation();
-      if (view == nullptr) {
-        AggViewMaintainer* agg = db_.GetAggregateView(name);
-        if (agg == nullptr) return Fail("unknown view " + name);
-        contents = agg->AsRelation();
-      }
+      ViewSnapshot snap = db_.ReadView(name);
+      if (!snap) snap = db_.ReadAggregateRelation(name);
+      if (!snap) return Fail("unknown view " + name);
+      const Relation& contents = snap.relation();
       std::string error;
       if (!io::WriteRelation(contents, file, io::TextFormat(), &error)) {
         return Fail(error);
@@ -336,16 +334,18 @@ class Interpreter {
     }
     if (ConsumeWord(statement, "CHECK", &rest)) {
       std::string name = TakeToken(&rest);
-      if (ViewMaintainer* view = db_.GetView(name)) {
+      if (ViewSnapshot snap = db_.ReadView(name)) {
         std::string diff;
-        if (!ViewMatchesRecompute(*db_.catalog(), view->view_def(),
-                                  view->view(), &diff)) {
+        if (!ViewMatchesRecompute(*db_.catalog(),
+                                  db_.GetView(name)->view_def(),
+                                  snap.relation(), &diff)) {
           return Fail("view differs from recompute: " + diff);
         }
         std::printf("check %s: ok\n", name.c_str());
         return true;
       }
       if (AggViewMaintainer* agg = db_.GetAggregateView(name)) {
+        db_.ReadAggregateRelation(name);  // catches the stored groups up
         std::string diff;
         if (!agg->MatchesRecompute(1e-9, &diff)) {
           return Fail("aggregate differs from recompute: " + diff);

@@ -7,8 +7,9 @@
 // the experiment view V3 (immediate maintenance) and the Example 1
 // outer-join view (deferred, refreshed on demand) — attaches one
 // TraceContext to the whole pipeline, and replays a mixed workload:
-// order + lineitem inserts, lineitem deletes, an order update, and an
-// explicit deferred refresh. It then prints the annotated
+// order + lineitem inserts, lineitem deletes, an order update, an
+// explicit deferred refresh, a threshold tail, and one committed and one
+// rolled-back transaction. It then prints the annotated
 // EXPLAIN-with-stats for V3 and writes
 //
 //   DIR/trace.json   Chrome trace_event JSON — load in chrome://tracing
@@ -104,30 +105,37 @@ int CheckTrace(const obs::TraceContext& trace) {
   // The stage set an insert/delete/update/refresh workload must produce.
   for (const char* span : {"db.insert", "db.delete", "db.update",
                            "ivm.maintain", "ivm.primary_delta", "ivm.apply",
-                           "exec.delta_scan", "exec.join", "deferred.refresh",
-                           "ivm.init_view"}) {
+                           "exec.join", "deferred.refresh", "ivm.init_view"}) {
     require(trace.HasSpan(span), span);
     if (trace.HasSpan(span)) {
       require(trace.StageMicros(span) > 0,
               (std::string(span) + " has zero duration").c_str());
     }
   }
-  // Normalization spans must be present (their durations can round to
-  // zero microseconds on small views, so only presence is required).
-  for (const char* span : {"ivm.plan.jdnf", "ivm.plan.table"}) {
+  // Spans whose durations can round to zero microseconds (normalization
+  // on small views, a delta scan that only wraps a bound relation, a
+  // transaction's bookkeeping): only presence is required.
+  for (const char* span : {"ivm.plan.jdnf", "ivm.plan.table",
+                           "exec.delta_scan", "db.commit", "db.rollback"}) {
     require(trace.HasSpan(span), span);
   }
+  require(trace.ArgSum("exec.delta_scan", "rows_out") > 0,
+          "exec.delta_scan carries its rows");
   // The threshold tail's trip must refresh inline, inside the
   // statement that tripped it: a deferred.refresh nested in a db.insert.
+  // The committed transaction's V3 catches up inside db.commit.
   const std::vector<obs::TraceEvent> events = trace.Snapshot();
-  bool inline_refresh = false;
-  for (const obs::TraceEvent& e : events) {
-    if (e.name == "deferred.refresh" && e.parent >= 0 &&
-        events[static_cast<size_t>(e.parent)].name == "db.insert") {
-      inline_refresh = true;
+  auto refresh_inside = [&](const char* parent) {
+    for (const obs::TraceEvent& e : events) {
+      if (e.name == "deferred.refresh" && e.parent >= 0 &&
+          events[static_cast<size_t>(e.parent)].name == parent) {
+        return true;
+      }
     }
-  }
-  require(inline_refresh, "deferred.refresh inside db.insert");
+    return false;
+  };
+  require(refresh_inside("db.insert"), "deferred.refresh inside db.insert");
+  require(refresh_inside("db.commit"), "deferred.refresh inside db.commit");
   // Theorem 3 prunes the secondary delta of V3's lineitem updates: the
   // trace must say so explicitly rather than just omit the stage.
   require(trace.HasSpan("ivm.secondary_delta.skipped"),
@@ -202,6 +210,17 @@ int Run(int argc, char** argv) {
   db.SetRefreshPolicy("cust_orders", deferred::RefreshPolicy::kThreshold,
                       tight);
   db.Insert("orders", refresh.NewOrders(2));
+
+  // --- transaction tail -------------------------------------------------
+  // Inside a transaction statements only apply and log their changes.
+  // V3 catches up on the committed batch inside db.commit; the
+  // rolled-back delete's forward and inverse entries cancel for it.
+  db.BeginTransaction();
+  db.Insert("part", refresh.NewParts(5));
+  db.Commit();
+  db.BeginTransaction();
+  db.Delete("lineitem", refresh.PickLineitemDeleteKeys(5));
+  db.Rollback();
 
   db.set_trace(nullptr);
 
